@@ -1,22 +1,26 @@
 """Tensor products, coproducts and Hopf-axiom checks.
 
-The primitive coproduct is realized both formally (term lists, for exact
-coassociativity/counit/antipode checks) and concretely on the product space.
-Deformed coproducts are built by joint spectral calculus on the commuting
-pair (Delta(C), Delta(J3)): Delta(J3) is diagonal in the product basis, so
-Delta(C) is diagonalized inside each m-eigenspace only.
+`primitive_coproduct` is the one place that labels a product space. Delta(J3)
+is diagonal, with each state's integral 2M read from the factors' ladders,
+and the Clebsch-Gordan series gives the multiset of 2J. Inside each M block
+one `eigh` of Delta(C) yields ascending eigenvalues, so its eigenvectors take
+the ascending exact labels {J >= |M|}: the product is stored as per-(J, M)
+blocks with exact labels. Deformed coproducts are functions of those exact
+labels, and coassociativity of the primitive coproduct is decided
+symbolically on label triples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .coefficients import phi_eval, phi_prime
+from .coefficients import phi_eval
 from .halfint import halfint
 from .repbuilder import MatrixRep, build_sl2
 from .verifier import DEFAULT_TOL, VerificationReport
@@ -25,102 +29,35 @@ JOINT_TOL = 1e-10
 
 
 class InadmissibleProductError(ValueError):
-    """A joint eigenvalue leaves the domain of the spectral function."""
+    """A (J, M) block leaves the domain of the spectral function.
 
-    def __init__(self, message: str, c: float, m: float):
-        self.c = c
-        self.m = m
-        super().__init__(f"{message} at joint eigenvalue (c={c:.6g}, m={m:.6g})")
-
-
-# ---------------------------------------------------------------------------
-# formal tensors
-
-
-@dataclass
-class FormalTensor:
-    """A finite sum of elementary tensor terms over fixed factor spaces.
-
-    Each term is a tuple of matrices, one per tensor leg. Canonicalization
-    merges terms whose legs are pairwise proportional, so formal equality is
-    insensitive to how a sum was assembled.
+    Carries the exact c = J(J+1) and, where one is at fault, the exact M.
     """
 
-    terms: list
-
-    def canonicalize(self) -> "FormalTensor":
-        """Merge terms whose legs are pairwise proportional."""
-        merged: list[tuple[float, list]] = []  # (scale, legs)
-        for term in self.terms:
-            for i, (scale, legs) in enumerate(merged):
-                s = _proportionality(list(term), legs)
-                if s is not None:
-                    merged[i] = (scale + s, legs)
-                    break
-            else:
-                merged.append((1.0, [t.copy() for t in term]))
-        out = []
-        for scale, legs in merged:
-            if scale == 0:
-                continue
-            out.append(tuple([scale * legs[0]] + legs[1:]))
-        return FormalTensor(out)
-
-    def realize(self) -> np.ndarray:
-        """Kronecker-realize the sum on the product space."""
-        acc = None
-        for term in self.terms:
-            mat = term[0]
-            for leg in term[1:]:
-                mat = np.kron(mat, leg)
-            acc = mat if acc is None else acc + mat
-        return acc
-
-
-def _proportionality(a, b) -> Optional[float]:
-    """Scale s with a == s*b legwise, or None. (Used by canonicalize.)"""
-    if len(a) != len(b):
-        return None
-    scale = 1.0
-    for x, y in zip(a, b):
-        if x.shape != y.shape:
-            return None
-        ynorm = np.abs(y).max()
-        if ynorm == 0:
-            if np.abs(x).max() != 0:
-                return None
-            continue
-        idx = np.unravel_index(np.abs(y).argmax(), y.shape)
-        s = x[idx] / y[idx]
-        if not np.allclose(x, s * y, atol=1e-14, rtol=1e-12):
-            return None
-        scale *= s
-    return scale
-
-
-def formal_equal(a: FormalTensor, b: FormalTensor, tol: float = 1e-14) -> bool:
-    """Exact equality of formal sums, compared term-by-term after matching."""
-    remaining = [list(t) for t in b.terms]
-    for term in a.terms:
-        for i, cand in enumerate(remaining):
-            if len(term) == len(cand) and all(
-                t.shape == c.shape and np.allclose(t, c, atol=tol, rtol=0)
-                for t, c in zip(term, cand)
-            ):
-                remaining.pop(i)
-                break
-        else:
-            return False
-    return not remaining
+    def __init__(self, message: str, c: Fraction, m: Optional[Fraction] = None):
+        self.c = c
+        self.m = m
+        where = f"J(J+1) = {c}" if m is None else f"J(J+1) = {c}, M = {m}"
+        super().__init__(f"{message} at {where}")
 
 
 # ---------------------------------------------------------------------------
 # product representations
 
 
+class CoupledBlock(NamedTuple):
+    """The Delta(J3) = M block of a product space in its coupled basis."""
+
+    two_m: int
+    indices: np.ndarray  # product-basis states with this M
+    w: np.ndarray  # numeric eigenvalues of the Delta(C) block, ascending
+    V: np.ndarray  # the matching eigenvectors, as columns
+    two_js: tuple  # exact label 2J of each column, ascending
+
+
 @dataclass
 class ProductRep:
-    """Primitive coproduct matrices on V1 (x) V2 with the joint eigenstructure."""
+    """Primitive coproduct matrices on V1 (x) V2 with exact (J, M) labels."""
 
     d1: int
     d2: int
@@ -128,59 +65,70 @@ class ProductRep:
     DJp: np.ndarray
     DJm: np.ndarray
     DC: np.ndarray
-    joint_eigs: list = field(default_factory=list)  # (c, m, eigvec)
+    two_m: np.ndarray  # 2M of each basis state
+    spins: tuple  # sorted multiset of 2J over the Clebsch-Gordan series
+    blocks: list  # one CoupledBlock per M, ascending
 
     @property
     def dim(self) -> int:
         return self.d1 * self.d2
 
 
-def primitive_coproduct(rep1: MatrixRep, rep2: MatrixRep) -> ProductRep:
-    """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir."""
-    i1, i2 = np.eye(rep1.dim), np.eye(rep2.dim)
-    dj3 = np.kron(rep1.J3, i2) + np.kron(i1, rep2.J3)
-    djp = np.kron(rep1.Jplus, i2) + np.kron(i1, rep2.Jplus)
-    djm = np.kron(rep1.Jminus, i2) + np.kron(i1, rep2.Jminus)
-    c1 = float(rep1.j.mm1()) * i1
-    c2 = float(rep2.j.mm1()) * i2
-    dc = (
-        np.kron(c1, i2)
-        + np.kron(i1, c2)
-        + np.kron(rep1.Jplus, rep2.Jminus)
-        + np.kron(rep1.Jminus, rep2.Jplus)
-        + 2 * np.kron(rep1.J3, rep2.J3)
-    )
-    pr = ProductRep(rep1.dim, rep2.dim, dj3, djp, djm, dc)
-    pr.joint_eigs = _joint_eigenstructure(dj3, dc)
-    return pr
+def _casimir(two_j: int) -> Fraction:
+    """J(J+1) for J = two_j / 2, exactly."""
+    return Fraction(two_j * (two_j + 2), 4)
 
 
-def _joint_eigenstructure(dj3: np.ndarray, dc: np.ndarray) -> list:
-    """Diagonalize DC inside each eigenspace of the diagonal DJ3."""
-    dim = dj3.shape[0]
-    diag = np.diag(dj3)
-    # group indices by the (half-integer) DJ3 eigenvalue
-    blocks: dict[int, list[int]] = {}
-    for i, v in enumerate(diag):
-        key = round(2 * v)
-        blocks.setdefault(key, []).append(i)
-    eigs = []
-    for key in sorted(blocks):
-        idx = blocks[key]
-        sub = dc[np.ix_(idx, idx)]
-        w, vecs = np.linalg.eigh(0.5 * (sub + sub.T))
-        for col in range(len(idx)):
-            vec = np.zeros(dim)
-            vec[idx] = vecs[:, col]
-            eigs.append((float(w[col]), key / 2.0, vec))
-    return eigs
+def _factor(x: Union[MatrixRep, ProductRep]):
+    """(J3, J+, J-, C, 2M per state, spins) of an sl2 irrep or a product."""
+    if isinstance(x, ProductRep):
+        return x.DJ3, x.DJp, x.DJm, x.DC, x.two_m, x.spins
+    if x.family != "sl2":
+        raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
+    two_m = np.arange(x.two_j, -x.two_j - 1, -2)
+    return x.J3, x.Jplus, x.Jminus, float(_casimir(x.two_j)) * np.eye(x.dim), two_m, (x.two_j,)
 
 
-def joint_calculus(pr: ProductRep, g: Callable[[float, float], float]) -> np.ndarray:
-    """Apply a scalar function of (c, m) over the joint spectrum of (DC, DJ3)."""
+def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
+                        rep2: Union[MatrixRep, ProductRep]) -> ProductRep:
+    """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir.
+
+    Each factor is an sl2 irrep or a ProductRep, so V (x) V (x) V can be built
+    in either bracketing. Each Delta(J3) = M block gets one `eigh` of its
+    Delta(C) block; its k-th eigenvector takes the k-th of the ascending labels
+    {J in spins : J >= |M|}. This is exact because distinct values of J(J+1)
+    lie at least 2 apart.
+    """
+    a3, ap, am, ac, a_two_m, a_spins = _factor(rep1)
+    b3, bp, bm, bc, b_two_m, b_spins = _factor(rep2)
+    i1, i2 = np.eye(len(a_two_m)), np.eye(len(b_two_m))
+    dj3 = np.kron(a3, i2) + np.kron(i1, b3)
+    djp = np.kron(ap, i2) + np.kron(i1, bp)
+    djm = np.kron(am, i2) + np.kron(i1, bm)
+    dc = np.kron(ac, i2) + np.kron(i1, bc) + np.kron(ap, bm) + np.kron(am, bp) + 2 * np.kron(a3, b3)
+    two_m = np.add.outer(a_two_m, b_two_m).ravel()
+    spins = tuple(sorted(
+        t for s1 in a_spins for s2 in b_spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)
+    ))
+    blocks = []
+    for t in np.unique(two_m):
+        idx = np.flatnonzero(two_m == t)
+        w, vecs = np.linalg.eigh(dc[np.ix_(idx, idx)])
+        blocks.append(CoupledBlock(int(t), idx, w, vecs, tuple(s for s in spins if s >= abs(t))))
+    return ProductRep(len(a_two_m), len(b_two_m), dj3, djp, djm, dc, two_m, spins, blocks)
+
+
+def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> np.ndarray:
+    """Apply a scalar function of (c, m) over the joint spectrum of (DC, DJ3).
+
+    g is called with the exact Fractions c = J(J+1) and m = M of each coupled
+    state, and V diag(g) V^T is written into each M block.
+    """
     out = np.zeros((pr.dim, pr.dim))
-    for c, m, vec in pr.joint_eigs:
-        out += g(c, m) * np.outer(vec, vec)
+    for b in pr.blocks:
+        m = Fraction(b.two_m, 2)
+        vals = np.array([g(_casimir(t), m) for t in b.two_js], dtype=float)
+        out[np.ix_(b.indices, b.indices)] = (b.V * vals) @ b.V.T
     return out
 
 
@@ -193,33 +141,13 @@ def product_casimir_spectrum(j1, j2) -> list[float]:
     return sorted(vals)
 
 
-def _snap_mm1(m: float) -> Fraction:
-    """m(m+1) for a numerically half-integer m, exactly."""
-    t = round(2 * m)
-    return Fraction(t * (t + 2), 4)
-
-
-def _divided_difference_real(alpha: Sequence, c: float, x: Fraction) -> float:
-    phic = float(phi_eval_real(alpha, c))
-    phix = float(phi_eval(alpha, x))
-    den = c - float(x)
-    if abs(den) < 1e-9:
-        return float(phi_prime(alpha, x))
-    return (phic - phix) / den
-
-
-def phi_eval_real(alpha: Sequence, x: float) -> float:
-    acc = 0.0
-    for coeff in reversed([float(a) for a in alpha]):
-        acc = (acc + coeff) * x
-    return acc
-
-
 def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
     """Coproduct of the polynomial-deformed generators on the product space.
 
     The square-rooted divided difference (phi(c) - phi(m(m+1)))/(c - m(m+1))
-    is applied by joint calculus. With order='source' the factor sits to the
+    is computed exactly at each label (c, m) = (J(J+1), M) and applied by
+    joint calculus; a negative value below the highest weight raises
+    InadmissibleProductError. With order='source' the factor sits to the
     right of Delta(J+) (evaluated at the source state, matching the single
     irrep construction); order='target' puts it on the left, which evaluates
     at the target state instead (and is not an algebra map in general).
@@ -229,18 +157,21 @@ def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
 
-    def g(c: float, m: float) -> float:
-        x = _snap_mm1(m)
-        dd = _divided_difference_real(alpha, c, x)
-        if dd < -JOINT_TOL:
-            if c - float(x) > 1e-9:
-                raise InadmissibleProductError(
-                    "negative divided difference (inadmissible tensor product)", c, m
-                )
-            # removable point at a block's highest weight: the factor
-            # multiplies an annihilated direction, its sign is immaterial
+    @functools.cache
+    def phi(x: Fraction) -> Fraction:
+        return phi_eval(alpha, x)
+
+    def g(c: Fraction, m: Fraction) -> float:
+        x = m * (m + 1)
+        if c == x:
+            # M = J: the factor multiplies a direction Delta(J+) annihilates
             return 0.0
-        return math.sqrt(max(dd, 0.0))
+        dd = (phi(c) - phi(x)) / (c - x)
+        if dd < 0:
+            raise InadmissibleProductError(
+                "negative divided difference (inadmissible tensor product)", c, m
+            )
+        return math.sqrt(dd)
 
     factor = joint_calculus(pr, g)
     if order == "source":
@@ -259,17 +190,16 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
     a = float(alpha)
     if abs(a) < 1e-12:
         raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor)")
-    cmax = max(c for c, _, _ in pr.joint_eigs)
+    cmax = _casimir(max(pr.spins))
     if 1 - 16 * a * a * cmax / 3 < 0:
         raise InadmissibleProductError(
-            f"negative radicand: need alpha^2 <= 3/(16 c_max) = {3 / (16 * cmax):.6g}",
-            cmax, float("nan"),
+            f"negative radicand: need alpha^2 <= 3/(16 c_max) = {3 / (16 * cmax)}", cmax
         )
 
-    def root(c: float, m: float) -> float:
+    def root(c: Fraction, m: Fraction) -> float:
         return math.sqrt(max(1 - 16 * a * a * c / 3, 0.0))
 
-    def ladder_factor(c: float, m: float) -> float:
+    def ladder_factor(c: Fraction, m: Fraction) -> float:
         val = 2 * a * (2 * m + 1) / 3 + root(c, m)
         if val < -JOINT_TOL:
             raise InadmissibleProductError("negative ladder-factor radicand", c, m)
@@ -283,13 +213,14 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
     return dj3_a, djp_a, djm_a
 
 
+def _swap_index(d1: int, d2: int) -> np.ndarray:
+    """Index permutation sending the state of w (x) v to that of v (x) w."""
+    return np.arange(d1 * d2).reshape(d1, d2).T.ravel()
+
+
 def swap_matrix(d1: int, d2: int) -> np.ndarray:
     """Permutation realizing v (x) w -> w (x) v."""
-    p = np.zeros((d1 * d2, d1 * d2))
-    for a in range(d1):
-        for b in range(d2):
-            p[b * d1 + a, a * d2 + b] = 1.0
-    return p
+    return np.eye(d1 * d2)[_swap_index(d1, d2)]
 
 
 def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]:
@@ -298,16 +229,12 @@ def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]
     for mat in matrices:
         if mat.shape != (dim, dim):
             raise ValueError("cocommutativity_check requires equal tensor factors")
-    p = swap_matrix(d, d)
-    return [float(np.linalg.norm(p @ mat @ p.T - mat)) for mat in matrices]
+    perm = _swap_index(d, d)
+    return [float(np.linalg.norm(mat[np.ix_(perm, perm)] - mat)) for mat in matrices]
 
 
 # ---------------------------------------------------------------------------
 # Hopf axioms
-
-
-def primitive_formal_coproduct(x: np.ndarray, eye: np.ndarray) -> FormalTensor:
-    return FormalTensor([(x.copy(), eye.copy()), (eye.copy(), x.copy())])
 
 
 def antipode_realization(j) -> np.ndarray:
@@ -339,67 +266,47 @@ def multiply_with_antipode(x: np.ndarray, d: int, w: np.ndarray, side: str = "ri
     """
     t = x.reshape(d, d, d, d)  # [a, c, b, e] = <a c| X |b e>
     winv = np.linalg.inv(w)
-    out = np.zeros((d, d))
-    if side == "right":
-        for a in range(d):
-            for b in range(d):
-                block = t[a, :, b, :]  # B-part paired with E_ab on the left leg
-                sb = (w @ block @ winv).T
-                out[a, :] += sb[b, :]  # E_ab @ S(B)
-    elif side == "left":
-        for a in range(d):
-            for b in range(d):
-                e_ab = np.zeros((d, d))
-                e_ab[a, b] = 1.0
-                s_eab = (w @ e_ab @ winv).T
-                out += s_eab @ t[a, :, b, :]
-    else:
-        raise ValueError("side must be 'right' or 'left'")
-    return out
+    if side == "right":  # sum_ab E_ab @ S(B_ab), S(B) = (w B winv)^T
+        return np.einsum("ck,akbl,lb->ac", w, t, winv)
+    if side == "left":  # sum_ab S(E_ab) @ B_ab
+        return np.einsum("bp,qa,aqbe->pe", winv, w, t)
+    raise ValueError("side must be 'right' or 'left'")
 
 
 def hopf_axiom_checks(rep: MatrixRep, quadratic_alpha: Optional[float] = None,
                       tol: float = 1e-12) -> VerificationReport:
     """Verify coassociativity, counit and antipode identities on one irrep.
 
-    Primitive generators are checked exactly as formal sums; with
-    quadratic_alpha set, the quadratic antipode maps are additionally
-    realized by functional calculus and the antipode axiom is checked at
-    matrix level on the product space (equal factors, so the trivial
-    component is present).
+    Coassociativity of the primitive generators is decided symbolically:
+    both bracketings expand X (x) 1 + 1 (x) X into three-leg terms of unit
+    coefficient, compared as sorted label triples. With quadratic_alpha
+    set, the quadratic antipode maps are additionally realized by
+    functional calculus and the antipode axiom is checked at matrix level
+    on the product space (equal factors, so the trivial component is
+    present).
     """
     report = VerificationReport()
     eye = np.eye(rep.dim)
     gens = {"J+": rep.Jplus, "J-": rep.Jminus, "J3": rep.J3}
 
-    def expand_left(term):
-        """Apply Delta (x) id to one labeled two-leg term."""
-        (llab, l), (rlab, r) = term
-        if llab == "1":
-            return [((llab, l), (llab, l), (rlab, r))]
-        return [((llab, l), ("1", eye), (rlab, r)), (("1", eye), (llab, l), (rlab, r))]
+    def expand_left(l, r):
+        """Apply Delta (x) id to the label term l (x) r."""
+        return [(l, l, r)] if l == "1" else [(l, "1", r), ("1", l, r)]
 
-    def expand_right(term):
-        """Apply id (x) Delta to one labeled two-leg term."""
-        (llab, l), (rlab, r) = term
-        if rlab == "1":
-            return [((llab, l), (rlab, r), (rlab, r))]
-        return [((llab, l), (rlab, r), ("1", eye)), ((llab, l), ("1", eye), (rlab, r))]
+    def expand_right(l, r):
+        """Apply id (x) Delta to the label term l (x) r."""
+        return [(l, r, r)] if r == "1" else [(l, r, "1"), (l, "1", r)]
 
     for name, x in gens.items():
         # labeled primitive coproduct: X (x) 1 + 1 (x) X
         delta = [((name, x), ("1", eye)), (("1", eye), (name, x))]
-
-        left = FormalTensor(
-            [tuple(mat for _, mat in t) for term in delta for t in expand_left(term)]
-        ).canonicalize()
-        right = FormalTensor(
-            [tuple(mat for _, mat in t) for term in delta for t in expand_right(term)]
-        ).canonicalize()
+        labels = [(llab, rlab) for (llab, _), (rlab, _) in delta]
+        left = sorted(t for l, r in labels for t in expand_left(l, r))
+        right = sorted(t for l, r in labels for t in expand_right(l, r))
         report.add_exact(
             f"coassociativity Delta({name})",
-            Fraction(0) if formal_equal(left, right) else Fraction(1),
-            context="three-leg formal sums",
+            Fraction(0) if left == right else Fraction(1),
+            context="three-leg label sums",
         )
 
         # counit: eps(generator) = 0, eps(1) = 1, applied legwise
@@ -488,58 +395,20 @@ def _matrix_sqrt_diag(d: np.ndarray) -> np.ndarray:
 def triple_coassociativity_residual(j, alpha: Sequence) -> float:
     """Numeric coassociativity witness for the deformed coproduct on V^(x)3.
 
-    Builds the total Casimir and ladder maps through both bracketing orders
-    ((Delta x id)Delta vs (id x Delta)Delta of the primitive maps), applies
-    the deformation through joint calculus in each, and returns the largest
-    difference.
+    Builds (V (x) V) (x) V and V (x) (V (x) V) with `primitive_coproduct`,
+    deforms each with `deformed_coproduct`, and returns the largest
+    difference of the primitive and deformed maps between the bracketings.
+    Raises InadmissibleProductError when a component of V^(x)3 is
+    inadmissible.
     """
     rep = build_sl2(halfint(j))
-    d = rep.dim
-
-    def pair(repA_j3, repA_jp, repA_jm, repA_c, dA, repB: MatrixRep):
-        iA, iB = np.eye(dA), np.eye(repB.dim)
-        j3 = np.kron(repA_j3, iB) + np.kron(iA, repB.J3)
-        jp = np.kron(repA_jp, iB) + np.kron(iA, repB.Jplus)
-        jm = np.kron(repA_jm, iB) + np.kron(iA, repB.Jminus)
-        cB = float(repB.j.mm1()) * iB
-        cc = (
-            np.kron(repA_c, iB) + np.kron(iA, cB)
-            + np.kron(repA_jp, repB.Jminus) + np.kron(repA_jm, repB.Jplus)
-            + 2 * np.kron(repA_j3, repB.J3)
-        )
-        return j3, jp, jm, cc
-
-    c0 = float(rep.j.mm1()) * np.eye(d)
-    # left bracketing: (V1 x V2) x V3
-    j3_12, jp_12, jm_12, c_12 = pair(rep.J3, rep.Jplus, rep.Jminus, c0, d, rep)
-    j3_l, jp_l, jm_l, c_l = pair(j3_12, jp_12, jm_12, c_12, d * d, rep)
-    # right bracketing: V1 x (V2 x V3)
-    i1 = np.eye(d)
-    j3_r = np.kron(rep.J3, np.eye(d * d)) + np.kron(i1, j3_12)
-    jp_r = np.kron(rep.Jplus, np.eye(d * d)) + np.kron(i1, jp_12)
-    jm_r = np.kron(rep.Jminus, np.eye(d * d)) + np.kron(i1, jm_12)
-    c_r = (
-        np.kron(c0, np.eye(d * d)) + np.kron(i1, c_12)
-        + np.kron(rep.Jplus, jm_12) + np.kron(rep.Jminus, jp_12)
-        + 2 * np.kron(rep.J3, j3_12)
-    )
-
+    left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
+    right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
     resid = max(
-        float(np.linalg.norm(j3_l - j3_r)),
-        float(np.linalg.norm(jp_l - jp_r)),
-        float(np.linalg.norm(c_l - c_r)),
+        float(np.linalg.norm(left.DJ3 - right.DJ3)),
+        float(np.linalg.norm(left.DJp - right.DJp)),
+        float(np.linalg.norm(left.DC - right.DC)),
     )
-
-    def deform(j3, jp, cc):
-        pr = ProductRep(1, d ** 3, j3, jp, jp.T.copy(), cc)
-        pr.joint_eigs = _joint_eigenstructure(j3, cc)
-
-        def g(c, m):
-            dd = _divided_difference_real(alpha, c, _snap_mm1(m))
-            return math.sqrt(max(dd, 0.0))
-
-        return jp @ joint_calculus(pr, g)
-
-    djp_l = deform(j3_l, jp_l, c_l)
-    djp_r = deform(j3_r, jp_r, c_r)
+    djp_l = deformed_coproduct(left, alpha)[0]
+    djp_r = deformed_coproduct(right, alpha)[0]
     return max(resid, float(np.linalg.norm(djp_l - djp_r)))

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from nlsl2.coefficients import alpha_from_beta
-from nlsl2.halfint import halfint
+from nlsl2.halfint import HalfInt, halfint
 from nlsl2.hopf import (
-    FormalTensor,
     InadmissibleProductError,
     antipode_realization,
     apply_antipode,
     cocommutativity_check,
     deformed_coproduct,
-    formal_equal,
     hopf_axiom_checks,
     joint_calculus,
     multiply_with_antipode,
@@ -24,27 +22,8 @@ from nlsl2.hopf import (
     triple_coassociativity_residual,
 )
 from nlsl2.repbuilder import MatrixRep, build_sl2
+from nlsl2.structure import f2_polynomial
 from nlsl2.verifier import commutator_residuals
-
-
-def test_formal_tensor_canonicalize_merges():
-    a = np.array([[1.0, 0], [0, 2.0]])
-    b = np.array([[0, 1.0], [0, 0]])
-    t = FormalTensor([(a, b), (2 * a, b)]).canonicalize()
-    assert len(t.terms) == 1
-    assert np.allclose(t.terms[0][0], 3 * a)
-    # exact cancellation drops the term
-    z = FormalTensor([(a, b), (-a, b)]).canonicalize()
-    assert len(z.terms) == 0
-
-
-def test_formal_equal_is_order_insensitive():
-    a = np.eye(2)
-    b = np.array([[0, 1.0], [0, 0]])
-    s1 = FormalTensor([(a, b), (b, a)])
-    s2 = FormalTensor([(b, a), (a, b)])
-    assert formal_equal(s1, s2)
-    assert not formal_equal(s1, FormalTensor([(a, b)]))
 
 
 def test_primitive_coproduct_realizes_kron_sum():
@@ -60,7 +39,7 @@ def test_primitive_coproduct_realizes_kron_sum():
 
 def test_product_casimir_spectrum_oracle():
     assert product_casimir_spectrum("1/2", "1/2") == [0.0, 2.0, 2.0, 2.0]
-    got = sorted(c for c, _, _ in primitive_coproduct(build_sl2(1), build_sl2("3/2")).joint_eigs)
+    got = sorted(np.concatenate([b.w for b in primitive_coproduct(build_sl2(1), build_sl2("3/2")).blocks]))
     assert np.allclose(got, product_casimir_spectrum(1, "3/2"), atol=1e-10)
 
 
@@ -99,6 +78,24 @@ def test_deformed_coproduct_rejects_inadmissible_component():
     with pytest.raises(InadmissibleProductError) as exc:
         deformed_coproduct(pr, alpha_from_beta([Fraction(1), Fraction(-1, 10)]))
     assert exc.value.c == pytest.approx(6.0, abs=1e-9)
+    assert isinstance(exc.value.c, Fraction) and exc.value.c == 6
+
+
+@pytest.mark.parametrize("j1,j2", [("3", "5/2"), ("7/2", "1")])
+def test_deformed_coproduct_matches_coupled_basis_oracle(j1, j2):
+    # DJ+^ DJ-^ acts on |J, M> as F_alpha(J, M-1), which is 0 at M = -J
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+    pr = primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2)))
+    djp, djm, _ = deformed_coproduct(pr, alpha)
+    prod = djp @ djm
+    top = float(f2_polynomial(alpha, HalfInt(max(pr.spins)), -HalfInt(max(pr.spins))))
+    for b in pr.blocks:
+        got = np.linalg.eigvalsh(prod[np.ix_(b.indices, b.indices)])
+        want = sorted(
+            float(f2_polynomial(alpha, HalfInt(t), HalfInt(b.two_m - 2))) if b.two_m > -t else 0.0
+            for t in b.two_js
+        )
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * top)
 
 
 def test_deformed_coproduct_target_order_is_not_homomorphism():
@@ -190,3 +187,17 @@ def test_quadratic_antipode_checks_pass():
 
 def test_triple_coassociativity():
     assert triple_coassociativity_residual("1/2", [Fraction(1), Fraction(-1, 10)]) < 1e-10
+
+
+@pytest.mark.parametrize("j", ["1", "3/2"])
+def test_triple_coassociativity_with_repeated_labels(j):
+    # V^(x)3 holds each J below the top one more than once
+    alpha = alpha_from_beta([Fraction(1), Fraction(-1, 100)])
+    assert triple_coassociativity_residual(j, alpha) < 1e-10
+
+
+def test_triple_coassociativity_rejects_inadmissible_component():
+    # the J = 9/2 component of (3/2)^(x)3 needs beta >= -1/81
+    with pytest.raises(InadmissibleProductError) as exc:
+        triple_coassociativity_residual("3/2", alpha_from_beta([Fraction(1), Fraction(-1, 40)]))
+    assert exc.value.c == Fraction(99, 4)
