@@ -8,6 +8,14 @@ the ascending exact labels {J >= |M|}: the product is stored as per-(J, M)
 blocks with exact labels. Deformed coproducts are functions of those exact
 labels, and coassociativity of the primitive coproduct is decided
 symbolically on label triples.
+
+Work is done only where the product's matrices can be nonzero. Each
+Kronecker term X (x) Y is written straight into the zeroed output at the
+products of the nonzeros of X and Y, with no dense np.kron temporaries. A
+function of the labels is block-diagonal over M, and Delta(J+) maps the M
+block into the M+1 block only, so Delta(J+) times such a factor is formed
+one (M -> M+1) block pair at a time, with no dense factor and no dim^3
+matmul.
 """
 
 from __future__ import annotations
@@ -89,23 +97,43 @@ def _factor(x: Union[MatrixRep, ProductRep]):
     return x.J3, x.Jplus, x.Jminus, float(_casimir(x.two_j)) * np.eye(x.dim), two_m, (x.two_j,)
 
 
+def _kron_sum(dim: int, terms) -> np.ndarray:
+    """Sum of the Kronecker products coef * (x (x) y), added in the given order.
+
+    Only products of nonzeros are touched: x[r1, c1] * y[r2, c2] lands at
+    (r1*d2 + r2, c1*d2 + c2), the same product np.kron forms there, and each
+    index pair occurs once per term.
+    """
+    out = np.zeros((dim, dim))
+    for coef, x, y in terms:
+        d2 = y.shape[0]
+        r1, c1 = np.nonzero(x)
+        r2, c2 = np.nonzero(y)
+        rows = np.add.outer(r1 * d2, r2).ravel()
+        cols = np.add.outer(c1 * d2, c2).ravel()
+        out[rows, cols] += coef * np.outer(x[r1, c1], y[r2, c2]).ravel()
+    return out
+
+
 def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
                         rep2: Union[MatrixRep, ProductRep]) -> ProductRep:
     """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir.
 
     Each factor is an sl2 irrep or a ProductRep, so V (x) V (x) V can be built
-    in either bracketing. Each Delta(J3) = M block gets one `eigh` of its
-    Delta(C) block; its k-th eigenvector takes the k-th of the ascending labels
+    in either bracketing. The Kronecker terms are written at their nonzeros
+    only. Each Delta(J3) = M block gets one `eigh` of its Delta(C) block; its
+    k-th eigenvector takes the k-th of the ascending labels
     {J in spins : J >= |M|}. This is exact because distinct values of J(J+1)
     lie at least 2 apart.
     """
     a3, ap, am, ac, a_two_m, a_spins = _factor(rep1)
     b3, bp, bm, bc, b_two_m, b_spins = _factor(rep2)
     i1, i2 = np.eye(len(a_two_m)), np.eye(len(b_two_m))
-    dj3 = np.kron(a3, i2) + np.kron(i1, b3)
-    djp = np.kron(ap, i2) + np.kron(i1, bp)
-    djm = np.kron(am, i2) + np.kron(i1, bm)
-    dc = np.kron(ac, i2) + np.kron(i1, bc) + np.kron(ap, bm) + np.kron(am, bp) + 2 * np.kron(a3, b3)
+    dim = len(a_two_m) * len(b_two_m)
+    dj3 = _kron_sum(dim, [(1.0, a3, i2), (1.0, i1, b3)])
+    djp = _kron_sum(dim, [(1.0, ap, i2), (1.0, i1, bp)])
+    djm = _kron_sum(dim, [(1.0, am, i2), (1.0, i1, bm)])
+    dc = _kron_sum(dim, [(1.0, ac, i2), (1.0, i1, bc), (1.0, ap, bm), (1.0, am, bp), (2.0, a3, b3)])
     two_m = np.add.outer(a_two_m, b_two_m).ravel()
     spins = tuple(sorted(
         t for s1 in a_spins for s2 in b_spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)
@@ -118,6 +146,20 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     return ProductRep(len(a_two_m), len(b_two_m), dj3, djp, djm, dc, two_m, spins, blocks)
 
 
+def _block_factors(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> list:
+    """V diag(g) V^T of each M block, with g called on every label in order.
+
+    g receives the exact Fractions c = J(J+1) and m = M, block by block in
+    ascending M and ascending J inside a block.
+    """
+    out = []
+    for b in pr.blocks:
+        m = Fraction(b.two_m, 2)
+        vals = np.array([g(_casimir(t), m) for t in b.two_js], dtype=float)
+        out.append((b.V * vals) @ b.V.T)
+    return out
+
+
 def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> np.ndarray:
     """Apply a scalar function of (c, m) over the joint spectrum of (DC, DJ3).
 
@@ -125,10 +167,25 @@ def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> 
     state, and V diag(g) V^T is written into each M block.
     """
     out = np.zeros((pr.dim, pr.dim))
-    for b in pr.blocks:
-        m = Fraction(b.two_m, 2)
-        vals = np.array([g(_casimir(t), m) for t in b.two_js], dtype=float)
-        out[np.ix_(b.indices, b.indices)] = (b.V * vals) @ b.V.T
+    for b, f in zip(pr.blocks, _block_factors(pr, g)):
+        out[np.ix_(b.indices, b.indices)] = f
+    return out
+
+
+def _raise_with(pr: ProductRep, g: Callable[[Fraction, Fraction], float], order: str) -> np.ndarray:
+    """Delta(J+) times the joint-calculus factor of g, one M -> M+1 block at a time.
+
+    Delta(J+) maps the M block into the M+1 block only, and the factor is
+    block-diagonal over M, so order='source' gives DJ+[M+1, M] @ F_M and
+    order='target' gives F_{M+1} @ DJ+[M+1, M]. g is called on every label,
+    as in `joint_calculus`.
+    """
+    factors = _block_factors(pr, g)
+    out = np.zeros((pr.dim, pr.dim))
+    for k in range(len(pr.blocks) - 1):
+        rows, cols = np.ix_(pr.blocks[k + 1].indices, pr.blocks[k].indices)
+        step = pr.DJp[rows, cols]
+        out[rows, cols] = step @ factors[k] if order == "source" else factors[k + 1] @ step
     return out
 
 
@@ -173,11 +230,7 @@ def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
             )
         return math.sqrt(dd)
 
-    factor = joint_calculus(pr, g)
-    if order == "source":
-        djp_hat = pr.DJp @ factor
-    else:
-        djp_hat = factor @ pr.DJp
+    djp_hat = _raise_with(pr, g, order)
     return djp_hat, djp_hat.T.copy(), pr.DJ3
 
 
@@ -196,19 +249,19 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
             f"negative radicand: need alpha^2 <= 3/(16 c_max) = {3 / (16 * cmax)}", cmax
         )
 
-    def root(c: Fraction, m: Fraction) -> float:
-        return math.sqrt(max(1 - 16 * a * a * c / 3, 0.0))
+    @functools.cache
+    def root(c: Fraction) -> float:
+        return math.sqrt(max(1 - 16 * a * a * float(c) / 3, 0.0))
 
     def ladder_factor(c: Fraction, m: Fraction) -> float:
-        val = 2 * a * (2 * m + 1) / 3 + root(c, m)
+        val = 2 * a * (2 * float(m) + 1) / 3 + root(c)
         if val < -JOINT_TOL:
             raise InadmissibleProductError("negative ladder-factor radicand", c, m)
         return math.sqrt(max(val, 0.0))
 
-    R = joint_calculus(pr, root)
-    F = joint_calculus(pr, ladder_factor)
+    R = joint_calculus(pr, lambda c, m: root(c))
     dj3_a = pr.DJ3 - (1 / (4 * a)) * np.eye(pr.dim) + (1 / (4 * a)) * R
-    djp_a = pr.DJp @ F
+    djp_a = _raise_with(pr, ladder_factor, "source")
     djm_a = djp_a.T.copy()
     return dj3_a, djp_a, djm_a
 
@@ -229,8 +282,9 @@ def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]
     for mat in matrices:
         if mat.shape != (dim, dim):
             raise ValueError("cocommutativity_check requires equal tensor factors")
-    perm = _swap_index(d, d)
-    return [float(np.linalg.norm(mat[np.ix_(perm, perm)] - mat)) for mat in matrices]
+    # t[a, b, c, e] = <a b| X |c e>; the swap conjugate reads t[b, a, e, c]
+    tensors = [mat.reshape(d, d, d, d) for mat in matrices]
+    return [float(np.linalg.norm(t.transpose(1, 0, 3, 2) - t)) for t in tensors]
 
 
 # ---------------------------------------------------------------------------

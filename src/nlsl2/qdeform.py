@@ -56,6 +56,19 @@ def q_beta_coeffs(qp: QParam, count: int) -> list[float]:
     return [d ** (2 * p + 1) / (math.factorial(2 * p + 1) * s) for p in range(count)]
 
 
+def q_casimir_matrix(rep, delta: float) -> np.ndarray:
+    """Chat = (1/2)(J+J- + J-J+ + [J3][J3+1] + [J3][J3-1]) on a U_q irrep.
+
+    rep is an unshifted irrep with basis m = j, ..., -j; on an irrep of
+    U_q(sl(2)) the result is a multiple of the identity.
+    """
+    jp, jm = rep.Jplus, rep.Jminus
+    ms = [m.value for m in ladder_desc(rep.j)]
+    diag_up = np.array([q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms])
+    diag_dn = np.array([q_bracket(m, delta) * q_bracket(m - 1, delta) for m in ms])
+    return 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
+
+
 def uq_casimir_relation(j, qp: QParam) -> float:
     """Check the deformed Casimir identities of U_q(sl(2)) on one irrep.
 
@@ -70,12 +83,7 @@ def uq_casimir_relation(j, qp: QParam) -> float:
     j = halfint(j)
     d = qp.delta
     rep = build_uq(j, d)
-    jp, jm = rep.Jplus, rep.Jminus
-
-    ms = [m.value for m in ladder_desc(j)]
-    diag_up = np.array([q_bracket(m, d) * q_bracket(m + 1, d) for m in ms])
-    diag_dn = np.array([q_bracket(m, d) * q_bracket(m - 1, d) for m in ms])
-    chat_mat = 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
+    chat_mat = q_casimir_matrix(rep, d)
 
     chat_diag = np.diag(chat_mat)
     scalar_residual = float(np.max(np.abs(chat_mat - chat_diag[0] * np.eye(rep.dim)))) if rep.dim else 0.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coefficients import phi_eval, phi_prime
 from .halfint import HalfInt, halfint, ladder_desc
-from .qdeform import q_bracket
+from .qdeform import q_bracket, q_casimir_matrix
 from .structure import (
     Polynomial,
     StructureSpec,
@@ -217,12 +217,8 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
     if delta == 0:
         raise ValueError("inverse_map_uq requires delta != 0")
     j = repq.j
-    jp, jm = repq.Jplus, repq.Jminus
-    ms = [m.value for m in ladder_desc(j)]
-    diag_up = np.array([q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms])
-    diag_dn = np.array([q_bracket(m, delta) * q_bracket(m - 1, delta) for m in ms])
-    chat_mat = 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
-    chat = float(chat_mat[0, 0])
+    jp = repq.Jplus
+    chat = float(q_casimir_matrix(repq, delta)[0, 0])
 
     half = q_bracket(0.5, delta)
     arg = chat + half * half

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
 
-from nlsl2.coefficients import alpha_from_beta
+from nlsl2.coefficients import alpha_from_beta, phi_eval
 from nlsl2.halfint import HalfInt, halfint
 from nlsl2.hopf import (
     InadmissibleProductError,
@@ -35,6 +37,83 @@ def test_primitive_coproduct_realizes_kron_sum():
     # Delta(C) commutes with every coproduct generator
     for mat in (pr.DJ3, pr.DJp, pr.DJm):
         assert np.linalg.norm(pr.DC @ mat - mat @ pr.DC) < 1e-12
+
+
+def _kron_reference(a, b):
+    """(DJ3, DJ+, DJ-, DC) of a (x) b from np.kron, in primitive_coproduct's term order."""
+    a3, ap, am, ac = a
+    b3, bp, bm, bc = b
+    i1, i2 = np.eye(len(a3)), np.eye(len(b3))
+    return (
+        np.kron(a3, i2) + np.kron(i1, b3),
+        np.kron(ap, i2) + np.kron(i1, bp),
+        np.kron(am, i2) + np.kron(i1, bm),
+        np.kron(ac, i2) + np.kron(i1, bc) + np.kron(ap, bm) + np.kron(am, bp) + 2 * np.kron(a3, b3),
+    )
+
+
+def _generators(rep):
+    c = rep.j.mm1()
+    return rep.J3, rep.Jplus, rep.Jminus, float(c) * np.eye(rep.dim)
+
+
+@pytest.mark.parametrize("j1,j2", [("1/2", "1/2"), ("1/2", "1"), ("3/2", "2"), ("3", "5/2")])
+def test_primitive_coproduct_equals_kron_sums(j1, j2):
+    r1, r2 = build_sl2(halfint(j1)), build_sl2(halfint(j2))
+    pr = primitive_coproduct(r1, r2)
+    want = _kron_reference(_generators(r1), _generators(r2))
+    for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm, pr.DC), want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("j", ["1/2", "1"])
+def test_triple_product_equals_kron_sums_in_both_bracketings(j):
+    rep = build_sl2(halfint(j))
+    gens = _generators(rep)
+    pair = _kron_reference(gens, gens)
+    left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
+    right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
+    for pr, want in ((left, _kron_reference(pair, gens)), (right, _kron_reference(gens, pair))):
+        for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm, pr.DC), want):
+            assert np.array_equal(got, ref)
+
+
+def _relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("j1,j2", [("1", "1"), ("3", "5/2"), ("7/2", "1")])
+def test_block_coproducts_match_dense_references(j1, j2):
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+    pr = primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2)))
+
+    def dd(c, m):
+        x = m * (m + 1)
+        return 0.0 if c == x else math.sqrt((phi_eval(alpha, c) - phi_eval(alpha, x)) / (c - x))
+
+    factor = joint_calculus(pr, dd)
+    for order, want in (("source", pr.DJp @ factor), ("target", factor @ pr.DJp)):
+        djp, djm, _ = deformed_coproduct(pr, alpha, order=order)
+        assert _relative(djp, want) < 1e-13
+        assert np.array_equal(djm, djp.T)
+
+    a = 0.05
+
+    def ladder(c, m):
+        root = math.sqrt(max(1 - 16 * a * a * c / 3, 0.0))
+        return math.sqrt(max(2 * a * (2 * m + 1) / 3 + root, 0.0))
+
+    _, djp_a, _ = quadratic_coproduct(pr, a)
+    assert _relative(djp_a, pr.DJp @ joint_calculus(pr, ladder)) < 1e-13
+
+
+def test_cocommutativity_check_matches_swap_conjugation():
+    d = 3
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal((d * d, d * d)), np.kron(np.arange(d * d).reshape(d, d), np.eye(d))]
+    p = swap_matrix(d, d)
+    want = [float(np.linalg.norm(p @ mat @ p.T - mat)) for mat in mats]
+    assert cocommutativity_check(mats, d) == want
 
 
 def test_product_casimir_spectrum_oracle():
@@ -79,6 +158,9 @@ def test_deformed_coproduct_rejects_inadmissible_component():
         deformed_coproduct(pr, alpha_from_beta([Fraction(1), Fraction(-1, 10)]))
     assert exc.value.c == pytest.approx(6.0, abs=1e-9)
     assert isinstance(exc.value.c, Fraction) and exc.value.c == 6
+    with pytest.raises(InadmissibleProductError) as exc:
+        deformed_coproduct(pr, alpha_from_beta([Fraction(1), Fraction(-1, 10)]), order="target")
+    assert exc.value.c == Fraction(6)
 
 
 @pytest.mark.parametrize("j1,j2", [("3", "5/2"), ("7/2", "1")])
