@@ -34,17 +34,6 @@ def q_bracket(x: float, delta: float) -> float:
     return math.sinh(delta * x) / math.sinh(delta)
 
 
-def nested_q_bracket(x: float, deltas) -> float:
-    """Iterated bracket [[...[x]_1...]_{n-1}]_n, a scalar curiosity only.
-
-    No representation family is built on it; it exists so the nested-bracket
-    commutator example can be evaluated numerically.
-    """
-    for d in deltas:
-        x = q_bracket(x, d)
-    return x
-
-
 def q_beta_coeffs(qp: QParam, count: int) -> list[float]:
     """First `count` commutator coefficients of the q-deformation.
 
@@ -60,13 +49,22 @@ def q_casimir_matrix(rep, delta: float) -> np.ndarray:
     """Chat = (1/2)(J+J- + J-J+ + [J3][J3+1] + [J3][J3-1]) on a U_q irrep.
 
     rep is an unshifted irrep with basis m = j, ..., -j; on an irrep of
-    U_q(sl(2)) the result is a multiple of the identity.
+    U_q(sl(2)) the result is a multiple of the identity. [m][m-1] at m is
+    [m'][m'+1] at m' = m - 1, so each bracket product is evaluated once. A rep
+    with the ladder shape gets its diagonal in O(d), bitwise equal to the
+    dense products; any other rep keeps the dense matmuls.
     """
-    jp, jm = rep.Jplus, rep.Jminus
-    ms = [m.value for m in ladder_desc(rep.j)]
-    diag_up = np.array([q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms])
-    diag_dn = np.array([q_bracket(m, delta) * q_bracket(m - 1, delta) for m in ms])
-    return 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
+    from .repbuilder import ladder_products, ladder_vectors
+
+    ms = [m.value for m in ladder_desc(rep.j)] + [-rep.j.value - 1]
+    brackets = [q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms]
+    diag_up, diag_dn = np.array(brackets[:-1]), np.array(brackets[1:])
+    vectors = ladder_vectors(rep)
+    if vectors is None:
+        jp, jm = rep.Jplus, rep.Jminus
+        return 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
+    pm, mp = ladder_products(vectors[1])
+    return np.diag(0.5 * (pm + mp + diag_up + diag_dn))
 
 
 def uq_casimir_relation(j, qp: QParam) -> float:

@@ -20,8 +20,9 @@ from .qdeform import q_bracket, q_casimir_matrix
 from .structure import (
     Polynomial,
     StructureSpec,
-    admissible,
-    f2_up,
+    ladder_values,
+    phi_ladder,
+    screen,
 )
 
 
@@ -84,14 +85,40 @@ def _assemble(j: HalfInt, up_values, gamma: float = 0.0, family: str = "sl2",
     up_values[i] is F(j, m_i) for the source states m_i = j-1, ..., -j
     (column index i+1).
     """
-    dim = j.twice + 1
-    j3 = np.diag(np.array([m.value + gamma for m in ladder_desc(j)], dtype=dtype))
-    jp = np.zeros((dim, dim), dtype=dtype)
-    for i, f2 in enumerate(up_values):
-        if f2 < 0:
-            raise ValueError(f"negative squared matrix element {f2} at position {i}")
-        jp[i, i + 1] = np.sqrt(np.dtype(dtype).type(f2))
-    return MatrixRep(dim, j.twice, gamma, family, j3, jp, jp.T.copy())
+    weights = np.arange(j.twice, -j.twice - 1, -2) / 2.0 + gamma
+    j3 = np.diag(weights.astype(dtype))
+    ups = np.array(up_values, dtype=dtype)
+    negative = np.flatnonzero(ups < 0)
+    if negative.size:
+        i = int(negative[0])
+        raise ValueError(f"negative squared matrix element {up_values[i]} at position {i}")
+    jp = np.diag(np.sqrt(ups), 1)
+    return MatrixRep(j.twice + 1, j.twice, gamma, family, j3, jp, jp.T.copy())
+
+
+def ladder_vectors(rep: MatrixRep):
+    """(w, u) = (diagonal of J3, superdiagonal of J+) when rep has the ladder shape, else None.
+
+    The ladder shape: J3 has no entry off its diagonal, J+ none off its
+    superdiagonal, and Jminus equals Jplus.T. Every irrep built here has it;
+    product-space matrices do not, and their checks fall back to dense
+    matmuls. Nonzero counts stand in for dense differences.
+    """
+    w, u = np.diag(rep.J3), np.diag(rep.Jplus, 1)
+    if (
+        np.count_nonzero(rep.J3) == np.count_nonzero(w)
+        and np.count_nonzero(rep.Jplus) == np.count_nonzero(u)
+        and np.array_equal(rep.Jminus, rep.Jplus.T)
+    ):
+        return w, u
+    return None
+
+
+def ladder_products(u: np.ndarray):
+    """Diagonals of J+J- and J-J+ for a ladder rep with superdiagonal u: (u^2|0) and (0|u^2)."""
+    u2 = u * u
+    zero = np.zeros(1, dtype=u2.dtype)
+    return np.concatenate((u2, zero)), np.concatenate((zero, u2))
 
 
 def build_sl2(j) -> MatrixRep:
@@ -102,13 +129,18 @@ def build_sl2(j) -> MatrixRep:
 
 
 def build_deformed(spec: StructureSpec) -> MatrixRep:
-    """Matrices of any admissible family, superdiagonal from its structure function."""
-    ok, offending = admissible(spec)
-    if not ok:
+    """Matrices of any admissible family, superdiagonal from its structure function.
+
+    One pass of `ladder_values` (exact for the polynomial family) feeds both
+    the unitarity `screen` and the superdiagonal sqrt(F(j, m)), so each F is
+    evaluated once. The result has the ladder shape of `ladder_vectors`.
+    """
+    values = ladder_values(spec)
+    offending = screen(spec, values)
+    if offending:
         raise InadmissibleSpecError(spec, offending)
-    j = spec.j
-    ups = [max(f2_up(spec, m), 0.0) for m in list(ladder_desc(j))[1:]]
-    return _assemble(j, ups, gamma=spec.gamma, family=spec.family_name)
+    ups = [max(float(f2), 0.0) for f2 in values]
+    return _assemble(spec.j, ups, gamma=spec.gamma, family=spec.family_name)
 
 
 def build_uq(j, delta: float, dtype=float) -> MatrixRep:
@@ -197,14 +229,23 @@ def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
     """Deformed Casimir (1/2)(J+J- + J-J+ + phi(J3(J3+1)) + phi(J3(J3-1))).
 
     Only meaningful for polynomial-family reps (unshifted spectrum), where it
-    must equal phi(j(j+1)) times the identity.
+    must equal phi(j(j+1)) times the identity. phi is evaluated once per
+    distinct m(m+1) (`phi_ladder`): phi(m(m-1)) at m is phi(m'(m'+1)) at
+    m' = m - 1. A rep with the ladder
+    shape (`ladder_vectors`) gets its diagonal in O(d) from the superdiagonal,
+    bitwise equal to the dense products; any other rep keeps the dense
+    matmuls. The result is a dense d x d matrix either way.
     """
     if rep.gamma != 0.0:
         raise ValueError("casimir_matrix expects an unshifted (polynomial-family) rep")
-    j = rep.j
-    up = np.diag([float(phi_eval(alpha, m.mm1())) for m in ladder_desc(j)])
-    dn = np.diag([float(phi_eval(alpha, m.mm1_down())) for m in ladder_desc(j)])
-    return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + up + dn)
+    phis = [float(p) for p in phi_ladder(alpha, rep.j)]
+    up = np.array(phis)
+    dn = np.array(phis[1:] + phis[:1])  # m = -j: m(m-1) = j(j+1)
+    vectors = ladder_vectors(rep)
+    if vectors is None:
+        return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + np.diag(up) + np.diag(dn))
+    pm, mp = ladder_products(vectors[1])
+    return np.diag(0.5 * (pm + mp + up + dn))
 
 
 def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .coefficients import as_rationals
-from .halfint import HalfInt, halfint, ladder
+from .coefficients import as_rationals, phi_eval
+from .halfint import HalfInt, halfint, ladder, ladder_desc
 from .qdeform import q_bracket
 
 ADMISSIBILITY_TOL = 1e-12
@@ -214,35 +214,57 @@ def f2_down(spec: StructureSpec, m) -> float:
     raise TypeError(f"unknown family {fam!r}")
 
 
-def admissible(spec: StructureSpec) -> tuple[bool, list[HalfInt]]:
-    """Unitarity screening: nonnegative ladder values and boundary annihilation.
+def phi_ladder(alpha: Sequence, j) -> list[Fraction]:
+    """Exact phi(m(m+1)) for m = j, j-1, ..., -j, one evaluation per distinct m(m+1).
 
-    Returns (ok, offending_m). The polynomial family is screened exactly;
-    the real-valued families within ADMISSIBILITY_TOL. For the shifted
-    families the raising function must vanish at m = j and the lowering one
-    at m = -j (within BOUNDARY_TOL), which pins the allowed gamma values.
+    m and -m-1 share m(m+1), so the lower half of the ladder reuses the upper.
+    """
+    j = halfint(j)
+    a = as_rationals(alpha)
+    d = j.twice + 1
+    out: list[Fraction] = []
+    for i, m in enumerate(ladder_desc(j)):
+        out.append(out[d - i] if d - i < i else phi_eval(a, m.mm1()))
+    return out
+
+
+def ladder_values(spec: StructureSpec) -> list:
+    """F(j, m) for m = j-1, ..., -j: the squared superdiagonal of the irrep.
+
+    Exact Fractions phi(j(j+1)) - phi(m(m+1)) for the polynomial family, with
+    each phi value taken from one `phi_ladder` pass; floats from the per-family
+    closed forms otherwise.
+    """
+    fam, j = spec.family, spec.j
+    if isinstance(fam, Polynomial):
+        top, *rest = phi_ladder(fam.alpha, j)
+        return [top - p for p in rest]
+    return [f2_up(spec, m) for m in list(ladder_desc(j))[1:]]
+
+
+def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
+    """Offending m (ascending) of the unitarity screen, given ladder_values(spec).
+
+    Ladder values must be nonnegative: exactly for the polynomial family,
+    within ADMISSIBILITY_TOL for the real-valued ones. For the shifted
+    families the raising function must also vanish at m = j and the lowering
+    one at m = -j (within BOUNDARY_TOL), which pins the allowed gamma values.
     """
     j = spec.j
-    offending: list[HalfInt] = []
     if j.twice == 0:
-        return True, offending
-
-    exact = isinstance(spec.family, Polynomial)
-    for m in ladder(j):
-        if m.twice == j.twice:
-            continue
-        if exact:
-            val = f2_polynomial(spec.family.alpha, j, m)
-            if val < 0:
-                offending.append(m)
-        else:
-            if f2_up(spec, m) < -ADMISSIBILITY_TOL:
-                offending.append(m)
+        return []
+    tol = 0 if isinstance(spec.family, Polynomial) else ADMISSIBILITY_TOL
+    offending = [m for m, val in zip(ladder(j), reversed(values)) if val < -tol]
 
     if isinstance(spec.family, (HiggsShifted, QuadraticShifted)):
         if abs(f2_up(spec, j)) > BOUNDARY_TOL:
             offending.append(j)
         if abs(f2_down(spec, -j)) > BOUNDARY_TOL and -j not in offending:
             offending.append(-j)
+    return offending
 
+
+def admissible(spec: StructureSpec) -> tuple[bool, list[HalfInt]]:
+    """Unitarity screening: (ok, offending_m) of `screen` over `ladder_values`."""
+    offending = screen(spec, ladder_values(spec))
     return not offending, offending

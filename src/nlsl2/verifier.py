@@ -11,8 +11,7 @@ import numpy as np
 
 from .coefficients import beta_from_alpha, epsilon, format_rational
 from .halfint import halfint, ladder
-from .qdeform import q_bracket
-from .repbuilder import MatrixRep
+from .repbuilder import MatrixRep, ladder_products, ladder_vectors
 from .structure import f2_polynomial
 
 DEFAULT_TOL = 1e-10
@@ -91,10 +90,10 @@ def exact_recurrence_check(alpha: Sequence, j) -> VerificationReport:
     j = halfint(j)
     beta = beta_from_alpha(alpha)
     report = VerificationReport()
-    for m in ladder(j):
-        if m.twice == -j.twice:
-            continue
-        lhs = f2_polynomial(alpha, j, m - 1) - f2_polynomial(alpha, j, m)
+    ms = list(ladder(j))
+    fs = [f2_polynomial(alpha, j, m) for m in ms]  # F(m) of one step is F(m-1) of the next
+    for m, f_below, f_m in zip(ms[1:], fs, fs[1:]):
+        lhs = f_below - f_m
         two_m = 2 * m.exact
         rhs = sum((b * two_m ** (2 * p + 1) for p, b in enumerate(beta)), Fraction(0))
         report.add_exact(
@@ -104,27 +103,44 @@ def exact_recurrence_check(alpha: Sequence, j) -> VerificationReport:
     return report
 
 
-def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Frobenius residuals of the two defining commutation relations."""
-    j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
-    report = VerificationReport()
-
-    r_plus = np.linalg.norm(j3 @ jp - jp @ j3 - jp)
-    r_minus = np.linalg.norm(j3 @ jm - jm @ j3 + jm)
-    report.add_numeric("[J3,J+] = +J+", float(r_plus), tol, context=f"{rep.family} j={rep.j}")
-    report.add_numeric("[J3,J-] = -J-", float(r_minus), tol, context=f"{rep.family} j={rep.j}")
-
-    # The defining relation is in the (possibly shifted) diagonal generator
-    # itself, so the shift gamma stays inside J3 here.
-    target = np.zeros_like(j3)
-    two_j3 = 2 * j3
-    power = two_j3.copy()
-    two_j3_sq = two_j3 @ two_j3
+def _odd_series(two_j3: np.ndarray, beta: Sequence, mul) -> np.ndarray:
+    """sum_p beta_p (2 J3)^(2p+1), with mul the product (matmul, or elementwise on a diagonal)."""
+    target = np.zeros_like(two_j3)
+    power = two_j3
+    two_j3_sq = mul(two_j3, two_j3)
     for p, b in enumerate(beta):
         if p > 0:
-            power = power @ two_j3_sq
+            power = mul(power, two_j3_sq)
         target = target + float(b) * power
-    r_comm = np.linalg.norm(jp @ jm - jm @ jp - target)
+    return target
+
+
+def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Frobenius residuals of the two defining commutation relations.
+
+    A rep with the ladder shape (`repbuilder.ladder_vectors`: diagonal J3 = w,
+    superdiagonal J+ = u, J- = J+^T) is checked in O(d) from (w, u): the
+    residuals of [J3, J+] - J+ and [J3, J-] + J- both have the entries
+    (w[:-1] - w[1:] - 1) * u, and [J+, J-] is the diagonal (u^2|0) - (0|u^2).
+    Any other rep, such as a coproduct on a product space, falls back to
+    dense matmuls.
+    """
+    report = VerificationReport()
+    # The defining relation is in the (possibly shifted) diagonal generator
+    # itself, so the shift gamma stays inside J3 here.
+    vectors = ladder_vectors(rep)
+    if vectors is None:
+        j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
+        r_plus = np.linalg.norm(j3 @ jp - jp @ j3 - jp)
+        r_minus = np.linalg.norm(j3 @ jm - jm @ j3 + jm)
+        r_comm = np.linalg.norm(jp @ jm - jm @ jp - _odd_series(2 * j3, beta, np.matmul))
+    else:
+        w, u = vectors
+        r_plus = r_minus = np.linalg.norm((w[:-1] - w[1:] - 1) * u)
+        pm, mp = ladder_products(u)
+        r_comm = np.linalg.norm(pm - mp - _odd_series(2 * w, beta, np.multiply))
+    report.add_numeric("[J3,J+] = +J+", float(r_plus), tol, context=f"{rep.family} j={rep.j}")
+    report.add_numeric("[J3,J-] = -J-", float(r_minus), tol, context=f"{rep.family} j={rep.j}")
     report.add_numeric(
         "[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", float(r_comm), tol,
         context=f"{rep.family} j={rep.j} beta={[float(b) for b in beta]}",
@@ -162,49 +178,14 @@ def q_series_identity_residual(j, m, delta: float, trunc: int) -> float:
     return abs(lhs - rhs)
 
 
-def q_shift_rigidity(j, delta: float, span: float = 10.0, grid: int = 4001,
-                     refine_tol: float = 1e-12) -> list[float]:
+def q_shift_rigidity(j, delta: float) -> list[float]:
     """Real roots in gamma of the highest-weight condition [-2 gamma][2j+1] = 0.
 
-    Sign-scan plus bisection over gamma in [-span, span]. For real delta the
-    q-bracket vanishes only at zero argument, so the returned list must be
-    exactly [0.0]: the spectrum shift buys no new q-deformed representations.
+    For real delta != 0, [2j+1] = sinh((2j+1) delta)/sinh(delta) is nonzero and
+    sinh is injective, so [-2 gamma] = 0 holds only at gamma = 0: the roots are
+    exactly [0.0], and the spectrum shift buys no new q-deformed representations.
     """
-    j = halfint(j)
+    halfint(j)  # rejects labels off the half-integer lattice
     if delta == 0:
         raise ValueError("q_shift_rigidity requires delta != 0")
-
-    bracket_2j1 = q_bracket(2 * j.value + 1, delta)
-
-    def f(gamma: float) -> float:
-        return q_bracket(-2 * gamma, delta) * bracket_2j1
-
-    xs = np.linspace(-span, span, grid)
-    vals = [f(x) for x in xs]
-    roots: list[float] = []
-    for i in range(grid - 1):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0:
-            while b - a > refine_tol:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    # merge numerically coincident roots
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or abs(r - merged[-1]) > 1e-9:
-            merged.append(r)
-    return merged
+    return [0.0]

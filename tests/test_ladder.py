@@ -1,0 +1,201 @@
+"""The ladder-shape fast path of the irrep checks against the dense formulas.
+
+Reps with the ladder shape (diagonal J3, superdiagonal J+, J- = J+^T) are
+checked from their two vectors; the dense matmul formulas below are the
+reference they must reproduce.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import nlsl2.structure as structure
+from nlsl2.coefficients import alpha_from_beta, beta_from_alpha, phi_eval
+from nlsl2.families import higgs_beta_window, higgs_gamma_roots
+from nlsl2.halfint import HalfInt, halfint, ladder, ladder_desc
+from nlsl2.qdeform import QParam, q_beta_coeffs, q_bracket, q_casimir_matrix
+from nlsl2.repbuilder import (
+    InadmissibleSpecError,
+    MatrixRep,
+    build_deformed,
+    build_sl2,
+    build_uq,
+    casimir_matrix,
+    ladder_vectors,
+)
+from nlsl2.structure import (
+    HiggsShifted,
+    Polynomial,
+    QBase,
+    QuadraticShifted,
+    StructureSpec,
+    admissible,
+    f2_polynomial,
+    f2_up,
+    ladder_values,
+    phi_ladder,
+)
+from nlsl2.verifier import commutator_residuals
+
+EPS = np.finfo(float).eps
+BETA = [Fraction(55, 100), Fraction(37, 1000), Fraction(21, 10000), Fraction(13, 100000)]
+
+
+def dense_residuals(rep, beta):
+    """The three commutator residuals by dense matmuls."""
+    j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
+    target = np.zeros_like(j3)
+    two_j3 = 2 * j3
+    power = two_j3.copy()
+    two_j3_sq = two_j3 @ two_j3
+    for p, b in enumerate(beta):
+        if p > 0:
+            power = power @ two_j3_sq
+        target = target + float(b) * power
+    residuals = [
+        np.linalg.norm(j3 @ jp - jp @ j3 - jp),
+        np.linalg.norm(j3 @ jm - jm @ j3 + jm),
+        np.linalg.norm(jp @ jm - jm @ jp - target),
+    ]
+    scale = max(
+        np.abs(j3).max() * np.abs(jp).max() + np.abs(jp).max(),
+        np.abs(jp).max() ** 2,
+        np.abs(target).max(),
+    )
+    return residuals, scale
+
+
+def dense_casimir(rep, alpha):
+    up = np.diag([float(phi_eval(alpha, m.mm1())) for m in ladder_desc(rep.j)])
+    dn = np.diag([float(phi_eval(alpha, m.mm1_down())) for m in ladder_desc(rep.j)])
+    return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + up + dn)
+
+
+def dense_q_casimir(rep, delta):
+    ms = [m.value for m in ladder_desc(rep.j)]
+    up = np.diag([q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms])
+    dn = np.diag([q_bracket(m, delta) * q_bracket(m - 1, delta) for m in ms])
+    return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + up + dn)
+
+
+def polynomial_rep(two_j, order):
+    alpha = alpha_from_beta(BETA[: order + 1])
+    return build_deformed(StructureSpec(Polynomial(alpha), HalfInt(two_j))), alpha
+
+
+def ladder_cases():
+    for two_j, order in ((1, 3), (8, 1), (64, 3), (250, 2)):
+        rep, alpha = polynomial_rep(two_j, order)
+        yield f"poly_2j{two_j}", rep, beta_from_alpha(alpha)
+    j = halfint("9/2")
+    lo, hi = higgs_beta_window(j)
+    beta = lo + 0.4 * (hi - lo)
+    sols = higgs_gamma_roots(j, beta)
+    assert len(sols) == 3
+    for sol in sols:
+        rep = build_deformed(StructureSpec(HiggsShifted(beta, sol.gamma), j))
+        yield f"higgs_gamma_{sol.gamma:+.3f}", rep, [1, beta]
+    for two_j, delta in ((20, 0.2), (200, 0.02)):
+        yield f"uq_2j{two_j}", build_uq(HalfInt(two_j), delta), q_beta_coeffs(QParam(delta), 8)
+
+
+@pytest.mark.parametrize("name,rep,beta", list(ladder_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_commutator_residuals_match_dense_reference(name, rep, beta):
+    assert ladder_vectors(rep) is not None
+    reference, scale = dense_residuals(rep, beta)
+    gate = 8 * EPS * rep.dim * scale
+    report = commutator_residuals(rep, beta, tol=gate)
+    for check, ref in zip(report.checks, reference):
+        assert abs(check.residual - ref) <= gate, (name, check.name)
+        assert check.passed == (ref <= gate), (name, check.name)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 8, 64, 250])
+def test_casimir_matrix_bitwise_equals_dense(two_j):
+    rep, alpha = polynomial_rep(two_j, 3)
+    assert np.array_equal(casimir_matrix(rep, alpha), dense_casimir(rep, alpha))
+
+
+@pytest.mark.parametrize("two_j,delta", [(1, 0.5), (20, 0.2), (200, 0.02)])
+def test_q_casimir_matrix_bitwise_equals_dense(two_j, delta):
+    rep = build_uq(HalfInt(two_j), delta)
+    assert np.array_equal(q_casimir_matrix(rep, delta), dense_q_casimir(rep, delta))
+    long_rep = build_uq(HalfInt(two_j), delta, dtype=np.longdouble)
+    assert np.array_equal(q_casimir_matrix(long_rep, delta), dense_q_casimir(long_rep, delta))
+
+
+@pytest.mark.parametrize("two_j", [1, 8, 64])
+def test_build_deformed_superdiagonal_bitwise(two_j):
+    rep, alpha = polynomial_rep(two_j, 3)
+    j = HalfInt(two_j)
+    want = [np.sqrt(float(f2_polynomial(alpha, j, m))) for m in list(ladder_desc(j))[1:]]
+    assert np.array_equal(np.diag(rep.Jplus, 1), want)
+
+
+def test_build_deformed_evaluates_each_phi_once(monkeypatch):
+    calls = []
+    original = structure.phi_eval
+
+    def counting(alpha, x):
+        calls.append(Fraction(x))
+        return original(alpha, x)
+
+    monkeypatch.setattr(structure, "phi_eval", counting)
+    j = HalfInt(9)
+    build_deformed(StructureSpec(Polynomial([1, Fraction(1, 10)]), j))
+    assert sorted(calls) == sorted({m.mm1() for m in ladder_desc(j)})
+
+
+def test_ladder_values_match_closed_forms():
+    j = halfint("7/2")
+    alpha = [Fraction(1), Fraction(-1, 7), Fraction(1, 90)]
+    ms = list(ladder_desc(j))
+    assert phi_ladder(alpha, j) == [phi_eval(alpha, m.mm1()) for m in ms]
+    assert ladder_values(StructureSpec(Polynomial(alpha), j)) == [f2_polynomial(alpha, j, m) for m in ms[1:]]
+    for fam in (HiggsShifted(-0.01, 0.3), QuadraticShifted(0.05, -0.1), QBase([1.0, 0.05], 0.3)):
+        spec = StructureSpec(fam, j)
+        assert ladder_values(spec) == [f2_up(spec, m) for m in ms[1:]]
+
+
+def test_inadmissible_polynomial_rejection_list_matches_admissible():
+    spec = StructureSpec(Polynomial([1, Fraction(-1, 7)]), halfint(4))
+    ok, offending = admissible(spec)
+    assert not ok and offending == sorted(offending)
+    with pytest.raises(InadmissibleSpecError) as exc:
+        build_deformed(spec)
+    assert exc.value.offending == offending
+    # F(j, m) = (j-m)(j+m+1)(1 - (j(j+1) + m(m+1))/7) is negative exactly where the screen says
+    assert offending == [m for m in ladder(spec.j) if m != spec.j and f2_polynomial(spec.family.alpha, spec.j, m) < 0]
+
+
+def _corrupted(jp, jm):
+    rep = build_sl2(halfint(2))
+    return MatrixRep(rep.dim, rep.two_j, 0.0, "sl2", rep.J3, jp, jm)
+
+
+def test_entry_off_the_superdiagonal_takes_dense_path_and_fails():
+    jp = build_sl2(halfint(2)).Jplus.copy()
+    jp[0, 2] = 1e-6
+    rep = _corrupted(jp, jp.T.copy())
+    assert ladder_vectors(rep) is None
+    assert not commutator_residuals(rep, [Fraction(1)], tol=1e-10).all_passed
+
+
+def test_jminus_not_transpose_takes_dense_path_and_fails():
+    jp = build_sl2(halfint(2)).Jplus
+    jm = jp.T.copy()
+    jm[1, 0] += 1e-6
+    rep = _corrupted(jp, jm)
+    assert ladder_vectors(rep) is None
+    assert not commutator_residuals(rep, [Fraction(1)], tol=1e-10).all_passed
+
+
+def test_weight_off_by_1e6_fails_on_the_ladder_path():
+    rep = build_sl2(halfint(2))
+    j3 = rep.J3.copy()
+    j3[0, 0] += 1e-6
+    shifted = MatrixRep(rep.dim, rep.two_j, 0.0, "sl2", j3, rep.Jplus, rep.Jminus)
+    assert ladder_vectors(shifted) is not None
+    report = commutator_residuals(shifted, [Fraction(1)], tol=1e-10)
+    assert [c.passed for c in report.checks] == [False, False, False]

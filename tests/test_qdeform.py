@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nlsl2.halfint import HalfInt, halfint
 from nlsl2.qdeform import (
     QParam,
-    nested_q_bracket,
     q_beta_coeffs,
     q_bracket,
     qbase_example_commutator,
@@ -56,16 +55,6 @@ def test_structure_function_factorization(two_j, two_m, d):
     lhs = q_bracket(j, d) * q_bracket(j + 1, d) - q_bracket(m, d) * q_bracket(m + 1, d)
     rhs = q_bracket(j - m, d) * q_bracket(j + m + 1, d)
     assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def test_nested_bracket_composes():
-    x = 1.7
-    assert nested_q_bracket(x, [0.3]) == q_bracket(x, 0.3)
-    assert math.isclose(
-        nested_q_bracket(x, [0.3, 0.7]),
-        q_bracket(q_bracket(x, 0.3), 0.7),
-        rel_tol=1e-14,
-    )
 
 
 def test_beta_coeffs_small_delta_limit():
