@@ -5,13 +5,18 @@ numbers (in the all-positive convention B_1 = 1/6, B_2 = 1/30, ...), odd
 power sums, the triangular epsilon recursion, and the two maps between the
 commutator coefficients beta_p (of (2 J3)^(2p+1)) and the structure-function
 coefficients alpha_k (of x^k in the deformation polynomial phi).
+
+The ladder arithmetic runs on scaled integers instead: `scaled_phi` puts
+phi over one common denominator D, D phi(X/4) = sum_k A_k X^k, and
+`phi_numerators` / `divided_difference_numerators` evaluate it, and its
+divided difference, at many integers X = 4 m(m+1) = t(t+2) in one call.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 Rational = Fraction
@@ -146,6 +151,55 @@ def phi_prime(alpha: Sequence, x) -> Fraction:
     for k in range(len(a), 0, -1):
         acc = acc * xf + k * a[k - 1]
     return acc
+
+
+def over_common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """(ns, D) with values[i] = ns[i] / D exactly, D > 0 the lcm of the denominators."""
+    fs = as_rationals(values)
+    d = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (d // f.denominator) for f in fs], d
+
+
+def scaled_phi(alpha: Sequence) -> tuple[list[int], int]:
+    """phi over one common denominator: (A, D) with D phi(X/4) = sum_k A[k-1] X^k.
+
+    A_k = D alpha_k / 4^k and D > 0 are ints, so at X = 4 m(m+1) = t(t+2),
+    t = 2m, phi is an integer polynomial in an integer over a fixed D.
+    """
+    return over_common_denominator([coeff / 4**k for k, coeff in enumerate(as_rationals(alpha), 1)])
+
+
+def phi_numerators(alpha: Sequence, xs: Sequence[int]) -> tuple[list[int], int]:
+    """([D phi(X/4) for X in xs], D): phi(X/4) = n / D exactly, for integer X.
+
+    n / D is a correctly rounded int division, so it equals float(phi(X/4)).
+    """
+    a, d = scaled_phi(alpha)
+    out = []
+    for x in xs:
+        acc = 0
+        for coeff in reversed(a):
+            acc = (acc + coeff) * x
+        out.append(acc)
+    return out, d
+
+
+def divided_difference_numerators(alpha: Sequence, c: int, xs: Sequence[int]) -> tuple[list[int], int]:
+    """([Q(C, X) for X in xs], D), Q = sum_k A_k sum_{i<k} C^i X^(k-1-i).
+
+    (phi(C/4) - phi(X/4)) / ((C - X)/4) = 4Q/D for C != X, and 4Q/D is
+    phi'(X/4) at C == X, so no branch is needed at the removable point.
+    """
+    a, d = scaled_phi(alpha)
+    out = []
+    for x in xs:
+        acc, h, xp = 0, 1, 1  # h = sum_{i<k} C^i X^(k-1-i), xp = X^(k-1)
+        for coeff in a:
+            acc += coeff * h
+            xp *= x
+            h = c * h + xp
+        out.append(acc)
+    return out, d
 
 
 def format_rational(value: Fraction) -> str:

@@ -28,9 +28,9 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .coefficients import phi_eval
-from .halfint import halfint
+from .halfint import HalfInt, halfint
 from .repbuilder import MatrixRep, build_sl2
+from .structure import phi_ladder_numerators
 from .verifier import DEFAULT_TOL, VerificationReport
 
 JOINT_TOL = 1e-10
@@ -146,16 +146,15 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     return ProductRep(len(a_two_m), len(b_two_m), dj3, djp, djm, dc, two_m, spins, blocks)
 
 
-def _block_factors(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> list:
+def _block_factors(pr: ProductRep, g: Callable[[int, int], float]) -> list:
     """V diag(g) V^T of each M block, with g called on every label in order.
 
-    g receives the exact Fractions c = J(J+1) and m = M, block by block in
-    ascending M and ascending J inside a block.
+    g receives the ints (2J, 2M), block by block in ascending M and
+    ascending J inside a block.
     """
     out = []
     for b in pr.blocks:
-        m = Fraction(b.two_m, 2)
-        vals = np.array([g(_casimir(t), m) for t in b.two_js], dtype=float)
+        vals = np.array([g(t, b.two_m) for t in b.two_js], dtype=float)
         out.append((b.V * vals) @ b.V.T)
     return out
 
@@ -167,18 +166,19 @@ def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> 
     state, and V diag(g) V^T is written into each M block.
     """
     out = np.zeros((pr.dim, pr.dim))
-    for b, f in zip(pr.blocks, _block_factors(pr, g)):
+    factors = _block_factors(pr, lambda two_j, two_m: g(_casimir(two_j), Fraction(two_m, 2)))
+    for b, f in zip(pr.blocks, factors):
         out[np.ix_(b.indices, b.indices)] = f
     return out
 
 
-def _raise_with(pr: ProductRep, g: Callable[[Fraction, Fraction], float], order: str) -> np.ndarray:
-    """Delta(J+) times the joint-calculus factor of g, one M -> M+1 block at a time.
+def _raise_with(pr: ProductRep, g: Callable[[int, int], float], order: str) -> np.ndarray:
+    """Delta(J+) times the joint-calculus factor of g(2J, 2M), one M -> M+1 block at a time.
 
     Delta(J+) maps the M block into the M+1 block only, and the factor is
     block-diagonal over M, so order='source' gives DJ+[M+1, M] @ F_M and
     order='target' gives F_{M+1} @ DJ+[M+1, M]. g is called on every label,
-    as in `joint_calculus`.
+    as in `_block_factors`.
     """
     factors = _block_factors(pr, g)
     out = np.zeros((pr.dim, pr.dim))
@@ -204,31 +204,36 @@ def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
     The square-rooted divided difference (phi(c) - phi(m(m+1)))/(c - m(m+1))
     is computed exactly at each label (c, m) = (J(J+1), M) and applied by
     joint calculus; a negative value below the highest weight raises
-    InadmissibleProductError. With order='source' the factor sits to the
-    right of Delta(J+) (evaluated at the source state, matching the single
-    irrep construction); order='target' puts it on the left, which evaluates
-    at the target state instead (and is not an algebra map in general).
+    InadmissibleProductError with the exact c and M. Labels are read as the
+    ints 2J and 2M, and phi as the integers D phi(t(t+2)/4) of one
+    `phi_ladder_numerators` pass over the ladder of the top spin, which
+    holds every label. With order='source' the factor sits to the right of
+    Delta(J+) (evaluated at the source state, matching the single irrep
+    construction); order='target' puts it on the left, which evaluates at
+    the target state instead (and is not an algebra map in general).
 
     Returns (DJp_hat, DJm_hat, DJ3).
     """
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
 
-    @functools.cache
-    def phi(x: Fraction) -> Fraction:
-        return phi_eval(alpha, x)
+    # every 2J and 2M lies on the ladder t = top, top - 2, ..., -top
+    top = max(pr.spins)
+    phis, d = phi_ladder_numerators(alpha, HalfInt(top))
 
-    def g(c: Fraction, m: Fraction) -> float:
-        x = m * (m + 1)
-        if c == x:
+    def g(two_j: int, two_m: int) -> float:
+        if two_j == two_m:
             # M = J: the factor multiplies a direction Delta(J+) annihilates
             return 0.0
-        dd = (phi(c) - phi(x)) / (c - x)
-        if dd < 0:
+        c, x = two_j * (two_j + 2), two_m * (two_m + 2)
+        # |M| < J, so c > x, and the divided difference is 4 (phi(c) - phi(x)) / (D (c - x))
+        num = 4 * (phis[(top - two_j) // 2] - phis[(top - two_m) // 2])
+        if num < 0:
             raise InadmissibleProductError(
-                "negative divided difference (inadmissible tensor product)", c, m
+                "negative divided difference (inadmissible tensor product)",
+                _casimir(two_j), Fraction(two_m, 2),
             )
-        return math.sqrt(dd)
+        return math.sqrt(num / (d * (c - x)))
 
     djp_hat = _raise_with(pr, g, order)
     return djp_hat, djp_hat.T.copy(), pr.DJ3
@@ -253,7 +258,8 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
     def root(c: Fraction) -> float:
         return math.sqrt(max(1 - 16 * a * a * float(c) / 3, 0.0))
 
-    def ladder_factor(c: Fraction, m: Fraction) -> float:
+    def ladder_factor(two_j: int, two_m: int) -> float:
+        c, m = _casimir(two_j), Fraction(two_m, 2)
         val = 2 * a * (2 * float(m) + 1) / 3 + root(c)
         if val < -JOINT_TOL:
             raise InadmissibleProductError("negative ladder-factor radicand", c, m)

@@ -14,14 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import phi_eval, phi_prime
+from .coefficients import divided_difference_numerators, phi_prime
 from .halfint import HalfInt, halfint, ladder_desc
 from .qdeform import q_bracket, q_casimir_matrix
 from .structure import (
     Polynomial,
     StructureSpec,
-    ladder_values,
-    phi_ladder,
+    ladder_numerators,
+    phi_ladder_numerators,
     screen,
 )
 
@@ -131,15 +131,17 @@ def build_sl2(j) -> MatrixRep:
 def build_deformed(spec: StructureSpec) -> MatrixRep:
     """Matrices of any admissible family, superdiagonal from its structure function.
 
-    One pass of `ladder_values` (exact for the polynomial family) feeds both
-    the unitarity `screen` and the superdiagonal sqrt(F(j, m)), so each F is
-    evaluated once. The result has the ladder shape of `ladder_vectors`.
+    One pass of `ladder_numerators` (exact integers over phi's common
+    denominator D for the polynomial family) feeds both the unitarity
+    `screen`, on the numerators' signs, and the superdiagonal
+    sqrt(F(j, m)) with F = n / D, so each F is evaluated once. The result
+    has the ladder shape of `ladder_vectors`.
     """
-    values = ladder_values(spec)
+    values, d = ladder_numerators(spec)
     offending = screen(spec, values)
     if offending:
         raise InadmissibleSpecError(spec, offending)
-    ups = [max(float(f2), 0.0) for f2 in values]
+    ups = [max(n / d, 0.0) for n in values]
     return _assemble(spec.j, ups, gamma=spec.gamma, family=spec.family_name)
 
 
@@ -167,30 +169,26 @@ def build_uq(j, delta: float, dtype=float) -> MatrixRep:
     return _assemble(j, ups, family="Uq", dtype=dtype)
 
 
-def _divided_difference(alpha: Sequence, c: Fraction, x: Fraction) -> Fraction:
-    """(phi(c) - phi(x))/(c - x), with the phi'(x) limit at the removable point."""
-    if c == x:
-        return phi_prime(alpha, x)
-    return (phi_eval(alpha, c) - phi_eval(alpha, x)) / (c - x)
-
-
 def deformed_from_undeformed(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     """Second construction route: scalar functional calculus on (C, J3).
 
     On a single irrep C = j(j+1) is scalar and J3 diagonal, so the
     divided-difference factor reduces to a diagonal matrix evaluated at the
     source state; the raising operator is multiplied by its square root on
-    the right.
+    the right. The factor is 4Q/D from one `divided_difference_numerators`
+    call over the ladder.
     """
     j = rep.j
-    c = j.mm1()
+    ms = list(ladder_desc(j))[1:]
+    qs, d = divided_difference_numerators(
+        alpha, j.twice * (j.twice + 2), [m.twice * (m.twice + 2) for m in ms]
+    )
     ups = []
-    for m in list(ladder_desc(j))[1:]:
-        dd = _divided_difference(alpha, c, m.mm1())
-        if dd < 0:
+    for m, q in zip(ms, qs):
+        if q < 0:
             raise InadmissibleSpecError(StructureSpec(Polynomial(alpha), j), [m])
         base = (j.value - m.value) * (j.value + m.value + 1)
-        ups.append(base * float(dd))
+        ups.append(base * (4 * q / d))
     return _assemble(j, ups, family="Polynomial")
 
 
@@ -230,15 +228,16 @@ def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
 
     Only meaningful for polynomial-family reps (unshifted spectrum), where it
     must equal phi(j(j+1)) times the identity. phi is evaluated once per
-    distinct m(m+1) (`phi_ladder`): phi(m(m-1)) at m is phi(m'(m'+1)) at
-    m' = m - 1. A rep with the ladder
+    distinct m(m+1) (`phi_ladder_numerators`, floats n / D): phi(m(m-1)) at
+    m is phi(m'(m'+1)) at m' = m - 1. A rep with the ladder
     shape (`ladder_vectors`) gets its diagonal in O(d) from the superdiagonal,
     bitwise equal to the dense products; any other rep keeps the dense
     matmuls. The result is a dense d x d matrix either way.
     """
     if rep.gamma != 0.0:
         raise ValueError("casimir_matrix expects an unshifted (polynomial-family) rep")
-    phis = [float(p) for p in phi_ladder(alpha, rep.j)]
+    ns, d = phi_ladder_numerators(alpha, rep.j)
+    phis = [n / d for n in ns]
     up = np.array(phis)
     dn = np.array(phis[1:] + phis[:1])  # m = -j: m(m-1) = j(j+1)
     vectors = ladder_vectors(rep)
@@ -296,9 +295,12 @@ def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence, samples: int = 257) 
         x = Fraction(i, samples - 1) * c if c != 0 else Fraction(0)
         if phi_prime(alpha, x) <= 0:
             raise NonBijectiveError(float(x))
+    ms = list(ladder_desc(j))[1:]
+    qs, d = divided_difference_numerators(
+        alpha, j.twice * (j.twice + 2), [m.twice * (m.twice + 2) for m in ms]
+    )
     ups = []
-    for i, m in enumerate(list(ladder_desc(j))[1:]):
-        dd = float(_divided_difference(alpha, c, m.mm1()))
+    for i, q in enumerate(qs):
         entry2 = rep.Jplus[i, i + 1] ** 2
-        ups.append(entry2 / dd)
+        ups.append(entry2 / (4 * q / d))
     return _assemble(j, ups, family="sl2")

@@ -1,9 +1,12 @@
 """Squared matrix elements (structure functions) for each algebra family.
 
 F(j, m) is the squared matrix element of the raising operator out of |j, m>.
-The polynomial family is exact rational; the shifted Higgs, shifted quadratic
-and q-base families carry irrational parameters and are floating point with
-an explicit tolerance.
+The polynomial family is exact: a whole ladder is evaluated on scaled
+integers, phi(m(m+1)) = n / D with n from one `coefficients.phi_numerators`
+call at the integers t(t+2), t = 2m, over phi's common denominator D, and
+Fractions are built only by the public functions that return them. The
+shifted Higgs, shifted quadratic and q-base families carry irrational
+parameters and are floating point with an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .coefficients import as_rationals, phi_eval
-from .halfint import HalfInt, halfint, ladder, ladder_desc
+from .coefficients import as_rationals, phi_numerators
+from .halfint import HalfInt, halfint, ladder_desc
 from .qdeform import q_bracket
 
 ADMISSIBILITY_TOL = 1e-12
@@ -214,47 +217,64 @@ def f2_down(spec: StructureSpec, m) -> float:
     raise TypeError(f"unknown family {fam!r}")
 
 
-def phi_ladder(alpha: Sequence, j) -> list[Fraction]:
-    """Exact phi(m(m+1)) for m = j, j-1, ..., -j, one evaluation per distinct m(m+1).
+def phi_ladder_numerators(alpha: Sequence, j) -> tuple[list[int], int]:
+    """(ns, D): phi(m(m+1)) = ns[i] / D exactly for m = j, j-1, ..., -j.
 
-    m and -m-1 share m(m+1), so the lower half of the ladder reuses the upper.
+    One kernel call (`phi_numerators`) over the distinct X = 4 m(m+1) = t(t+2):
+    m and -m-1 share m(m+1), so the states below m = -1/2 reuse the upper ones.
     """
-    j = halfint(j)
-    a = as_rationals(alpha)
-    d = j.twice + 1
-    out: list[Fraction] = []
-    for i, m in enumerate(ladder_desc(j)):
-        out.append(out[d - i] if d - i < i else phi_eval(a, m.mm1()))
-    return out
+    t = halfint(j).twice
+    upper, d = phi_numerators(alpha, [s * (s + 2) for s in range(t, -2, -2)])
+    return upper + upper[t + 1 - len(upper):0:-1], d
+
+
+def phi_ladder(alpha: Sequence, j) -> list[Fraction]:
+    """Exact phi(m(m+1)) for m = j, j-1, ..., -j, from `phi_ladder_numerators`."""
+    ns, d = phi_ladder_numerators(alpha, j)
+    return [Fraction(n, d) for n in ns]
+
+
+def ladder_numerators(spec: StructureSpec) -> tuple[list, int]:
+    """(ns, D) with F(j, m) = ns[i] / D for m = j-1, ..., -j.
+
+    For the polynomial family ns are the ints phi(j(j+1)) - phi(m(m+1)) over
+    phi's common denominator D > 0, so the sign of ns[i] is the sign of F and
+    ns[i] / D is float(F) bitwise. The other families give their float
+    closed forms over D = 1.
+    """
+    fam, j = spec.family, spec.j
+    if isinstance(fam, Polynomial):
+        (top, *rest), d = phi_ladder_numerators(fam.alpha, j)
+        return [top - n for n in rest], d
+    return [f2_up(spec, m) for m in list(ladder_desc(j))[1:]], 1
 
 
 def ladder_values(spec: StructureSpec) -> list:
     """F(j, m) for m = j-1, ..., -j: the squared superdiagonal of the irrep.
 
-    Exact Fractions phi(j(j+1)) - phi(m(m+1)) for the polynomial family, with
-    each phi value taken from one `phi_ladder` pass; floats from the per-family
-    closed forms otherwise.
+    Exact Fractions for the polynomial family, floats from the per-family
+    closed forms otherwise; both from `ladder_numerators`.
     """
-    fam, j = spec.family, spec.j
-    if isinstance(fam, Polynomial):
-        top, *rest = phi_ladder(fam.alpha, j)
-        return [top - p for p in rest]
-    return [f2_up(spec, m) for m in list(ladder_desc(j))[1:]]
+    ns, d = ladder_numerators(spec)
+    return [Fraction(n, d) for n in ns] if isinstance(spec.family, Polynomial) else ns
 
 
 def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
-    """Offending m (ascending) of the unitarity screen, given ladder_values(spec).
+    """Offending m (ascending) of the unitarity screen, given the ladder values.
 
-    Ladder values must be nonnegative: exactly for the polynomial family,
-    within ADMISSIBILITY_TOL for the real-valued ones. For the shifted
-    families the raising function must also vanish at m = j and the lowering
-    one at m = -j (within BOUNDARY_TOL), which pins the allowed gamma values.
+    values are `ladder_values(spec)` or the numerators of `ladder_numerators`
+    (D > 0 keeps the sign). They must be nonnegative: exactly for the
+    polynomial family, within ADMISSIBILITY_TOL for the real-valued ones.
+    For the shifted families the raising function must also vanish at m = j
+    and the lowering one at m = -j (within BOUNDARY_TOL), which pins the
+    allowed gamma values.
     """
     j = spec.j
     if j.twice == 0:
         return []
     tol = 0 if isinstance(spec.family, Polynomial) else ADMISSIBILITY_TOL
-    offending = [m for m, val in zip(ladder(j), reversed(values)) if val < -tol]
+    # reversed(values) runs over m = -j, ..., j-1
+    offending = [HalfInt(2 * i - j.twice) for i, val in enumerate(reversed(values)) if val < -tol]
 
     if isinstance(spec.family, (HiggsShifted, QuadraticShifted)):
         if abs(f2_up(spec, j)) > BOUNDARY_TOL:
@@ -265,6 +285,6 @@ def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
 
 
 def admissible(spec: StructureSpec) -> tuple[bool, list[HalfInt]]:
-    """Unitarity screening: (ok, offending_m) of `screen` over `ladder_values`."""
-    offending = screen(spec, ladder_values(spec))
+    """Unitarity screening: (ok, offending_m) of `screen` over `ladder_numerators`."""
+    offending = screen(spec, ladder_numerators(spec)[0])
     return not offending, offending

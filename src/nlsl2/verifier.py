@@ -9,10 +9,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import beta_from_alpha, epsilon, format_rational
+from .coefficients import beta_from_alpha, epsilon, format_rational, over_common_denominator
 from .halfint import halfint, ladder
 from .repbuilder import MatrixRep, ladder_products, ladder_vectors
-from .structure import f2_polynomial
+from .structure import Polynomial, StructureSpec, ladder_numerators
 
 DEFAULT_TOL = 1e-10
 
@@ -43,7 +43,7 @@ class VerificationReport:
 
     checks: list = field(default_factory=list)
 
-    def add_exact(self, name: str, discrepancy: Fraction, context: str = ""):
+    def add_exact(self, name: str, discrepancy: Fraction | int, context: str = ""):
         ok = discrepancy == 0
         self.checks.append(
             Check(name, "exact", ok, context=context,
@@ -82,22 +82,28 @@ class VerificationReport:
 
 
 def exact_recurrence_check(alpha: Sequence, j) -> VerificationReport:
-    """Ladder difference identity, in exact rationals.
+    """Ladder difference identity, exact on scaled integers.
 
     For every m in -j+1..j the drop F(j, m-1) - F(j, m) must equal the odd
-    polynomial sum_p beta_p (2m)^(2p+1) with beta recovered from alpha.
+    polynomial sum_p beta_p (2m)^(2p+1) with beta recovered from alpha. F
+    comes as ints over phi's common denominator D (`ladder_numerators`),
+    beta as ints over its own common denominator B, and each check compares
+    the two sides cross-multiplied; a FAIL carries the exact Fraction
+    difference.
     """
     j = halfint(j)
-    beta = beta_from_alpha(alpha)
+    b_num, b_den = over_common_denominator(beta_from_alpha(alpha))
+    ns, d = ladder_numerators(StructureSpec(Polynomial(alpha), j))
+    fs = [*reversed(ns), 0]  # D F(j, m) for m = -j, ..., j; F(m) of one step is F(m-1) of the next
     report = VerificationReport()
-    ms = list(ladder(j))
-    fs = [f2_polynomial(alpha, j, m) for m in ms]  # F(m) of one step is F(m-1) of the next
-    for m, f_below, f_m in zip(ms[1:], fs, fs[1:]):
-        lhs = f_below - f_m
-        two_m = 2 * m.exact
-        rhs = sum((b * two_m ** (2 * p + 1) for p, b in enumerate(beta)), Fraction(0))
+    for m, f_below, f_m in zip(list(ladder(j))[1:], fs, fs[1:]):
+        t = m.twice
+        rhs = 0  # B sum_p beta_p t^(2p), by Horner in t^2
+        for b in reversed(b_num):
+            rhs = rhs * t * t + b
+        diff = (f_below - f_m) * b_den - rhs * t * d
         report.add_exact(
-            f"ladder-difference j={j} m={m}", lhs - rhs,
+            f"ladder-difference j={j} m={m}", Fraction(diff, d * b_den) if diff else 0,
             context="F(j,m-1)-F(j,m) vs odd polynomial in 2m",
         )
     return report

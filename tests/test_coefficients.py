@@ -8,15 +8,25 @@ from nlsl2.coefficients import (
     alpha_from_beta,
     bernoulli,
     beta_from_alpha,
+    divided_difference_numerators,
     epsilon,
     format_rational,
     parse_rational,
     phi_eval,
+    phi_numerators,
     phi_prime,
     power_sum_oracle,
+    scaled_phi,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=30)
+# mixed signs, denominators up to 1e6, and floats (exact binary fractions)
+kernel_alphas = st.lists(
+    st.one_of(st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+              st.floats(-10, 10, allow_nan=False, allow_infinity=False)),
+    max_size=5,
+)
+scaled_xs = st.lists(st.integers(-(10**6), 10**6), max_size=8)
 
 
 def test_bernoulli_known_values():
@@ -83,3 +93,35 @@ def test_rational_serialization_round_trip():
         assert parse_rational(format_rational(v)) == v
     assert format_rational(Fraction(0)) == "0/1"
     assert parse_rational("0.25") == Fraction(1, 4)
+
+
+def test_scaled_phi_common_denominator():
+    # phi(x) = x + x^2/10: D phi(X/4) = 40 X + X^2 over D = 160
+    assert scaled_phi([1, Fraction(1, 10)]) == ([40, 1], 160)
+    assert scaled_phi([]) == ([], 1)
+
+
+@given(kernel_alphas, scaled_xs)
+@settings(max_examples=80, deadline=None)
+def test_phi_numerators_equal_phi_eval(alpha, xs):
+    ns, d = phi_numerators(alpha, xs)
+    assert d > 0 and len(ns) == len(xs)
+    for x, n in zip(xs, ns):
+        exact = phi_eval(alpha, Fraction(x, 4))
+        assert Fraction(n, d) == exact
+        assert n / d == float(exact)
+
+
+@given(kernel_alphas, st.integers(-(10**6), 10**6), scaled_xs)
+@settings(max_examples=80, deadline=None)
+def test_divided_difference_numerators_equal_quotient_and_derivative(alpha, c, xs):
+    xs = [*xs, c]
+    qs, d = divided_difference_numerators(alpha, c, xs)
+    assert d > 0 and len(qs) == len(xs)
+    for x, q in zip(xs, qs):
+        got = Fraction(4 * q, d)
+        if x == c:
+            assert got == phi_prime(alpha, Fraction(x, 4))
+        else:
+            cf, xf = Fraction(c, 4), Fraction(x, 4)
+            assert got == (phi_eval(alpha, cf) - phi_eval(alpha, xf)) / (cf - xf)

@@ -163,6 +163,50 @@ def test_deformed_coproduct_rejects_inadmissible_component():
     assert exc.value.c == Fraction(6)
 
 
+def _fraction_label_coproduct(pr, alpha, order):
+    """Delta(J+) times the factor of exact Fraction labels (c, m) = (J(J+1), M),
+    per (M -> M+1) block pair in deformed_coproduct's order of operations."""
+
+    def g(c, m):
+        x = m * (m + 1)
+        if c == x:
+            return 0.0
+        dd = (phi_eval(alpha, c) - phi_eval(alpha, x)) / (c - x)
+        if dd < 0:
+            raise InadmissibleProductError("negative divided difference", c, m)
+        return math.sqrt(dd)
+
+    factors = []
+    for b in pr.blocks:
+        m = Fraction(b.two_m, 2)
+        vals = np.array([g(Fraction(t * (t + 2), 4), m) for t in b.two_js], dtype=float)
+        factors.append((b.V * vals) @ b.V.T)
+    out = np.zeros((pr.dim, pr.dim))
+    for k in range(len(pr.blocks) - 1):
+        rows, cols = np.ix_(pr.blocks[k + 1].indices, pr.blocks[k].indices)
+        step = pr.DJp[rows, cols]
+        out[rows, cols] = step @ factors[k] if order == "source" else factors[k + 1] @ step
+    return out
+
+
+@pytest.mark.parametrize("order", ["source", "target"])
+def test_deformed_coproduct_bitwise_equals_fraction_labels(order):
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+    pr = primitive_coproduct(build_sl2(halfint(3)), build_sl2(halfint("5/2")))
+    djp, djm, dj3 = deformed_coproduct(pr, alpha, order=order)
+    assert np.array_equal(djp, _fraction_label_coproduct(pr, alpha, order))
+    assert np.array_equal(djm, djp.T) and dj3 is pr.DJ3
+    # the 1 (x) 1, beta = -1/10 rejection names the same exact label as the reference
+    pr = primitive_coproduct(build_sl2(1), build_sl2(1))
+    bad = alpha_from_beta([Fraction(1), Fraction(-1, 10)])
+    with pytest.raises(InadmissibleProductError) as want:
+        _fraction_label_coproduct(pr, bad, order)
+    with pytest.raises(InadmissibleProductError) as exc:
+        deformed_coproduct(pr, bad, order=order)
+    assert (exc.value.c, exc.value.m) == (want.value.c, want.value.m) == (Fraction(6), Fraction(-2))
+    assert isinstance(exc.value.c, Fraction) and isinstance(exc.value.m, Fraction)
+
+
 @pytest.mark.parametrize("j1,j2", [("3", "5/2"), ("7/2", "1")])
 def test_deformed_coproduct_matches_coupled_basis_oracle(j1, j2):
     # DJ+^ DJ-^ acts on |J, M> as F_alpha(J, M-1), which is 0 at M = -J

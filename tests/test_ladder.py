@@ -125,7 +125,7 @@ def test_q_casimir_matrix_bitwise_equals_dense(two_j, delta):
     assert np.array_equal(q_casimir_matrix(long_rep, delta), dense_q_casimir(long_rep, delta))
 
 
-@pytest.mark.parametrize("two_j", [1, 8, 64])
+@pytest.mark.parametrize("two_j", [1, 8, 64, 1000])
 def test_build_deformed_superdiagonal_bitwise(two_j):
     rep, alpha = polynomial_rep(two_j, 3)
     j = HalfInt(two_j)
@@ -134,17 +134,20 @@ def test_build_deformed_superdiagonal_bitwise(two_j):
 
 
 def test_build_deformed_evaluates_each_phi_once(monkeypatch):
+    # every X = 4 m(m+1) = t(t+2) handed to the integer phi kernel is one evaluation
     calls = []
-    original = structure.phi_eval
+    original = structure.phi_numerators
 
-    def counting(alpha, x):
-        calls.append(Fraction(x))
-        return original(alpha, x)
+    def counting(alpha, xs):
+        calls.extend(xs)
+        return original(alpha, xs)
 
-    monkeypatch.setattr(structure, "phi_eval", counting)
-    j = HalfInt(9)
-    build_deformed(StructureSpec(Polynomial([1, Fraction(1, 10)]), j))
-    assert sorted(calls) == sorted({m.mm1() for m in ladder_desc(j)})
+    monkeypatch.setattr(structure, "phi_numerators", counting)
+    for two_j in (0, 1, 9, 10):
+        calls.clear()
+        j = HalfInt(two_j)
+        build_deformed(StructureSpec(Polynomial([1, Fraction(1, 10)]), j))
+        assert sorted(calls) == sorted({4 * m.mm1() for m in ladder_desc(j)}), two_j
 
 
 def test_ladder_values_match_closed_forms():

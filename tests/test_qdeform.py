@@ -1,8 +1,10 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlsl2.halfint import HalfInt, halfint
@@ -16,6 +18,29 @@ from nlsl2.qdeform import (
 
 deltas = st.floats(0.05, 2.0)
 args = st.floats(-6, 6)
+EPS = sys.float_info.epsilon
+# [a][b+1] - [a+1][b] misses [a-b] by 1.09e-9 here in floats, past a 1e-9 relative gate
+CANCELLING = dict(a=3.9825871498301666, b=4.756039107418891, d=1.7853132317008817)
+
+
+def difference_identity(a, b, d, shift=0.0):
+    """(lhs, rhs, scale) of [a][b+1] - [a+1][b] = [a-b+shift] in floats.
+
+    The left side cancels two products, so its rounding error scales with
+    scale = |[a][b+1]| + |[a+1][b]| + |[a-b+shift]|, not with the result.
+    """
+    p = q_bracket(a, d) * q_bracket(b + 1, d)
+    q = q_bracket(a + 1, d) * q_bracket(b, d)
+    rhs = q_bracket(a - b + shift, d)
+    return p - q, rhs, abs(p) + abs(q) + abs(rhs)
+
+
+def decimal_bracket(x: Decimal, d: Decimal) -> Decimal:
+    def sinh(y):
+        e = y.exp()
+        return (e - 1 / e) / 2
+
+    return sinh(d * x) / sinh(d)
 
 
 def test_qparam_rejects_zero():
@@ -39,12 +64,37 @@ def test_bracket_classical_limit(x, d):
 
 
 @given(args, args, deltas)
+@example(**CANCELLING)
 @settings(max_examples=80)
 def test_bracket_product_difference_identity(a, b, d):
-    # [a][b+1] - [a+1][b] = [a-b]
-    lhs = q_bracket(a, d) * q_bracket(b + 1, d) - q_bracket(a + 1, d) * q_bracket(b, d)
-    rhs = q_bracket(a - b, d)
-    assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
+    # [a][b+1] - [a+1][b] = [a-b]; the gate scales with the cancelled products
+    # (the worst of 200,000 random draws was 10.9 eps times the scale)
+    lhs, rhs, scale = difference_identity(a, b, d)
+    assert abs(lhs - rhs) <= 32 * EPS * scale
+
+
+def test_bracket_difference_identity_exact_oracle():
+    # In 50-digit decimals the identity holds at the cancelling input, so the
+    # 1.09e-9 float miss is rounding of the cancelled products, which the
+    # scaled gate admits and the former 1e-9 relative gate did not.
+    a, b, d = CANCELLING["a"], CANCELLING["b"], CANCELLING["d"]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        da, db, dd = Decimal(a), Decimal(b), Decimal(d)
+        exact_lhs = (decimal_bracket(da, dd) * decimal_bracket(db + 1, dd)
+                     - decimal_bracket(da + 1, dd) * decimal_bracket(db, dd))
+        exact_rhs = decimal_bracket(da - db, dd)
+        assert abs(exact_lhs - exact_rhs) < Decimal("1e-40")
+    lhs, rhs, scale = difference_identity(a, b, d)
+    assert not math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
+    assert abs(lhs - float(exact_lhs)) <= 32 * EPS * scale
+    assert abs(rhs - float(exact_rhs)) <= 32 * EPS * scale
+
+
+@pytest.mark.parametrize("inputs", [CANCELLING, dict(a=5.0, b=3.8306, d=1.796875), dict(a=-0.5, b=0.25, d=0.3)])
+def test_bracket_difference_gate_rejects_shifted_bracket(inputs):
+    lhs, rhs, scale = difference_identity(**inputs, shift=1e-3)
+    assert abs(lhs - rhs) > 32 * EPS * scale
 
 
 @given(st.integers(0, 12), st.integers(-12, 12), deltas)

@@ -4,9 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsl2.halfint import HalfInt, halfint
+import nlsl2.verifier as verifier
+from nlsl2.coefficients import beta_from_alpha, format_rational
+from nlsl2.halfint import HalfInt, halfint, ladder
 from nlsl2.repbuilder import MatrixRep, build_deformed, build_sl2
-from nlsl2.structure import Polynomial, StructureSpec
+from nlsl2.structure import Polynomial, StructureSpec, f2_polynomial
 from nlsl2.verifier import (
     VerificationReport,
     commutator_residuals,
@@ -26,6 +28,31 @@ def test_recurrence_exact_for_any_alpha(alpha, two_j):
     report = exact_recurrence_check(alpha, HalfInt(two_j))
     assert report.all_passed
     assert all(c.kind == "exact" for c in report.checks)
+
+
+def test_recurrence_check_fails_on_beta_off_by_1e12(monkeypatch):
+    # negative control: beta off by 1e-12 in its last coefficient breaks the
+    # identity at every m != 0, by the exact amount the closed form gives
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+    shift = Fraction(1e-12)
+
+    def perturbed(a):
+        beta = beta_from_alpha(a)
+        beta[-1] += shift
+        return beta
+
+    monkeypatch.setattr(verifier, "beta_from_alpha", perturbed)
+    beta = perturbed(alpha)
+    for j in (halfint(4), halfint("7/2")):
+        report = exact_recurrence_check(alpha, j)
+        assert len(report.checks) == j.twice
+        for check, m in zip(report.checks, list(ladder(j))[1:]):
+            two_m = 2 * m.exact
+            want = (f2_polynomial(alpha, j, m - 1) - f2_polynomial(alpha, j, m)
+                    - sum(b * two_m ** (2 * p + 1) for p, b in enumerate(beta)))
+            assert check.kind == "exact"
+            assert check.passed == (want == 0) == (m == 0)
+            assert check.discrepancy == (None if want == 0 else format_rational(want))
 
 
 def test_commutator_residuals_pass_for_honest_rep():
