@@ -21,6 +21,7 @@ from .coefficients import (
     beta_from_alpha,
     format_rational,
     parse_rational,
+    phi_eval,
 )
 from .halfint import halfint, ladder_desc
 from .structure import HiggsShifted, Polynomial, QBase, QuadraticShifted, StructureSpec
@@ -99,13 +100,13 @@ def cmd_rep(args) -> int:
         rep = repbuilder.build_uq(j, args.delta)
     else:
         rep = repbuilder.build_deformed(_build_spec(args))
-    d = rep.to_json_dict()
+    w, u = repbuilder.ladder_vectors(rep)
     table = (
         f"family={rep.family} j={rep.j} dim={rep.dim} gamma={rep.gamma}\n"
-        f"J3 diag: {np.diag(rep.J3).tolist()}\n"
-        f"J+ superdiag: {[float(rep.Jplus[i, i + 1]) for i in range(rep.dim - 1)]}"
+        f"J3 diag: {w.tolist()}\n"
+        f"J+ superdiag: {u.tolist()}"
     )
-    _emit(args, d, table)
+    _emit(args, rep.to_json_dict() if args.format != "table" else {}, table)
     return EXIT_OK
 
 
@@ -119,13 +120,11 @@ def cmd_verify(args) -> int:
         rep = repbuilder.build_deformed(spec)
         beta = beta_from_alpha(alpha)
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
-        cas = repbuilder.casimir_matrix(rep, alpha)
-        from .coefficients import phi_eval
-
+        cas = repbuilder._casimir_diagonal(rep, alpha)
         expected = float(phi_eval(alpha, j.mm1()))
         report.add_numeric(
             "Casimir = phi(j(j+1)) I",
-            float(np.linalg.norm(cas - expected * np.eye(rep.dim))),
+            float(np.linalg.norm(cas - expected)),
             max(args.tol, 1e-12),
         )
     elif args.family == "higgs":
@@ -135,10 +134,10 @@ def cmd_verify(args) -> int:
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
     elif args.family == "uq":
         rep = repbuilder.build_uq(j, args.delta)
-        comm = rep.Jplus @ rep.Jminus - rep.Jminus @ rep.Jplus
-        target = np.diag([qdeform.q_bracket(2 * m.value, args.delta) for m in ladder_desc(j)])
+        pm, mp = repbuilder.ladder_products(repbuilder.ladder_vectors(rep)[1])
+        target = [qdeform.q_bracket(2 * m.value, args.delta) for m in ladder_desc(j)]
         report.add_numeric("[J+,J-] = [2 J3] diagonal",
-                           float(np.linalg.norm(comm - target)), args.tol)
+                           float(np.linalg.norm(pm - mp - target)), args.tol)
         report.add_numeric("q-Casimir arcsinh relation",
                            qdeform.uq_casimir_relation(j, qdeform.QParam(args.delta)), 1e-12)
     else:

@@ -45,33 +45,50 @@ def q_beta_coeffs(qp: QParam, count: int) -> list[float]:
     return [d ** (2 * p + 1) / (math.factorial(2 * p + 1) * s) for p in range(count)]
 
 
+def _q_bracket_diagonals(j: HalfInt, delta: float):
+    """[m][m+1] and [m][m-1] over the basis m = j, ..., -j.
+
+    [m][m-1] at m is [m'][m'+1] at m' = m - 1, so each bracket product is
+    evaluated once.
+    """
+    ms = [m.value for m in ladder_desc(j)] + [-j.value - 1]
+    brackets = [q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms]
+    return np.array(brackets[:-1]), np.array(brackets[1:])
+
+
+def _q_casimir_diagonal(rep, delta: float):
+    """Diagonal of `q_casimir_matrix` in O(d) for a rep with the ladder shape, else None."""
+    from .repbuilder import ladder_products, ladder_vectors
+
+    vectors = ladder_vectors(rep)
+    if vectors is None:
+        return None
+    diag_up, diag_dn = _q_bracket_diagonals(rep.j, delta)
+    pm, mp = ladder_products(vectors[1])
+    return 0.5 * (pm + mp + diag_up + diag_dn)
+
+
 def q_casimir_matrix(rep, delta: float) -> np.ndarray:
     """Chat = (1/2)(J+J- + J-J+ + [J3][J3+1] + [J3][J3-1]) on a U_q irrep.
 
     rep is an unshifted irrep with basis m = j, ..., -j; on an irrep of
-    U_q(sl(2)) the result is a multiple of the identity. [m][m-1] at m is
-    [m'][m'+1] at m' = m - 1, so each bracket product is evaluated once. A rep
-    with the ladder shape gets its diagonal in O(d), bitwise equal to the
-    dense products; any other rep keeps the dense matmuls.
+    U_q(sl(2)) the result is a multiple of the identity. A rep with the
+    ladder shape gets its diagonal in O(d), bitwise equal to the dense
+    products; any other rep keeps the dense matmuls.
     """
-    from .repbuilder import ladder_products, ladder_vectors
-
-    ms = [m.value for m in ladder_desc(rep.j)] + [-rep.j.value - 1]
-    brackets = [q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms]
-    diag_up, diag_dn = np.array(brackets[:-1]), np.array(brackets[1:])
-    vectors = ladder_vectors(rep)
-    if vectors is None:
-        jp, jm = rep.Jplus, rep.Jminus
-        return 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
-    pm, mp = ladder_products(vectors[1])
-    return np.diag(0.5 * (pm + mp + diag_up + diag_dn))
+    diag = _q_casimir_diagonal(rep, delta)
+    if diag is not None:
+        return np.diag(diag)
+    diag_up, diag_dn = _q_bracket_diagonals(rep.j, delta)
+    jp, jm = rep.Jplus, rep.Jminus
+    return 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
 
 
 def uq_casimir_relation(j, qp: QParam) -> float:
     """Check the deformed Casimir identities of U_q(sl(2)) on one irrep.
 
-    Builds the q-deformed rep, forms the Casimir from the matrices, and tests
-    the two scalar identities
+    Builds the q-deformed rep, forms the diagonal of its Casimir from the
+    ladder, checks that it is constant, and tests the two scalar identities
         sqrt(Chat + [1/2]^2) = [sqrt(C + 1/4)]
         sqrt(C + 1/4) = (1/delta) * arcsinh(sqrt(Chat + [1/2]^2) * sinh(delta))
     with C = j(j+1). Returns the maximum residual.
@@ -81,10 +98,8 @@ def uq_casimir_relation(j, qp: QParam) -> float:
     j = halfint(j)
     d = qp.delta
     rep = build_uq(j, d)
-    chat_mat = q_casimir_matrix(rep, d)
-
-    chat_diag = np.diag(chat_mat)
-    scalar_residual = float(np.max(np.abs(chat_mat - chat_diag[0] * np.eye(rep.dim)))) if rep.dim else 0.0
+    chat_diag = _q_casimir_diagonal(rep, d)
+    scalar_residual = float(np.max(np.abs(chat_diag - chat_diag[0])))
     chat = float(chat_diag[0])
 
     half = q_bracket(0.5, d)
@@ -104,18 +119,16 @@ def qbase_example_commutator(j, beta: float, qp: QParam) -> float:
     The representation is built from the q-base structure function with
     alpha = [1, beta/[2]]; the commutator must be the stated diagonal.
     """
-    from .repbuilder import build_deformed
+    from .repbuilder import build_deformed, ladder_products, ladder_vectors
     from .structure import QBase, StructureSpec
 
     j = halfint(j)
     d = qp.delta
     alpha = [1.0, beta / q_bracket(2.0, d)]
     rep = build_deformed(StructureSpec(QBase(alpha, d), j))
-    comm = rep.Jplus @ rep.Jminus - rep.Jminus @ rep.Jplus
-    target = np.diag(
-        [
-            q_bracket(2 * m.value, d) * (1.0 + beta * q_bracket(m.value, d) ** 2)
-            for m in ladder_desc(j)
-        ]
-    )
-    return float(np.linalg.norm(comm - target))
+    pm, mp = ladder_products(ladder_vectors(rep)[1])
+    target = [
+        q_bracket(2 * m.value, d) * (1.0 + beta * q_bracket(m.value, d) ** 2)
+        for m in ladder_desc(j)
+    ]
+    return float(np.linalg.norm(pm - mp - target))

@@ -1,22 +1,24 @@
-"""Dense matrix representations of the linear and nonlinear sl(2) algebras.
+"""Representations of the linear and nonlinear sl(2) algebras on their ladder.
 
 Basis order is m = j, j-1, ..., -j; J3 is diagonal with entries m + gamma,
 the raising operator lives on the superdiagonal with nonnegative entries,
 and the lowering operator is its transpose (hermiticity is by construction).
+Every irrep built here is stored as those two vectors; the dense matrices are
+formed only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .coefficients import divided_difference_numerators, phi_prime
 from .halfint import HalfInt, halfint, ladder_desc
-from .qdeform import q_bracket, q_casimir_matrix
+from .qdeform import _q_casimir_diagonal, q_bracket
 from .structure import (
     Polynomial,
     StructureSpec,
@@ -50,17 +52,39 @@ class NonBijectiveError(ValueError):
         )
 
 
-@dataclass(frozen=True)
 class MatrixRep:
-    """A dense real matrix triple (J3, Jplus, Jminus) with its metadata."""
+    """A real matrix triple (J3, Jplus, Jminus) with its metadata.
 
-    dim: int
-    two_j: int
-    gamma: float
-    family: str
-    J3: np.ndarray
-    Jplus: np.ndarray
-    Jminus: np.ndarray
+    Built from dense matrices, MatrixRep(dim, two_j, gamma, family, J3, Jplus,
+    Jminus) holds them as given and has ladder = None. The builders here
+    store only ladder = (w, u) = (diagonal of J3, superdiagonal of J+), both
+    read-only, and derive J3 = diag(w), J+ = diag(u, 1) and J- = diag(u, -1)
+    once, on first access. Those dense arrays are derived copies: editing
+    them does not change a ladder-backed rep. To check a corrupted rep, build
+    a new MatrixRep from edited dense copies.
+    """
+
+    def __init__(self, dim: int, two_j: int, gamma: float, family: str,
+                 J3: np.ndarray | None = None, Jplus: np.ndarray | None = None,
+                 Jminus: np.ndarray | None = None, *, ladder: tuple | None = None):
+        if (ladder is None) == (J3 is None or Jplus is None or Jminus is None):
+            raise TypeError("MatrixRep takes either the dense J3, Jplus, Jminus or ladder=(w, u)")
+        self.dim, self.two_j, self.gamma, self.family = dim, two_j, gamma, family
+        self.ladder = ladder
+        if ladder is None:
+            self.J3, self.Jplus, self.Jminus = J3, Jplus, Jminus
+
+    @cached_property
+    def J3(self) -> np.ndarray:
+        return np.diag(self.ladder[0])
+
+    @cached_property
+    def Jplus(self) -> np.ndarray:
+        return np.diag(self.ladder[1], 1)
+
+    @cached_property
+    def Jminus(self) -> np.ndarray:
+        return np.diag(self.ladder[1], -1)
 
     @property
     def j(self) -> HalfInt:
@@ -80,30 +104,33 @@ class MatrixRep:
 
 def _assemble(j: HalfInt, up_values, gamma: float = 0.0, family: str = "sl2",
               dtype=float) -> MatrixRep:
-    """Build the matrix triple from the superdiagonal squared entries.
+    """The ladder-backed rep with weights m + gamma and superdiagonal sqrt(up_values).
 
     up_values[i] is F(j, m_i) for the source states m_i = j-1, ..., -j
     (column index i+1).
     """
-    weights = np.arange(j.twice, -j.twice - 1, -2) / 2.0 + gamma
-    j3 = np.diag(weights.astype(dtype))
+    weights = (np.arange(j.twice, -j.twice - 1, -2) / 2.0 + gamma).astype(dtype)
     ups = np.array(up_values, dtype=dtype)
     negative = np.flatnonzero(ups < 0)
     if negative.size:
         i = int(negative[0])
         raise ValueError(f"negative squared matrix element {up_values[i]} at position {i}")
-    jp = np.diag(np.sqrt(ups), 1)
-    return MatrixRep(j.twice + 1, j.twice, gamma, family, j3, jp, jp.T.copy())
+    u = np.sqrt(ups)
+    weights.flags.writeable = u.flags.writeable = False
+    return MatrixRep(j.twice + 1, j.twice, gamma, family, ladder=(weights, u))
 
 
 def ladder_vectors(rep: MatrixRep):
     """(w, u) = (diagonal of J3, superdiagonal of J+) when rep has the ladder shape, else None.
 
-    The ladder shape: J3 has no entry off its diagonal, J+ none off its
-    superdiagonal, and Jminus equals Jplus.T. Every irrep built here has it;
-    product-space matrices do not, and their checks fall back to dense
-    matmuls. Nonzero counts stand in for dense differences.
+    A builder-made rep returns its stored ladder and forms no dense matrix.
+    A rep built from dense matrices has the ladder shape when J3 has no
+    entry off its diagonal, J+ none off its superdiagonal, and Jminus
+    equals Jplus.T; product-space matrices do not, and their checks fall
+    back to dense matmuls. Nonzero counts stand in for dense differences.
     """
+    if rep.ladder is not None:
+        return rep.ladder
     w, u = np.diag(rep.J3), np.diag(rep.Jplus, 1)
     if (
         np.count_nonzero(rep.J3) == np.count_nonzero(w)
@@ -112,6 +139,14 @@ def ladder_vectors(rep: MatrixRep):
     ):
         return w, u
     return None
+
+
+def _irrep_ladder(rep: MatrixRep, caller: str):
+    """ladder_vectors(rep), or a ValueError naming caller when rep lacks the ladder shape."""
+    vectors = ladder_vectors(rep)
+    if vectors is None:
+        raise ValueError(f"{caller} expects an irrep with the ladder shape")
+    return vectors
 
 
 def ladder_products(u: np.ndarray):
@@ -223,28 +258,43 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
     return _assemble(j, ups, gamma=gamma, family="QuadraticShifted")
 
 
-def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
-    """Deformed Casimir (1/2)(J+J- + J-J+ + phi(J3(J3+1)) + phi(J3(J3-1))).
+def _phi_diagonals(rep: MatrixRep, alpha: Sequence):
+    """phi(m(m+1)) and phi(m(m-1)) over the basis m = j, ..., -j, as floats n / D.
 
-    Only meaningful for polynomial-family reps (unshifted spectrum), where it
-    must equal phi(j(j+1)) times the identity. phi is evaluated once per
-    distinct m(m+1) (`phi_ladder_numerators`, floats n / D): phi(m(m-1)) at
-    m is phi(m'(m'+1)) at m' = m - 1. A rep with the ladder
-    shape (`ladder_vectors`) gets its diagonal in O(d) from the superdiagonal,
-    bitwise equal to the dense products; any other rep keeps the dense
-    matmuls. The result is a dense d x d matrix either way.
+    phi is evaluated once per distinct m(m+1) (`phi_ladder_numerators`):
+    phi(m(m-1)) at m is phi(m'(m'+1)) at m' = m - 1.
     """
     if rep.gamma != 0.0:
         raise ValueError("casimir_matrix expects an unshifted (polynomial-family) rep")
     ns, d = phi_ladder_numerators(alpha, rep.j)
     phis = [n / d for n in ns]
-    up = np.array(phis)
-    dn = np.array(phis[1:] + phis[:1])  # m = -j: m(m-1) = j(j+1)
+    return np.array(phis), np.array(phis[1:] + phis[:1])  # m = -j: m(m-1) = j(j+1)
+
+
+def _casimir_diagonal(rep: MatrixRep, alpha: Sequence):
+    """Diagonal of `casimir_matrix` in O(d) for a rep with the ladder shape, else None."""
     vectors = ladder_vectors(rep)
     if vectors is None:
-        return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + np.diag(up) + np.diag(dn))
+        return None
+    up, dn = _phi_diagonals(rep, alpha)
     pm, mp = ladder_products(vectors[1])
-    return np.diag(0.5 * (pm + mp + up + dn))
+    return 0.5 * (pm + mp + up + dn)
+
+
+def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
+    """Deformed Casimir (1/2)(J+J- + J-J+ + phi(J3(J3+1)) + phi(J3(J3-1))).
+
+    Only meaningful for polynomial-family reps (unshifted spectrum), where it
+    must equal phi(j(j+1)) times the identity. A rep with the ladder shape
+    (`ladder_vectors`) gets its diagonal in O(d) from the superdiagonal,
+    bitwise equal to the dense products; any other rep keeps the dense
+    matmuls. The result is a dense d x d matrix either way.
+    """
+    diag = _casimir_diagonal(rep, alpha)
+    if diag is not None:
+        return np.diag(diag)
+    up, dn = _phi_diagonals(rep, alpha)
+    return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + np.diag(up) + np.diag(dn))
 
 
 def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
@@ -257,8 +307,8 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
     if delta == 0:
         raise ValueError("inverse_map_uq requires delta != 0")
     j = repq.j
-    jp = repq.Jplus
-    chat = float(q_casimir_matrix(repq, delta)[0, 0])
+    _, u = _irrep_ladder(repq, "inverse_map_uq")
+    chat = float(_q_casimir_diagonal(repq, delta)[0])
 
     half = q_bracket(0.5, delta)
     arg = chat + half * half
@@ -270,7 +320,7 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
     for i, m in enumerate(list(ladder_desc(j))[1:]):
         num = (c + 0.25) - (m.value + 0.5) ** 2
         den = arg - q_bracket(m.value + 0.5, delta) ** 2
-        entry2 = jp[i, i + 1] ** 2
+        entry2 = u[i] ** 2
         if den <= 0:
             if entry2 > 1e-12 or num > 1e-12:
                 raise ValueError(f"inconsistent q-deformed input at m={m}")
@@ -290,6 +340,7 @@ def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence, samples: int = 257) 
     interval; a sign change raises NonBijectiveError with the witness point.
     """
     j = rep.j
+    _, u = _irrep_ladder(rep, "inverse_map_polynomial")
     c = j.mm1()
     for i in range(samples):
         x = Fraction(i, samples - 1) * c if c != 0 else Fraction(0)
@@ -301,6 +352,6 @@ def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence, samples: int = 257) 
     )
     ups = []
     for i, q in enumerate(qs):
-        entry2 = rep.Jplus[i, i + 1] ** 2
+        entry2 = u[i] ** 2
         ups.append(entry2 / (4 * q / d))
     return _assemble(j, ups, family="sl2")

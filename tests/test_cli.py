@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +112,11 @@ def test_output_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_OK
     assert json.loads(target.read_text())["alpha"] == ["1/1"]
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "nlsl2", "coeffs", "--alpha-from-beta", "1,1/10"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1, 1/5"

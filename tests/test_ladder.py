@@ -5,12 +5,15 @@ checked from their two vectors; the dense matmul formulas below are the
 reference they must reproduce.
 """
 
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import nlsl2.structure as structure
+from nlsl2.cli import run
 from nlsl2.coefficients import alpha_from_beta, beta_from_alpha, phi_eval
 from nlsl2.families import higgs_beta_window, higgs_gamma_roots
 from nlsl2.halfint import HalfInt, halfint, ladder, ladder_desc
@@ -19,9 +22,12 @@ from nlsl2.repbuilder import (
     InadmissibleSpecError,
     MatrixRep,
     build_deformed,
+    build_quadratic_explicit,
     build_sl2,
     build_uq,
     casimir_matrix,
+    inverse_map_polynomial,
+    inverse_map_uq,
     ladder_vectors,
 )
 from nlsl2.structure import (
@@ -202,3 +208,78 @@ def test_weight_off_by_1e6_fails_on_the_ladder_path():
     assert ladder_vectors(shifted) is not None
     report = commutator_residuals(shifted, [Fraction(1)], tol=1e-10)
     assert [c.passed for c in report.checks] == [False, False, False]
+
+
+DENSE = {"J3", "Jplus", "Jminus"}
+
+
+def bitwise_equal(a, b):
+    """Equal dtype, shape, values and signs of zero; compares long doubles without their padding bytes."""
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def builder_reps():
+    sl2 = build_sl2(halfint("7/2"))
+    yield "sl2", sl2
+    yield "polynomial", polynomial_rep(64, 3)[0]
+    j = halfint("9/2")
+    lo, hi = higgs_beta_window(j)
+    beta = lo + 0.4 * (hi - lo)
+    gamma = next(sol.gamma for sol in higgs_gamma_roots(j, beta) if sol.gamma != 0)
+    yield "higgs_shifted", build_deformed(StructureSpec(HiggsShifted(beta, gamma), j))
+    yield "quadratic_explicit", build_quadratic_explicit(sl2, 0.05)
+    yield "uq", build_uq(HalfInt(20), 0.2)
+    yield "uq_longdouble", build_uq(HalfInt(20), 0.2, dtype=np.longdouble)
+
+
+@pytest.mark.parametrize("name,rep", list(builder_reps()), ids=lambda x: x if isinstance(x, str) else "")
+def test_dense_views_equal_the_former_assembly(name, rep):
+    # the former _assemble: np.diag(weights), jp = np.diag(u, 1), Jminus = jp.T.copy()
+    w, u = ladder_vectors(rep)
+    assert not DENSE & vars(rep).keys()
+    weights = (np.arange(rep.two_j, -rep.two_j - 1, -2) / 2.0 + rep.gamma).astype(u.dtype)
+    assert bitwise_equal(w, weights)
+    jp = np.diag(u, 1)
+    for got, want in ((rep.J3, np.diag(weights)), (rep.Jplus, jp), (rep.Jminus, jp.T.copy())):
+        assert bitwise_equal(got, want), name
+        assert got.flags.c_contiguous and got.flags.writeable
+    assert rep.Jminus is rep.Jminus
+
+
+def test_checks_and_inverse_maps_build_no_dense_field():
+    rep, alpha = polynomial_rep(64, 3)
+    repq = build_uq(HalfInt(20), 0.2)
+    commutator_residuals(rep, beta_from_alpha(alpha))
+    casimir_matrix(rep, alpha)
+    back = inverse_map_polynomial(rep, alpha)
+    q_casimir_matrix(repq, 0.2)
+    backq = inverse_map_uq(repq, 0.2)
+    for r in (rep, repq, back, backq):
+        assert r.ladder is not None and not DENSE & vars(r).keys()
+
+
+def test_editing_a_dense_view_leaves_the_ladder_rep_unchanged():
+    rep = build_sl2(halfint(2))
+    w, u = ladder_vectors(rep)
+    assert not w.flags.writeable and not u.flags.writeable
+    rep.Jplus[0, 1] += 1.0
+    assert ladder_vectors(rep)[1][0] == 2.0
+    assert commutator_residuals(rep, [Fraction(1)]).all_passed
+    with pytest.raises(TypeError):
+        MatrixRep(1, 0, 0.0, "sl2")
+
+
+def test_verify_at_2j_4000_forms_no_dense_matrix(capsys):
+    tracemalloc.start()
+    try:
+        code = run(["--format", "json", "verify", "--family", "polynomial", "--j", "2000",
+                    "--alpha", "1,1/10,1/100"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    exact = [c for c in report["checks"] if c["kind"] == "exact"]
+    assert len(exact) == 4000 and all(c["pass"] for c in exact)
+    assert code == (0 if report["summary"]["all_passed"] else 1)
+    assert peak < 32 * 2**20  # one 4001 x 4001 float64 matrix takes 128 MB
