@@ -202,6 +202,71 @@ def divided_difference_numerators(alpha: Sequence, c: int, xs: Sequence[int]) ->
     return out, d
 
 
+def _horner(desc: Sequence, x):
+    """Value at x of the polynomial with coefficients desc, highest power first."""
+    acc = 0
+    for coeff in desc:
+        acc = acc * x + coeff
+    return acc
+
+
+def _sturm_sequence(desc: list) -> list:
+    """p, p', -rem(p, p'), ... down to the last nonzero remainder, highest power first."""
+    n = len(desc) - 1
+    seq = [desc, [coeff * (n - i) for i, coeff in enumerate(desc[:-1])]]
+    while len(seq[-1]) > 1:
+        rem, div = [Fraction(x) for x in seq[-2]], seq[-1]
+        while len(rem) >= len(div):
+            q = rem[0] / div[0]
+            rem = [x - q * y for x, y in zip(rem[1:], div[1:])] + rem[len(div):]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            break
+        seq.append([-x for x in rem])
+    return seq
+
+
+def phi_prime_witness(alpha: Sequence, x_max):
+    """None when phi' > 0 on all of [0, x_max], else an exact witness against it.
+
+    Decided on P(X) = sum_k k A_k X^(k-1), the integer polynomial of
+    `scaled_phi` with P(X) = D phi'(X/4) / 4, over X in [0, 4 x_max]. The
+    ends are tested directly, and a Sturm sequence of P counts its distinct
+    zeros in between. While there are any, the interval is bisected towards
+    the lowest one. The witness is a Fraction x with phi'(x) <= 0 (an end or
+    a bisection point), or, when one zero is isolated at which P does not
+    change sign, the pair (lo, hi) of Fractions holding it.
+    """
+    a, _ = scaled_phi(alpha)
+    desc = [k * coeff for k, coeff in enumerate(a, 1)][::-1]
+    while len(desc) > 1 and desc[0] == 0:
+        desc.pop(0)
+    lo, hi = Fraction(0), 4 * Fraction(x_max)
+    for end in (lo, hi):
+        if _horner(desc, end) <= 0:
+            return end / 4
+    seq = _sturm_sequence(desc)
+
+    def changes(x) -> int:
+        signs = [v > 0 for v in (_horner(p, x) for p in seq) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    v_lo, v_hi = changes(lo), changes(hi)
+    while v_lo > v_hi:  # v_lo - v_hi distinct zeros in (lo, hi), and P > 0 at both ends
+        mid = (lo + hi) / 2
+        if _horner(desc, mid) <= 0:
+            return mid / 4
+        if v_lo - v_hi == 1:  # a single zero, between ends where P > 0: it touches 0
+            return lo / 4, hi / 4
+        v_mid = changes(mid)
+        if v_lo > v_mid:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo = mid, v_mid
+    return None
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as 'p/q' (zero is '0/1')."""
     f = Fraction(value)

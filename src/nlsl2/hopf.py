@@ -9,13 +9,14 @@ blocks with exact labels. Deformed coproducts are functions of those exact
 labels, and coassociativity of the primitive coproduct is decided
 symbolically on label triples.
 
-Work is done only where the product's matrices can be nonzero. Each
-Kronecker term X (x) Y is written straight into the zeroed output at the
-products of the nonzeros of X and Y, with no dense np.kron temporaries. A
-function of the labels is block-diagonal over M, and Delta(J+) maps the M
-block into the M+1 block only, so Delta(J+) times such a factor is formed
-one (M -> M+1) block pair at a time, with no dense factor and no dim^3
-matmul.
+A product is stored on its weight blocks only: the Delta(C) block of each M
+and the (M -> M+1) step block of Delta(J+), both assembled straight from the
+factors' nonzeros (an irrep's ladder, or a product's own blocks), with no
+dense matrix and no np.kron. A function of the labels is block-diagonal over
+M, so Delta(J+) times such a factor is formed one step block at a time, with
+no dim^3 matmul. The dense DJ3, DJp, DJm and DC of `ProductRep` are built
+only when read. The deformed and quadratic coproducts still return dense
+matrices.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .halfint import HalfInt, halfint
-from .repbuilder import MatrixRep, build_sl2
+from .repbuilder import MatrixRep, build_sl2, ladder_vectors
 from .structure import phi_ladder_numerators
 from .verifier import DEFAULT_TOL, VerificationReport
 
@@ -57,29 +59,73 @@ class CoupledBlock(NamedTuple):
     """The Delta(J3) = M block of a product space in its coupled basis."""
 
     two_m: int
-    indices: np.ndarray  # product-basis states with this M
+    indices: np.ndarray  # product-basis states with this M, ascending
     w: np.ndarray  # numeric eigenvalues of the Delta(C) block, ascending
     V: np.ndarray  # the matching eigenvectors, as columns
     two_js: tuple  # exact label 2J of each column, ascending
+    C: np.ndarray  # the Delta(C) block on `indices`, read-only
 
 
 @dataclass
 class ProductRep:
-    """Primitive coproduct matrices on V1 (x) V2 with exact (J, M) labels."""
+    """Primitive coproduct on V1 (x) V2, stored on its weight blocks with exact (J, M) labels.
+
+    Delta(J3) is diag(M), Delta(C) is block-diagonal over M (`CoupledBlock.C`)
+    and Delta(J+) maps the M block into the M+1 block only: steps[k] is its
+    block from blocks[k] to blocks[k+1], read-only. The dense matrices DJ3,
+    DJp, DJm and DC are built from these on first access; they are writable
+    copies, so editing them leaves the blocks unchanged.
+    """
 
     d1: int
     d2: int
-    DJ3: np.ndarray
-    DJp: np.ndarray
-    DJm: np.ndarray
-    DC: np.ndarray
     two_m: np.ndarray  # 2M of each basis state
     spins: tuple  # sorted multiset of 2J over the Clebsch-Gordan series
     blocks: list  # one CoupledBlock per M, ascending
+    steps: list  # Delta(J+) from blocks[k] to blocks[k+1]
 
     @property
     def dim(self) -> int:
         return self.d1 * self.d2
+
+    def _plus_parts(self):
+        return [(hi.indices, lo.indices, s) for lo, hi, s in zip(self.blocks, self.blocks[1:], self.steps)]
+
+    def _casimir_parts(self):
+        return [(b.indices, b.indices, b.C) for b in self.blocks]
+
+    @cached_property
+    def DJ3(self) -> np.ndarray:
+        return np.diag(self.two_m / 2.0)
+
+    @cached_property
+    def DJp(self) -> np.ndarray:
+        return _dense(self.dim, self._plus_parts())
+
+    @cached_property
+    def DJm(self) -> np.ndarray:
+        return _dense(self.dim, [(cols, rows, s.T) for rows, cols, s in self._plus_parts()])
+
+    @cached_property
+    def DC(self) -> np.ndarray:
+        return _dense(self.dim, self._casimir_parts())
+
+
+def _dense(dim: int, parts) -> np.ndarray:
+    """The dim x dim matrix holding each block at (rows x cols) and zeros elsewhere."""
+    out = np.zeros((dim, dim))
+    for rows, cols, block in parts:
+        out[np.ix_(rows, cols)] = block
+    return out
+
+
+def _nonzeros(parts):
+    """(rows, cols, values) of the nonzeros of blocks placed at (rows x cols)."""
+    found = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
+    for rows, cols, block in parts:
+        r, c = np.nonzero(block)
+        found.append((rows[r], cols[c], block[r, c]))
+    return tuple(np.concatenate(x) for x in zip(*found))
 
 
 def _casimir(two_j: int) -> Fraction:
@@ -87,32 +133,39 @@ def _casimir(two_j: int) -> Fraction:
     return Fraction(two_j * (two_j + 2), 4)
 
 
-def _factor(x: Union[MatrixRep, ProductRep]):
-    """(J3, J+, J-, C, 2M per state, spins) of an sl2 irrep or a product."""
+class _Factor(NamedTuple):
+    """A tensor factor as nonzero lists (rows, cols, values) of J3, J+ and C."""
+
+    j3: tuple
+    plus: tuple
+    cas: tuple
+    two_m: np.ndarray
+    spins: tuple
+
+    @property
+    def minus(self) -> tuple:
+        rows, cols, vals = self.plus
+        return cols, rows, vals
+
+    @property
+    def one(self) -> tuple:
+        i = np.arange(len(self.two_m))
+        return i, i, np.ones(len(i))
+
+
+def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
+    """An sl2 irrep, read from its ladder, or a product, read from its blocks."""
     if isinstance(x, ProductRep):
-        return x.DJ3, x.DJp, x.DJm, x.DC, x.two_m, x.spins
+        i = np.arange(x.dim)
+        return _Factor((i, i, x.two_m / 2.0), _nonzeros(x._plus_parts()),
+                       _nonzeros(x._casimir_parts()), x.two_m, x.spins)
     if x.family != "sl2":
         raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
-    two_m = np.arange(x.two_j, -x.two_j - 1, -2)
-    return x.J3, x.Jplus, x.Jminus, float(_casimir(x.two_j)) * np.eye(x.dim), two_m, (x.two_j,)
-
-
-def _kron_sum(dim: int, terms) -> np.ndarray:
-    """Sum of the Kronecker products coef * (x (x) y), added in the given order.
-
-    Only products of nonzeros are touched: x[r1, c1] * y[r2, c2] lands at
-    (r1*d2 + r2, c1*d2 + c2), the same product np.kron forms there, and each
-    index pair occurs once per term.
-    """
-    out = np.zeros((dim, dim))
-    for coef, x, y in terms:
-        d2 = y.shape[0]
-        r1, c1 = np.nonzero(x)
-        r2, c2 = np.nonzero(y)
-        rows = np.add.outer(r1 * d2, r2).ravel()
-        cols = np.add.outer(c1 * d2, c2).ravel()
-        out[rows, cols] += coef * np.outer(x[r1, c1], y[r2, c2]).ravel()
-    return out
+    w, u = ladder_vectors(x)
+    i = np.arange(x.dim)
+    c = np.full(x.dim, float(_casimir(x.two_j)))
+    return _Factor((i, i, w), (i[:-1], i[1:], u), (i, i, c),
+                   np.arange(x.two_j, -x.two_j - 1, -2), (x.two_j,))
 
 
 def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
@@ -120,30 +173,56 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir.
 
     Each factor is an sl2 irrep or a ProductRep, so V (x) V (x) V can be built
-    in either bracketing. The Kronecker terms are written at their nonzeros
-    only. Each Delta(J3) = M block gets one `eigh` of its Delta(C) block; its
-    k-th eigenvector takes the k-th of the ascending labels
-    {J in spins : J >= |M|}. This is exact because distinct values of J(J+1)
-    lie at least 2 apart.
+    in either bracketing. Only the weight blocks are formed: every Kronecker
+    term's products of nonzeros are added, term by term in a fixed order,
+    into one flat buffer holding the Delta(C) blocks and one holding the
+    Delta(J+) steps, each block at its own offset, so the values equal those
+    of the dense Kronecker sums. Each Delta(J3) = M block gets one `eigh` of
+    its Delta(C) block; its k-th eigenvector takes the k-th of the ascending
+    labels {J in spins : J >= |M|}. This is exact because distinct values of
+    J(J+1) lie at least 2 apart.
     """
-    a3, ap, am, ac, a_two_m, a_spins = _factor(rep1)
-    b3, bp, bm, bc, b_two_m, b_spins = _factor(rep2)
-    i1, i2 = np.eye(len(a_two_m)), np.eye(len(b_two_m))
-    dim = len(a_two_m) * len(b_two_m)
-    dj3 = _kron_sum(dim, [(1.0, a3, i2), (1.0, i1, b3)])
-    djp = _kron_sum(dim, [(1.0, ap, i2), (1.0, i1, bp)])
-    djm = _kron_sum(dim, [(1.0, am, i2), (1.0, i1, bm)])
-    dc = _kron_sum(dim, [(1.0, ac, i2), (1.0, i1, bc), (1.0, ap, bm), (1.0, am, bp), (2.0, a3, b3)])
-    two_m = np.add.outer(a_two_m, b_two_m).ravel()
+    a, b = _factor(rep1), _factor(rep2)
+    d1, d2 = len(a.two_m), len(b.two_m)
+    two_m = np.add.outer(a.two_m, b.two_m).ravel()
+    # weight blocks in ascending 2M, states in product-basis order inside each
+    block_m, block_of, sizes = np.unique(two_m, return_inverse=True, return_counts=True)
+    order = np.argsort(block_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    pos = np.empty(len(two_m), dtype=int)
+    pos[order] = np.arange(len(two_m)) - starts[block_of[order]]
+    c_off = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    s_off = np.concatenate(([0], np.cumsum(sizes[1:] * sizes[:-1])))
+
+    def kron(x, y):
+        (r1, c1, v1), (r2, c2, v2) = x, y
+        return np.add.outer(r1 * d2, r2).ravel(), np.add.outer(c1 * d2, c2).ravel(), np.outer(v1, v2).ravel()
+
+    dc = np.zeros(c_off[-1])
+    for coef, x, y in ((1.0, a.cas, b.one), (1.0, a.one, b.cas), (1.0, a.plus, b.minus),
+                       (1.0, a.minus, b.plus), (2.0, a.j3, b.j3)):
+        rows, cols, vals = kron(x, y)
+        k = block_of[rows]
+        dc[c_off[k] + pos[rows] * sizes[k] + pos[cols]] += coef * vals
+    dp = np.zeros(s_off[-1])
+    for x, y in ((a.plus, b.one), (a.one, b.plus)):
+        rows, cols, vals = kron(x, y)
+        k = block_of[cols]  # rows lie in block k + 1
+        dp[s_off[k] + pos[rows] * sizes[k] + pos[cols]] += vals
+    dc.flags.writeable = dp.flags.writeable = False
+
     spins = tuple(sorted(
-        t for s1 in a_spins for s2 in b_spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)
+        t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)
     ))
     blocks = []
-    for t in np.unique(two_m):
-        idx = np.flatnonzero(two_m == t)
-        w, vecs = np.linalg.eigh(dc[np.ix_(idx, idx)])
-        blocks.append(CoupledBlock(int(t), idx, w, vecs, tuple(s for s in spins if s >= abs(t))))
-    return ProductRep(len(a_two_m), len(b_two_m), dj3, djp, djm, dc, two_m, spins, blocks)
+    for k, (t, n) in enumerate(zip(block_m.tolist(), sizes.tolist())):
+        cas = dc[c_off[k]:c_off[k + 1]].reshape(n, n)
+        w, vecs = np.linalg.eigh(cas)
+        blocks.append(CoupledBlock(t, order[starts[k]:starts[k + 1]], w, vecs,
+                                   tuple(s for s in spins if s >= abs(t)), cas))
+    steps = [dp[s_off[k]:s_off[k + 1]].reshape(hi, lo)
+             for k, (lo, hi) in enumerate(zip(sizes.tolist(), sizes[1:].tolist()))]
+    return ProductRep(d1, d2, two_m, spins, blocks, steps)
 
 
 def _block_factors(pr: ProductRep, g: Callable[[int, int], float]) -> list:
@@ -176,15 +255,14 @@ def _raise_with(pr: ProductRep, g: Callable[[int, int], float], order: str) -> n
     """Delta(J+) times the joint-calculus factor of g(2J, 2M), one M -> M+1 block at a time.
 
     Delta(J+) maps the M block into the M+1 block only, and the factor is
-    block-diagonal over M, so order='source' gives DJ+[M+1, M] @ F_M and
-    order='target' gives F_{M+1} @ DJ+[M+1, M]. g is called on every label,
-    as in `_block_factors`.
+    block-diagonal over M, so order='source' gives S_M @ F_M and
+    order='target' gives F_{M+1} @ S_M, with S_M the stored step block
+    `pr.steps`. g is called on every label, as in `_block_factors`.
     """
     factors = _block_factors(pr, g)
     out = np.zeros((pr.dim, pr.dim))
-    for k in range(len(pr.blocks) - 1):
+    for k, step in enumerate(pr.steps):
         rows, cols = np.ix_(pr.blocks[k + 1].indices, pr.blocks[k].indices)
-        step = pr.DJp[rows, cols]
         out[rows, cols] = step @ factors[k] if order == "source" else factors[k + 1] @ step
     return out
 

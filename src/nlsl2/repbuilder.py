@@ -10,13 +10,12 @@ formed only when a caller reads them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .coefficients import divided_difference_numerators, phi_prime
+from .coefficients import divided_difference_numerators, phi_prime_witness
 from .halfint import HalfInt, halfint, ladder_desc
 from .qdeform import _q_casimir_diagonal, q_bracket
 from .structure import (
@@ -42,13 +41,23 @@ class InadmissibleSpecError(ValueError):
 
 
 class NonBijectiveError(ValueError):
-    """phi is not strictly increasing on the needed interval; carries a witness."""
+    """phi' is not > 0 on the Casimir interval; carries an exact witness.
 
-    def __init__(self, witness_x: float):
-        self.witness_x = witness_x
+    witness is a Fraction x with phi'(x) <= 0, or a pair (lo, hi) of
+    Fractions isolating a zero of phi' (`coefficients.phi_prime_witness`).
+    witness_x is the point, or None for an interval.
+    """
+
+    def __init__(self, witness):
+        self.witness = witness
+        if isinstance(witness, tuple):
+            self.witness_x = None
+            where = f"phi' has a zero in ({witness[0]}, {witness[1]})"
+        else:
+            self.witness_x = witness
+            where = f"phi'({witness}) <= 0"
         super().__init__(
-            f"phi is not strictly increasing on the Casimir interval: "
-            f"phi'({witness_x:.6g}) <= 0, inverse map rejected"
+            f"phi is not strictly increasing on the Casimir interval: {where}, inverse map rejected"
         )
 
 
@@ -126,8 +135,9 @@ def ladder_vectors(rep: MatrixRep):
     A builder-made rep returns its stored ladder and forms no dense matrix.
     A rep built from dense matrices has the ladder shape when J3 has no
     entry off its diagonal, J+ none off its superdiagonal, and Jminus
-    equals Jplus.T; product-space matrices do not, and their checks fall
-    back to dense matmuls. Nonzero counts stand in for dense differences.
+    equals Jplus.T. Product-space matrices do not; `commutator_residuals`
+    checks those on their weight blocks instead. Nonzero counts stand in for
+    dense differences.
     """
     if rep.ladder is not None:
         return rep.ladder
@@ -333,19 +343,18 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
     return _assemble(j, ups, family="sl2")
 
 
-def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence, samples: int = 257) -> MatrixRep:
+def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     """Reconstruct the undeformed irrep when phi is bijective on [0, j(j+1)].
 
-    Monotonicity is screened by sampling the sign of phi' on the Casimir
-    interval; a sign change raises NonBijectiveError with the witness point.
+    phi' > 0 on the Casimir interval is decided exactly, by a Sturm sequence
+    (`coefficients.phi_prime_witness`); otherwise NonBijectiveError carries
+    the exact witness.
     """
     j = rep.j
     _, u = _irrep_ladder(rep, "inverse_map_polynomial")
-    c = j.mm1()
-    for i in range(samples):
-        x = Fraction(i, samples - 1) * c if c != 0 else Fraction(0)
-        if phi_prime(alpha, x) <= 0:
-            raise NonBijectiveError(float(x))
+    witness = phi_prime_witness(alpha, j.mm1())
+    if witness is not None:
+        raise NonBijectiveError(witness)
     ms = list(ladder_desc(j))[1:]
     qs, d = divided_difference_numerators(
         alpha, j.twice * (j.twice + 2), [m.twice * (m.twice + 2) for m in ms]

@@ -121,6 +121,38 @@ def _odd_series(two_j3: np.ndarray, beta: Sequence, mul) -> np.ndarray:
     return target
 
 
+def _weight_blocks(rep: MatrixRep):
+    """(weights, sizes, steps) when rep's matrices live on weight blocks, else None.
+
+    The rep qualifies when J3 is diagonal, every nonzero of J+ lies in a block
+    from the states of one distinct weight to those of the next larger one,
+    and J- is J+^T. weights are the distinct diagonal entries of J3,
+    ascending, sizes how many states carry each, and steps[k] is the block of
+    J+ from weights[k] to weights[k+1]. Nonzero counts decide what lies
+    outside the blocks, so no dense difference is formed.
+    """
+    j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
+    diagonal = np.diag(j3)
+    if np.count_nonzero(j3) != np.count_nonzero(diagonal):
+        return None
+    weights, block_of, sizes = np.unique(diagonal, return_inverse=True, return_counts=True)
+    states = np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
+    steps = [jp[np.ix_(hi, lo)] for lo, hi in zip(states, states[1:])]
+    downs = [jm[np.ix_(lo, hi)] for lo, hi in zip(states, states[1:])]
+    if (
+        sum(map(np.count_nonzero, steps)) != np.count_nonzero(jp)
+        or sum(map(np.count_nonzero, downs)) != np.count_nonzero(jm)
+        or not all(np.array_equal(down, step.T) for down, step in zip(downs, steps))
+    ):
+        return None
+    return weights, sizes, steps
+
+
+def _block_norm(parts) -> float:
+    """Frobenius norm of a block-diagonal matrix given its blocks."""
+    return float(np.linalg.norm(np.concatenate([np.ravel(x) for x in parts])))
+
+
 def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Frobenius residuals of the two defining commutation relations.
 
@@ -128,23 +160,36 @@ def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TO
     superdiagonal J+ = u, J- = J+^T) is checked in O(d) from (w, u): the
     residuals of [J3, J+] - J+ and [J3, J-] + J- both have the entries
     (w[:-1] - w[1:] - 1) * u, and [J+, J-] is the diagonal (u^2|0) - (0|u^2).
-    Any other rep, such as a coproduct on a product space, falls back to
+    A rep on weight blocks (`_weight_blocks`), such as a coproduct on a
+    product space, is checked one block at a time from the steps B_k of J+
+    between the distinct weights w_k < w_(k+1): [J3, J+-] -+ J+- is
+    (w_(k+1) - w_k - 1) B_k on each step, and on the block of w_k
+    [J+, J-] - sum_p beta_p (2 J3)^(2p+1) is
+    B_(k-1) B_(k-1)^T - B_k^T B_k - f(w_k) I. Any other rep falls back to
     dense matmuls.
     """
     report = VerificationReport()
     # The defining relation is in the (possibly shifted) diagonal generator
     # itself, so the shift gamma stays inside J3 here.
     vectors = ladder_vectors(rep)
-    if vectors is None:
-        j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
-        r_plus = np.linalg.norm(j3 @ jp - jp @ j3 - jp)
-        r_minus = np.linalg.norm(j3 @ jm - jm @ j3 + jm)
-        r_comm = np.linalg.norm(jp @ jm - jm @ jp - _odd_series(2 * j3, beta, np.matmul))
-    else:
+    blocks = None if vectors is not None else _weight_blocks(rep)
+    if vectors is not None:
         w, u = vectors
         r_plus = r_minus = np.linalg.norm((w[:-1] - w[1:] - 1) * u)
         pm, mp = ladder_products(u)
         r_comm = np.linalg.norm(pm - mp - _odd_series(2 * w, beta, np.multiply))
+    elif blocks is not None:
+        w, sizes, steps = blocks
+        r_plus = r_minus = _block_norm((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps))
+        ups = [np.zeros((sizes[0], sizes[0]))] + [b @ b.T for b in steps]
+        downs = [b.T @ b for b in steps] + [np.zeros((sizes[-1], sizes[-1]))]
+        series = _odd_series(2 * w, beta, np.multiply)
+        r_comm = _block_norm(up - down - f * np.eye(len(up)) for up, down, f in zip(ups, downs, series))
+    else:
+        j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
+        r_plus = np.linalg.norm(j3 @ jp - jp @ j3 - jp)
+        r_minus = np.linalg.norm(j3 @ jm - jm @ j3 + jm)
+        r_comm = np.linalg.norm(jp @ jm - jm @ jp - _odd_series(2 * j3, beta, np.matmul))
     report.add_numeric("[J3,J+] = +J+", float(r_plus), tol, context=f"{rep.family} j={rep.j}")
     report.add_numeric("[J3,J-] = -J-", float(r_minus), tol, context=f"{rep.family} j={rep.j}")
     report.add_numeric(

@@ -94,6 +94,23 @@ def test_hopf_checks(capsys):
     assert "coassociativity" in out
 
 
+def test_hopf_alpha_checks_the_deformed_coproduct_on_weight_blocks(capsys, monkeypatch):
+    import nlsl2.verifier as verifier
+
+    taken = []
+    real = verifier._weight_blocks
+    monkeypatch.setattr(verifier, "_weight_blocks", lambda rep: taken.append(real(rep)) or taken[-1])
+    code, out, _ = _run(capsys, "--format", "json", "hopf", "--j1", "11", "--j2", "11",
+                        "--alpha=1/1,1/10,1/100")
+    assert len(taken) == 1 and taken[0] is not None
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    comm = checks["deformed coproduct: [J+,J-] = sum_p beta_p (2 J3)^(2p+1)"]
+    # rounding on terms of norm ~1.2e7: the dense matmuls gave 3.4139e-8, a
+    # false FAIL of the absolute 1e-8 gate until the gates scale with the operands
+    assert 1e-8 < comm["residual"] < 1e-7
+    assert code == EXIT_CHECK_FAILED and not comm["pass"]
+
+
 def test_qlimit(capsys):
     code, out, _ = _run(capsys, "qlimit", "--j", "1", "--delta", "0.3")
     assert code == EXIT_OK

@@ -327,3 +327,38 @@ def test_triple_coassociativity_rejects_inadmissible_component():
     with pytest.raises(InadmissibleProductError) as exc:
         triple_coassociativity_residual("3/2", alpha_from_beta([Fraction(1), Fraction(-1, 40)]))
     assert exc.value.c == Fraction(99, 4)
+
+
+def test_primitive_coproduct_forms_no_dense_matrix():
+    import tracemalloc
+
+    r1, r2 = build_sl2(20), build_sl2(20)
+    tracemalloc.start()
+    try:
+        pr = primitive_coproduct(r1, r2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense 1681 x 1681 float64 matrix alone takes 22.6 MB
+    assert pr.dim == 1681 and peak < 8 * 2**20
+
+
+def test_deformed_coproduct_leaves_dense_views_unbuilt():
+    pr = primitive_coproduct(build_sl2(3), build_sl2("5/2"))
+    djp, djm, dj3 = deformed_coproduct(pr, [Fraction(1), Fraction(1, 10), Fraction(1, 100)])
+    assert dj3 is pr.DJ3
+    assert not {"DJp", "DJm", "DC"} & set(vars(pr))
+
+
+def test_dense_views_are_contiguous_copies_of_the_blocks():
+    pr = primitive_coproduct(build_sl2(2), build_sl2("3/2"))
+    steps = [s.copy() for s in pr.steps]
+    cas = [b.C.copy() for b in pr.blocks]
+    for name in ("DJ3", "DJp", "DJm", "DC"):
+        view = getattr(pr, name)
+        assert view.flags.c_contiguous and view.flags.writeable
+        view[...] = 7.0
+    assert all(np.array_equal(s, t) for s, t in zip(pr.steps, steps))
+    assert all(np.array_equal(b.C, c) for b, c in zip(pr.blocks, cas))
+    assert not any(s.flags.writeable for s in pr.steps)
+    assert not any(b.C.flags.writeable for b in pr.blocks)

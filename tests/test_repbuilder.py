@@ -18,7 +18,7 @@ from nlsl2.repbuilder import (
     inverse_map_polynomial,
     inverse_map_uq,
 )
-from nlsl2.coefficients import phi_eval
+from nlsl2.coefficients import phi_eval, phi_prime, phi_prime_witness
 from nlsl2.structure import HiggsShifted, Polynomial, StructureSpec
 
 
@@ -145,3 +145,48 @@ def test_json_dict_round_trippable():
     d = rep.to_json_dict()
     assert d["dim"] == 2 and d["two_j"] == 1
     assert np.allclose(np.array(d["Jplus"]).reshape(2, 2), rep.Jplus)
+
+
+def test_inverse_map_polynomial_rejects_a_dip_between_samples():
+    # phi'(x) = (x - x0)^2 - 1e-6 dips below 0 only on (x0 - 1e-3, x0 + 1e-3),
+    # which falls between the points of a 257-point grid on [0, 110]
+    x0 = 55 + Fraction(110, 512)
+    j = halfint(10)
+    bad = [x0 * x0 - Fraction(1, 10**6), -x0, Fraction(1, 3)]
+    rep = build_deformed(StructureSpec(Polynomial(bad), j))
+    with pytest.raises(NonBijectiveError) as exc:
+        inverse_map_polynomial(rep, bad)
+    x = exc.value.witness
+    assert isinstance(x, Fraction) and x == exc.value.witness_x
+    assert 0 <= x <= j.mm1() and phi_prime(bad, x) <= 0
+    good = [x0 * x0 + Fraction(1, 10**6), -x0, Fraction(1, 3)]
+    back = inverse_map_polynomial(build_deformed(StructureSpec(Polynomial(good), j)), good)
+    assert np.allclose(back.Jplus, build_sl2(j).Jplus, atol=1e-10)
+
+
+def test_inverse_map_polynomial_isolates_an_irrational_touching_zero():
+    # phi'(x) = (x^2 - 2)^2 >= 0 vanishes only at sqrt(2), which no Fraction hits
+    alpha = [Fraction(4), Fraction(0), Fraction(-4, 3), Fraction(0), Fraction(1, 5)]
+    rep = build_deformed(StructureSpec(Polynomial(alpha), halfint(1)))
+    with pytest.raises(NonBijectiveError) as exc:
+        inverse_map_polynomial(rep, alpha)
+    lo, hi = exc.value.witness
+    assert exc.value.witness_x is None
+    assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+    assert 0 <= lo < hi <= 2 and lo * lo < 2 < hi * hi
+
+
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12), min_size=1, max_size=4),
+       st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_phi_prime_witness_is_exact(alpha, two_j):
+    c = HalfInt(two_j).mm1()
+    witness = phi_prime_witness(alpha, c)
+    grid = [c * Fraction(i, 64) for i in range(65)]
+    if witness is None:
+        assert all(phi_prime(alpha, x) > 0 for x in grid)
+    elif isinstance(witness, tuple):
+        lo, hi = witness
+        assert 0 <= lo < hi <= c and phi_prime(alpha, lo) > 0 and phi_prime(alpha, hi) > 0
+    else:
+        assert 0 <= witness <= c and phi_prime(alpha, witness) <= 0

@@ -112,3 +112,75 @@ def test_q_shift_rigidity_only_zero(two_j, delta):
     roots = q_shift_rigidity(HalfInt(two_j), delta)
     assert len(roots) == 1
     assert abs(roots[0]) < 1e-12
+
+
+def _deformed_products():
+    from nlsl2.hopf import deformed_coproduct, primitive_coproduct
+
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+    half, one = build_sl2("1/2"), build_sl2(1)
+    prs = [
+        primitive_coproduct(half, one),
+        primitive_coproduct(build_sl2(3), build_sl2("5/2")),
+        primitive_coproduct(build_sl2("7/2"), one),
+        primitive_coproduct(primitive_coproduct(one, half), one),
+    ]
+    for pr in prs:
+        djp, djm, dj3 = deformed_coproduct(pr, alpha)
+        yield MatrixRep(pr.dim, 0, 0.0, "product", dj3, djp, djm), beta_from_alpha(alpha)
+
+
+def _dense_residuals(rep, beta):
+    """The three residuals from dense matmuls, and the norm of the largest term."""
+    j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
+    series = sum(float(b) * np.linalg.matrix_power(2 * j3, 2 * p + 1) for p, b in enumerate(beta))
+    terms = (j3 @ jp, jp @ j3, jp @ jm, jm @ jp, series)
+    residuals = (
+        np.linalg.norm(j3 @ jp - jp @ j3 - jp),
+        np.linalg.norm(j3 @ jm - jm @ j3 + jm),
+        np.linalg.norm(jp @ jm - jm @ jp - series),
+    )
+    return residuals, max(np.linalg.norm(t) for t in terms)
+
+
+def test_weight_block_residuals_equal_the_dense_formulas():
+    for rep, beta in _deformed_products():
+        # J3 scaled by 3/2 keeps the weight blocks but breaks [J3, J+-] = +-J+-
+        stretched = MatrixRep(rep.dim, 0, 0.0, "product", 1.5 * rep.J3, rep.Jplus, rep.Jminus)
+        for r in (rep, stretched):
+            assert verifier.ladder_vectors(r) is None and verifier._weight_blocks(r) is not None
+            want, scale = _dense_residuals(r, beta)
+            got = [c.residual for c in commutator_residuals(r, beta).checks]
+            assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
+        assert commutator_residuals(rep, beta, tol=1e-12 * scale).all_passed
+        assert min(c.residual for c in commutator_residuals(stretched, beta).checks[:2]) > 0.1
+
+
+def test_weight_block_path_negative_controls():
+    for rep, beta in _deformed_products():
+        _, scale = _dense_residuals(rep, beta)
+        tol = 1e-12 * scale
+        assert commutator_residuals(rep, beta, tol=tol).all_passed
+        r, c = (int(x[0]) for x in np.nonzero(rep.Jplus))
+        # one J+ entry off by 1e-9 relative, J- kept its transpose: still on the blocks
+        jp, jm = rep.Jplus.copy(), rep.Jminus.copy()
+        jp[r, c] *= 1 + 1e-9
+        jm[c, r] = jp[r, c]
+        scaled = MatrixRep(rep.dim, 0, 0.0, "product", rep.J3, jp, jm)
+        assert verifier._weight_blocks(scaled) is not None
+        assert not commutator_residuals(scaled, beta, tol=tol).all_passed
+        # the same entry moved to a column two weights below its row: off the blocks
+        jp, jm = rep.Jplus.copy(), rep.Jminus.copy()
+        w = np.diag(rep.J3)
+        far = int(np.flatnonzero(w == w[r] - 2)[0]) if np.any(w == w[r] - 2) else None
+        if far is None:
+            continue
+        jp[r, far], jp[r, c] = jp[r, c], 0.0
+        jm[far, r], jm[c, r] = jm[c, r], 0.0
+        # and a copy of it there, in J+ only
+        extra = rep.Jplus.copy()
+        extra[r, far] = extra[r, c]
+        for plus, minus in ((jp, jm), (extra, rep.Jminus)):
+            off = MatrixRep(rep.dim, 0, 0.0, "product", rep.J3, plus, minus)
+            assert verifier._weight_blocks(off) is None
+            assert not commutator_residuals(off, beta, tol=tol).all_passed
