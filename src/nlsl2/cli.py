@@ -120,7 +120,7 @@ def cmd_verify(args) -> int:
         rep = repbuilder.build_deformed(spec)
         beta = beta_from_alpha(alpha)
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
-        cas = repbuilder._casimir_diagonal(rep, alpha)
+        cas = repbuilder._ladder_casimir_diagonal(rep, repbuilder._phi_values(rep, alpha))
         expected = float(phi_eval(alpha, j.mm1()))
         report.add_numeric(
             "Casimir = phi(j(j+1)) I",

@@ -8,8 +8,8 @@ coefficients alpha_k (of x^k in the deformation polynomial phi).
 
 The ladder arithmetic runs on scaled integers instead: `scaled_phi` puts
 phi over one common denominator D, D phi(X/4) = sum_k A_k X^k, and
-`phi_numerators` / `divided_difference_numerators` evaluate it, and its
-divided difference, at many integers X = 4 m(m+1) = t(t+2) in one call.
+`phi_numerators` evaluates it at many integers X = 4 m(m+1) = t(t+2) in
+one call; `structure` takes phi's divided differences from those values.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import threading
 from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
-
-Rational = Fraction
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]  # standard-convention B_0, B_1, ...
 _bernoulli_lock = threading.Lock()
@@ -180,24 +178,6 @@ def phi_numerators(alpha: Sequence, xs: Sequence[int]) -> tuple[list[int], int]:
         acc = 0
         for coeff in reversed(a):
             acc = (acc + coeff) * x
-        out.append(acc)
-    return out, d
-
-
-def divided_difference_numerators(alpha: Sequence, c: int, xs: Sequence[int]) -> tuple[list[int], int]:
-    """([Q(C, X) for X in xs], D), Q = sum_k A_k sum_{i<k} C^i X^(k-1-i).
-
-    (phi(C/4) - phi(X/4)) / ((C - X)/4) = 4Q/D for C != X, and 4Q/D is
-    phi'(X/4) at C == X, so no branch is needed at the removable point.
-    """
-    a, d = scaled_phi(alpha)
-    out = []
-    for x in xs:
-        acc, h, xp = 0, 1, 1  # h = sum_{i<k} C^i X^(k-1-i), xp = X^(k-1)
-        for coeff in a:
-            acc += coeff * h
-            xp *= x
-            h = c * h + xp
         out.append(acc)
     return out, d
 

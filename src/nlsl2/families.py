@@ -8,7 +8,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .halfint import HalfInt, halfint
-from .structure import HiggsShifted, QuadraticShifted, StructureSpec, admissible
+from .structure import (HiggsShifted, QuadraticShifted, StructureSpec, admissible, quadratic_radicand,
+                        quadratic_shift)
 
 UNSHIFTED = "unshifted"
 SHIFT_PLUS = "shift_plus"
@@ -78,7 +79,7 @@ def family_count(j, beta: float) -> int:
 def quadratic_gamma(j, alpha: float) -> FamilySolution:
     """Spectrum shift of the quadratic family, lowest-weight annihilation branch.
 
-    gamma = (1/(4 alpha)) (-1 + sqrt(1 - 16 j(j+1) alpha^2 / 3)), defined while
+    gamma = (1/(4 alpha)) (-1 + sqrt(1 - 16 alpha^2 j(j+1) / 3)), defined while
     the radicand is nonnegative, i.e. alpha <= 3/(2(4j+1)); gamma -> 0 as
     alpha -> 0.
     """
@@ -86,14 +87,14 @@ def quadratic_gamma(j, alpha: float) -> FamilySolution:
     a = float(alpha)
     if a == 0:
         raise ValueError("quadratic_gamma requires alpha != 0")
-    radicand = 1 - 16 * float(j.mm1()) * a * a / 3
+    radicand = quadratic_radicand(a, float(j.mm1()))
     if radicand < 0:
         bound = 3 / (2 * (2 * j.twice + 1))
         raise ValueError(
             f"alpha = {a} outside the admissibility bound alpha <= 3/(2(4j+1)) = {bound:.6g} "
             f"(negative radicand {radicand:.6g})"
         )
-    g = (-1 + math.sqrt(radicand)) / (4 * a)
+    g = quadratic_shift(a, math.sqrt(radicand))
     ok, offending = admissible(StructureSpec(QuadraticShifted(a, g), j))
     return FamilySolution(g, SHIFT_MINUS, ok, offending[0] if offending else None)
 

@@ -38,10 +38,6 @@ class HalfInt:
     def exact(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def mm1(self) -> Fraction:
         """m(m+1) as an exact rational."""
         return Fraction(self.twice * (self.twice + 2), 4)

@@ -21,7 +21,6 @@ matrices.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,7 @@ import numpy as np
 
 from .halfint import HalfInt, halfint
 from .repbuilder import MatrixRep, build_sl2, ladder_vectors
-from .structure import phi_ladder_numerators
+from .structure import divided_difference, quadratic_ladder_factor, quadratic_radicand, quadratic_shift
 from .verifier import DEFAULT_TOL, VerificationReport
 
 JOINT_TOL = 1e-10
@@ -128,11 +127,6 @@ def _nonzeros(parts):
     return tuple(np.concatenate(x) for x in zip(*found))
 
 
-def _casimir(two_j: int) -> Fraction:
-    """J(J+1) for J = two_j / 2, exactly."""
-    return Fraction(two_j * (two_j + 2), 4)
-
-
 class _Factor(NamedTuple):
     """A tensor factor as nonzero lists (rows, cols, values) of J3, J+ and C."""
 
@@ -163,7 +157,7 @@ def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
         raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
     w, u = ladder_vectors(x)
     i = np.arange(x.dim)
-    c = np.full(x.dim, float(_casimir(x.two_j)))
+    c = np.full(x.dim, float(x.j.mm1()))
     return _Factor((i, i, w), (i[:-1], i[1:], u), (i, i, c),
                    np.arange(x.two_j, -x.two_j - 1, -2), (x.two_j,))
 
@@ -238,17 +232,18 @@ def _block_factors(pr: ProductRep, g: Callable[[int, int], float]) -> list:
     return out
 
 
+def _label_calculus(pr: ProductRep, g: Callable[[int, int], float]) -> np.ndarray:
+    """The dense V diag(g) V^T of every M block (`_block_factors`), zeros between blocks."""
+    return _dense(pr.dim, [(b.indices, b.indices, f) for b, f in zip(pr.blocks, _block_factors(pr, g))])
+
+
 def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> np.ndarray:
     """Apply a scalar function of (c, m) over the joint spectrum of (DC, DJ3).
 
     g is called with the exact Fractions c = J(J+1) and m = M of each coupled
     state, and V diag(g) V^T is written into each M block.
     """
-    out = np.zeros((pr.dim, pr.dim))
-    factors = _block_factors(pr, lambda two_j, two_m: g(_casimir(two_j), Fraction(two_m, 2)))
-    for b, f in zip(pr.blocks, factors):
-        out[np.ix_(b.indices, b.indices)] = f
-    return out
+    return _label_calculus(pr, lambda two_j, two_m: g(HalfInt(two_j).mm1(), Fraction(two_m, 2)))
 
 
 def _raise_with(pr: ProductRep, g: Callable[[int, int], float], order: str) -> np.ndarray:
@@ -283,35 +278,28 @@ def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
     is computed exactly at each label (c, m) = (J(J+1), M) and applied by
     joint calculus; a negative value below the highest weight raises
     InadmissibleProductError with the exact c and M. Labels are read as the
-    ints 2J and 2M, and phi as the integers D phi(t(t+2)/4) of one
-    `phi_ladder_numerators` pass over the ladder of the top spin, which
-    holds every label. With order='source' the factor sits to the right of
-    Delta(J+) (evaluated at the source state, matching the single irrep
-    construction); order='target' puts it on the left, which evaluates at
-    the target state instead (and is not an algebra map in general).
+    ints 2J and 2M by `structure.divided_difference`, the label function of
+    the single-irrep `deformed_from_undeformed` too. With order='source' the
+    factor sits to the right of Delta(J+) (evaluated at the source state,
+    matching the single irrep construction); order='target' puts it on the
+    left, which evaluates at the target state instead (and is not an
+    algebra map in general).
 
     Returns (DJp_hat, DJm_hat, DJ3).
     """
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
-
-    # every 2J and 2M lies on the ladder t = top, top - 2, ..., -top
-    top = max(pr.spins)
-    phis, d = phi_ladder_numerators(alpha, HalfInt(top))
+    dd = divided_difference(alpha, max(pr.spins))
 
     def g(two_j: int, two_m: int) -> float:
         if two_j == two_m:
             # M = J: the factor multiplies a direction Delta(J+) annihilates
             return 0.0
-        c, x = two_j * (two_j + 2), two_m * (two_m + 2)
-        # |M| < J, so c > x, and the divided difference is 4 (phi(c) - phi(x)) / (D (c - x))
-        num = 4 * (phis[(top - two_j) // 2] - phis[(top - two_m) // 2])
-        if num < 0:
-            raise InadmissibleProductError(
-                "negative divided difference (inadmissible tensor product)",
-                _casimir(two_j), Fraction(two_m, 2),
-            )
-        return math.sqrt(num / (d * (c - x)))
+        val = dd(two_j, two_m)
+        if val < 0:
+            raise InadmissibleProductError("negative divided difference (inadmissible tensor product)",
+                                           HalfInt(two_j).mm1(), Fraction(two_m, 2))
+        return math.sqrt(val)
 
     djp_hat = _raise_with(pr, g, order)
     return djp_hat, djp_hat.T.copy(), pr.DJ3
@@ -322,28 +310,25 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
 
     Returns (DJ3_a, DJp_a, DJm_a) built with joint calculus for both square
     roots; requires 1 - 16 alpha^2 c / 3 >= 0 at every Casimir eigenvalue.
+    s = sqrt of that radicand is taken once per distinct 2J.
     """
     a = float(alpha)
     if abs(a) < 1e-12:
         raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor)")
-    cmax = _casimir(max(pr.spins))
-    if 1 - 16 * a * a * cmax / 3 < 0:
+    cmax = HalfInt(max(pr.spins)).mm1()
+    if quadratic_radicand(a, float(cmax)) < 0:
         raise InadmissibleProductError(
             f"negative radicand: need alpha^2 <= 3/(16 c_max) = {3 / (16 * cmax)}", cmax
         )
-
-    @functools.cache
-    def root(c: Fraction) -> float:
-        return math.sqrt(max(1 - 16 * a * a * float(c) / 3, 0.0))
+    roots = {t: math.sqrt(max(quadratic_radicand(a, float(HalfInt(t).mm1())), 0.0)) for t in set(pr.spins)}
 
     def ladder_factor(two_j: int, two_m: int) -> float:
-        c, m = _casimir(two_j), Fraction(two_m, 2)
-        val = 2 * a * (2 * float(m) + 1) / 3 + root(c)
+        val = quadratic_ladder_factor(a, roots[two_j], two_m / 2)
         if val < -JOINT_TOL:
-            raise InadmissibleProductError("negative ladder-factor radicand", c, m)
+            raise InadmissibleProductError("negative ladder-factor radicand", HalfInt(two_j).mm1(), Fraction(two_m, 2))
         return math.sqrt(max(val, 0.0))
 
-    R = joint_calculus(pr, lambda c, m: root(c))
+    R = _label_calculus(pr, lambda two_j, two_m: roots[two_j])
     dj3_a = pr.DJ3 - (1 / (4 * a)) * np.eye(pr.dim) + (1 / (4 * a)) * R
     djp_a = _raise_with(pr, ladder_factor, "source")
     djm_a = djp_a.T.copy()
@@ -487,17 +472,19 @@ def quadratic_antipode_checks(rep: MatrixRep, alpha: float,
     a = float(alpha)
     report = VerificationReport()
     j = rep.j
-    c = float(j.mm1())
-    s = math.sqrt(1 - 16 * a * a * c / 3)
+    s = math.sqrt(quadratic_radicand(a, float(j.mm1())))
     w = antipode_realization(j)
 
     quad = build_quadratic_explicit(rep, a)
 
-    # closed-form antipode expressions
-    s_j3_formula = -rep.J3 - (1 / (4 * a)) * np.eye(rep.dim) + (1 / (4 * a)) * s * np.eye(rep.dim)
-    ladder_neg = np.diag([2 * a * (-2 * rep.J3[i, i] + 1) / 3 + s for i in range(rep.dim)])
-    s_jp_formula = -_matrix_sqrt_diag(ladder_neg) @ rep.Jplus
-    s_jm_formula = -rep.Jminus @ _matrix_sqrt_diag(ladder_neg)
+    # closed forms: S(J3') = -J3 + gamma, S(J+-') = -(ladder factor at -J3)^(1/2) J+- in reversed order
+    s_j3_formula = -rep.J3 + quadratic_shift(a, s) * np.eye(rep.dim)
+    ladder_neg = np.array([quadratic_ladder_factor(a, s, -m) for m in np.diag(rep.J3)])
+    if np.any(ladder_neg < -1e-12):
+        raise ValueError("negative entry under matrix square root")
+    root = np.diag(np.sqrt(np.maximum(ladder_neg, 0.0)))
+    s_jp_formula = -root @ rep.Jplus
+    s_jm_formula = -rep.Jminus @ root
 
     report.add_numeric(
         "S(J3') realization vs formula",
@@ -521,13 +508,6 @@ def quadratic_antipode_checks(rep: MatrixRep, alpha: float,
         report.add_numeric(f"antipode axiom m(id x S)Delta({name}) = 0", resid_r, tol,
                            context=f"j={j} (x) j={j}, alpha={a}")
     return report
-
-
-def _matrix_sqrt_diag(d: np.ndarray) -> np.ndarray:
-    vals = np.diag(d)
-    if np.any(vals < -1e-12):
-        raise ValueError("negative entry under matrix square root")
-    return np.diag(np.sqrt(np.maximum(vals, 0.0)))
 
 
 def triple_coassociativity_residual(j, alpha: Sequence) -> float:

@@ -45,27 +45,10 @@ def q_beta_coeffs(qp: QParam, count: int) -> list[float]:
     return [d ** (2 * p + 1) / (math.factorial(2 * p + 1) * s) for p in range(count)]
 
 
-def _q_bracket_diagonals(j: HalfInt, delta: float):
-    """[m][m+1] and [m][m-1] over the basis m = j, ..., -j.
-
-    [m][m-1] at m is [m'][m'+1] at m' = m - 1, so each bracket product is
-    evaluated once.
-    """
-    ms = [m.value for m in ladder_desc(j)] + [-j.value - 1]
-    brackets = [q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms]
-    return np.array(brackets[:-1]), np.array(brackets[1:])
-
-
-def _q_casimir_diagonal(rep, delta: float):
-    """Diagonal of `q_casimir_matrix` in O(d) for a rep with the ladder shape, else None."""
-    from .repbuilder import ladder_products, ladder_vectors
-
-    vectors = ladder_vectors(rep)
-    if vectors is None:
-        return None
-    diag_up, diag_dn = _q_bracket_diagonals(rep.j, delta)
-    pm, mp = ladder_products(vectors[1])
-    return 0.5 * (pm + mp + diag_up + diag_dn)
+def _q_bracket_values(j: HalfInt, delta: float) -> np.ndarray:
+    """[m][m+1] over m = j, ..., -j-1: the f(m(m+1)) of the q-Casimir."""
+    return np.array([q_bracket(m, delta) * q_bracket(m + 1, delta)
+                     for m in [*(m.value for m in ladder_desc(j)), -j.value - 1]])
 
 
 def q_casimir_matrix(rep, delta: float) -> np.ndarray:
@@ -74,14 +57,11 @@ def q_casimir_matrix(rep, delta: float) -> np.ndarray:
     rep is an unshifted irrep with basis m = j, ..., -j; on an irrep of
     U_q(sl(2)) the result is a multiple of the identity. A rep with the
     ladder shape gets its diagonal in O(d), bitwise equal to the dense
-    products; any other rep keeps the dense matmuls.
+    products; any other rep keeps the dense matmuls (`repbuilder._ladder_casimir`).
     """
-    diag = _q_casimir_diagonal(rep, delta)
-    if diag is not None:
-        return np.diag(diag)
-    diag_up, diag_dn = _q_bracket_diagonals(rep.j, delta)
-    jp, jm = rep.Jplus, rep.Jminus
-    return 0.5 * (jp @ jm + jm @ jp + np.diag(diag_up) + np.diag(diag_dn))
+    from .repbuilder import _ladder_casimir
+
+    return _ladder_casimir(rep, _q_bracket_values(rep.j, delta))
 
 
 def uq_casimir_relation(j, qp: QParam) -> float:
@@ -93,12 +73,12 @@ def uq_casimir_relation(j, qp: QParam) -> float:
         sqrt(C + 1/4) = (1/delta) * arcsinh(sqrt(Chat + [1/2]^2) * sinh(delta))
     with C = j(j+1). Returns the maximum residual.
     """
-    from .repbuilder import build_uq
+    from .repbuilder import _ladder_casimir_diagonal, build_uq
 
     j = halfint(j)
     d = qp.delta
     rep = build_uq(j, d)
-    chat_diag = _q_casimir_diagonal(rep, d)
+    chat_diag = _ladder_casimir_diagonal(rep, _q_bracket_values(j, d))
     scalar_residual = float(np.max(np.abs(chat_diag - chat_diag[0])))
     chat = float(chat_diag[0])
 

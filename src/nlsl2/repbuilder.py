@@ -4,7 +4,8 @@ Basis order is m = j, j-1, ..., -j; J3 is diagonal with entries m + gamma,
 the raising operator lives on the superdiagonal with nonnegative entries,
 and the lowering operator is its transpose (hermiticity is by construction).
 Every irrep built here is stored as those two vectors; the dense matrices are
-formed only when a caller reads them.
+formed only when a caller reads them. The closed forms come from `structure`;
+the ladder Casimir diagonal, polynomial or q-deformed, is formed here.
 """
 
 from __future__ import annotations
@@ -15,16 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import divided_difference_numerators, phi_prime_witness
+from .coefficients import phi_prime_witness
 from .halfint import HalfInt, halfint, ladder_desc
-from .qdeform import _q_casimir_diagonal, q_bracket
-from .structure import (
-    Polynomial,
-    StructureSpec,
-    ladder_numerators,
-    phi_ladder_numerators,
-    screen,
-)
+from .qdeform import _q_bracket_values, q_bracket
+from .structure import (Polynomial, StructureSpec, divided_difference, ladder_numerators, phi_ladder_numerators,
+                        quadratic_ladder_factor, quadratic_radicand, quadratic_shift, screen)
 
 
 class InadmissibleSpecError(ValueError):
@@ -166,11 +162,14 @@ def ladder_products(u: np.ndarray):
     return np.concatenate((u2, zero)), np.concatenate((zero, u2))
 
 
+def _sl2_squares(j: HalfInt) -> list[float]:
+    """(j - m)(j + m + 1), the undeformed squared superdiagonal, for m = j-1, ..., -j."""
+    return [(j.value - m.value) * (j.value + m.value + 1) for m in list(ladder_desc(j))[1:]]
+
+
 def build_sl2(j) -> MatrixRep:
     """Standard angular-momentum matrices for spin j."""
-    j = halfint(j)
-    ups = [(j.value - m.value) * (j.value + m.value + 1) for m in list(ladder_desc(j))[1:]]
-    return _assemble(j, ups, family="sl2")
+    return _assemble(halfint(j), _sl2_squares(halfint(j)), family="sl2")
 
 
 def build_deformed(spec: StructureSpec) -> MatrixRep:
@@ -214,81 +213,89 @@ def build_uq(j, delta: float, dtype=float) -> MatrixRep:
     return _assemble(j, ups, family="Uq", dtype=dtype)
 
 
+def _sl2_input(rep: MatrixRep, caller: str):
+    """ValueError naming rep's family unless rep is an undeformed sl2 irrep."""
+    if rep.family != "sl2":
+        raise ValueError(f"{caller} expects an sl2 irrep, not {rep.family!r}")
+
+
 def deformed_from_undeformed(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     """Second construction route: scalar functional calculus on (C, J3).
 
     On a single irrep C = j(j+1) is scalar and J3 diagonal, so the
     divided-difference factor reduces to a diagonal matrix evaluated at the
     source state; the raising operator is multiplied by its square root on
-    the right. The factor is 4Q/D from one `divided_difference_numerators`
-    call over the ladder.
+    the right. The factor is `structure.divided_difference` at the labels
+    (2j, 2m), the same label function as the deformed coproduct's.
     """
+    _sl2_input(rep, "deformed_from_undeformed")
     j = rep.j
-    ms = list(ladder_desc(j))[1:]
-    qs, d = divided_difference_numerators(
-        alpha, j.twice * (j.twice + 2), [m.twice * (m.twice + 2) for m in ms]
-    )
+    g = divided_difference(alpha, j.twice)
     ups = []
-    for m, q in zip(ms, qs):
+    for m, base in zip(list(ladder_desc(j))[1:], _sl2_squares(j)):
+        q = g(j.twice, m.twice)
         if q < 0:
             raise InadmissibleSpecError(StructureSpec(Polynomial(alpha), j), [m])
-        base = (j.value - m.value) * (j.value + m.value + 1)
-        ups.append(base * (4 * q / d))
+        ups.append(base * q)
     return _assemble(j, ups, family="Polynomial")
 
 
 def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
     """Quadratic-family generators written in terms of the undeformed ones.
 
-    J3' = J3 - 1/(4a) + (1/(4a)) sqrt(1 - 16 a^2 C / 3) and the ladder
-    operators pick up the factor ((2a/3)(2 J3 + 1) + sqrt(1 - 16 a^2 C/3))^(1/2)
-    evaluated at the source state.
+    J3' = J3 + gamma with gamma = (s - 1)/(4a), s = sqrt(1 - 16 a^2 C / 3),
+    and the ladder operators pick up the factor ((2a/3)(2 J3 + 1) + s)^(1/2)
+    evaluated at the source state (`structure.quadratic_radicand`,
+    `quadratic_shift`, `quadratic_ladder_factor`).
     """
+    _sl2_input(rep, "build_quadratic_explicit")
     a = float(alpha)
     if abs(a) < 1e-12:
         raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor); use the undeformed rep")
     j = rep.j
-    c = float(j.mm1())
-    rad = 1 - 16 * a * a * c / 3
+    rad = quadratic_radicand(a, float(j.mm1()))
     if rad < 0:
         raise ValueError(
             f"negative radicand 1 - 16 a^2 j(j+1)/3 = {rad:.6g}; "
             f"alpha must satisfy alpha <= 3/(2(4j+1)) = {3 / (2 * (2 * j.twice + 1)):.6g}"
         )
     s = math.sqrt(rad)
-    gamma = (-1 + s) / (4 * a)
     ups = []
-    for m in list(ladder_desc(j))[1:]:
-        factor = 2 * a * (2 * m.value + 1) / 3 + s
-        base = (j.value - m.value) * (j.value + m.value + 1)
-        val = base * factor
+    for m, base in zip(list(ladder_desc(j))[1:], _sl2_squares(j)):
+        val = base * quadratic_ladder_factor(a, s, m.value)
         if val < -1e-12:
             raise ValueError(f"negative squared matrix element at m={m} for alpha={a}")
         ups.append(max(val, 0.0))
-    return _assemble(j, ups, gamma=gamma, family="QuadraticShifted")
+    return _assemble(j, ups, gamma=quadratic_shift(a, s), family="QuadraticShifted")
 
 
-def _phi_diagonals(rep: MatrixRep, alpha: Sequence):
-    """phi(m(m+1)) and phi(m(m-1)) over the basis m = j, ..., -j, as floats n / D.
+def _ladder_casimir_diagonal(rep: MatrixRep, fs: np.ndarray):
+    """Diagonal of (1/2)(J+J- + J-J+ + f(J3(J3+1)) + f(J3(J3-1))) in O(d), else None.
 
-    phi is evaluated once per distinct m(m+1) (`phi_ladder_numerators`):
-    phi(m(m-1)) at m is phi(m'(m'+1)) at m' = m - 1.
+    fs holds f(m(m+1)) over m = j, ..., -j-1, so f(m(m-1)) at m is fs at
+    m - 1. None unless rep has the ladder shape (`ladder_vectors`).
     """
-    if rep.gamma != 0.0:
-        raise ValueError("casimir_matrix expects an unshifted (polynomial-family) rep")
-    ns, d = phi_ladder_numerators(alpha, rep.j)
-    phis = [n / d for n in ns]
-    return np.array(phis), np.array(phis[1:] + phis[:1])  # m = -j: m(m-1) = j(j+1)
-
-
-def _casimir_diagonal(rep: MatrixRep, alpha: Sequence):
-    """Diagonal of `casimir_matrix` in O(d) for a rep with the ladder shape, else None."""
     vectors = ladder_vectors(rep)
     if vectors is None:
         return None
-    up, dn = _phi_diagonals(rep, alpha)
     pm, mp = ladder_products(vectors[1])
-    return 0.5 * (pm + mp + up + dn)
+    return 0.5 * (pm + mp + fs[:-1] + fs[1:])
+
+
+def _ladder_casimir(rep: MatrixRep, fs: np.ndarray) -> np.ndarray:
+    """The d x d Casimir of `_ladder_casimir_diagonal`; the dense matmuls for any other shape."""
+    diag = _ladder_casimir_diagonal(rep, fs)
+    if diag is not None:
+        return np.diag(diag)
+    return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + np.diag(fs[:-1]) + np.diag(fs[1:]))
+
+
+def _phi_values(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
+    """phi(m(m+1)) over m = j, ..., -j-1 as floats n / D; (-j-1)(-j) = j(j+1) repeats the first."""
+    if rep.gamma != 0.0:
+        raise ValueError("casimir_matrix expects an unshifted (polynomial-family) rep")
+    ns, d = phi_ladder_numerators(alpha, rep.j)
+    return np.array([n / d for n in ns + ns[:1]])
 
 
 def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
@@ -300,11 +307,7 @@ def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
     bitwise equal to the dense products; any other rep keeps the dense
     matmuls. The result is a dense d x d matrix either way.
     """
-    diag = _casimir_diagonal(rep, alpha)
-    if diag is not None:
-        return np.diag(diag)
-    up, dn = _phi_diagonals(rep, alpha)
-    return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + np.diag(up) + np.diag(dn))
+    return _ladder_casimir(rep, _phi_values(rep, alpha))
 
 
 def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
@@ -318,7 +321,7 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
         raise ValueError("inverse_map_uq requires delta != 0")
     j = repq.j
     _, u = _irrep_ladder(repq, "inverse_map_uq")
-    chat = float(_q_casimir_diagonal(repq, delta)[0])
+    chat = float(_ladder_casimir_diagonal(repq, _q_bracket_values(j, delta))[0])
 
     half = q_bracket(0.5, delta)
     arg = chat + half * half
@@ -355,12 +358,6 @@ def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     witness = phi_prime_witness(alpha, j.mm1())
     if witness is not None:
         raise NonBijectiveError(witness)
-    ms = list(ladder_desc(j))[1:]
-    qs, d = divided_difference_numerators(
-        alpha, j.twice * (j.twice + 2), [m.twice * (m.twice + 2) for m in ms]
-    )
-    ups = []
-    for i, q in enumerate(qs):
-        entry2 = u[i] ** 2
-        ups.append(entry2 / (4 * q / d))
+    g = divided_difference(alpha, j.twice)
+    ups = [u[i] ** 2 / g(j.twice, m.twice) for i, m in enumerate(list(ladder_desc(j))[1:])]
     return _assemble(j, ups, family="sl2")

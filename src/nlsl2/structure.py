@@ -1,6 +1,11 @@
 """Squared matrix elements (structure functions) for each algebra family.
 
 F(j, m) is the squared matrix element of the raising operator out of |j, m>.
+Each family's closed form is written once, on m = j, ..., -j and the
+boundary point -j-1, and lowering is F(j, m-1). The maps writing deformed
+generators through undeformed ones live here too: phi's divided difference
+and the quadratic family's radicand, shift and ladder factor.
+
 The polynomial family is exact: a whole ladder is evaluated on scaled
 integers, phi(m(m+1)) = n / D with n from one `coefficients.phi_numerators`
 call at the integers t(t+2), t = 2m, over phi's common denominator D, and
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .coefficients import as_rationals, phi_numerators
 from .halfint import HalfInt, halfint, ladder_desc
@@ -89,15 +94,16 @@ class StructureSpec:
         return type(self.family).__name__
 
 
-def _check_range(j: HalfInt, m: HalfInt):
-    if not -j.twice <= m.twice <= j.twice:
+def _check_range(j: HalfInt, m: HalfInt, below: int = 0):
+    """ValueError unless m is one of j, j-1, ..., -j - below."""
+    if (j.twice - m.twice) % 2 or not -j.twice - 2 * below <= m.twice <= j.twice:
         raise ValueError(f"m = {m} outside ladder -{j}..{j}")
 
 
 def f2_polynomial(alpha: Sequence, j, m) -> Fraction:
     """Exact F(j, m) = sum_k alpha_k ((j(j+1))^k - (m(m+1))^k)."""
     j, m = halfint(j), halfint(m)
-    _check_range(j, m)
+    _check_range(j, m, below=1)
     a = as_rationals(alpha)
     jj1, mm1 = j.mm1(), m.mm1()
     acc = Fraction(0)
@@ -112,65 +118,27 @@ def f2_polynomial(alpha: Sequence, j, m) -> Fraction:
 def f2_higgs_shifted_up(beta: float, gamma: float, j, m) -> float:
     """Raising structure function of the shifted Higgs family."""
     j, m = halfint(j), halfint(m)
-    _check_range(j, m)
+    _check_range(j, m, below=1)
     jv, mv, b, g = j.value, m.value, float(beta), float(gamma)
     return (jv - mv) * (jv + mv + 1 + 2 * g) * (
         1 + 2 * b * (jv * (jv + 1) + mv * (mv + 1) + 2 * g * (jv + mv + 1 + g))
     )
 
 
-def f2_higgs_shifted_down(beta: float, gamma: float, j, m) -> float:
-    """Lowering structure function of the shifted Higgs family."""
-    j, m = halfint(j), halfint(m)
-    _check_range(j, m)
-    jv, mv, b, g = j.value, m.value, float(beta), float(gamma)
-    return (jv - mv + 1) * (jv + mv + 2 * g) * (
-        1 + 2 * b * (jv * (jv + 1) + mv * (mv - 1) + 2 * g * (jv + mv + g))
-    )
-
-
 def f2_quadratic_up(alpha: float, gamma: float, j, m) -> float:
     """Raising structure function of the shifted quadratic family."""
     j, m = halfint(j), halfint(m)
-    _check_range(j, m)
+    _check_range(j, m, below=1)
     jv, mv, a, g = j.value, m.value, float(alpha), float(gamma)
-    inner = (
-        4 * jv * jv / 3
-        + 4 * jv * mv / 3
-        + 4 * mv * mv / 3
-        + 4 * g * jv
-        + 4 * g * mv
-        + 2 * jv
-        + 2 * mv
-        + 4 * g * g
-        + 4 * g
-        + 2.0 / 3
-    )
+    inner = (4 * jv * jv / 3 + 4 * jv * mv / 3 + 4 * mv * mv / 3 + 4 * g * jv + 4 * g * mv
+             + 2 * jv + 2 * mv + 4 * g * g + 4 * g + 2.0 / 3)
     return (jv - mv) * (jv + mv + 1 + 2 * g + a * inner)
-
-
-def f2_quadratic_down(alpha: float, gamma: float, j, m) -> float:
-    """Lowering structure function of the shifted quadratic family."""
-    j, m = halfint(j), halfint(m)
-    _check_range(j, m)
-    jv, mv, a, g = j.value, m.value, float(alpha), float(gamma)
-    inner = (
-        4 * jv * jv / 3
-        + 4 * jv * mv / 3
-        + 4 * mv * mv / 3
-        + 4 * g * jv
-        + 4 * g * mv
-        + 2 * jv / 3
-        - 2 * mv / 3
-        + 4 * g * g
-    )
-    return (jv - mv + 1) * (jv + mv + 2 * g + a * inner)
 
 
 def f2_qbase(alpha: Sequence, delta: float, j, m) -> float:
     """F(j, m) = sum_k alpha_k (([j][j+1])^k - ([m][m+1])^k), [x] the q-bracket."""
     j, m = halfint(j), halfint(m)
-    _check_range(j, m)
+    _check_range(j, m, below=1)
     if delta == 0:
         raise ValueError("f2_qbase requires delta != 0")
     jj1 = q_bracket(j.value, delta) * q_bracket(j.value + 1, delta)
@@ -199,22 +167,25 @@ def f2_up(spec: StructureSpec, m) -> float:
 
 
 def f2_down(spec: StructureSpec, m) -> float:
-    """Family dispatch for the lowering structure function (as float).
+    """Family dispatch for the lowering structure function: F(j, m-1) (as float).
 
-    For the unshifted families hermiticity makes this F(j, m-1); the shifted
-    families have their own closed-form expressions.
+    Hermiticity makes lowering out of m raising into it. At m = -j this is
+    the raising closed form at the boundary point m = -j-1, which vanishes
+    exactly for the unshifted families and pins gamma for the shifted ones.
     """
-    fam, j = spec.family, spec.j
     m = halfint(m)
-    if isinstance(fam, Polynomial):
-        return float(f2_polynomial(fam.alpha, j, m - 1)) if m.twice > -j.twice else 0.0
-    if isinstance(fam, HiggsShifted):
-        return f2_higgs_shifted_down(fam.beta, fam.gamma, j, m)
-    if isinstance(fam, QuadraticShifted):
-        return f2_quadratic_down(fam.alpha, fam.gamma, j, m)
-    if isinstance(fam, QBase):
-        return f2_qbase(fam.alpha, fam.delta, j, m - 1) if m.twice > -j.twice else 0.0
-    raise TypeError(f"unknown family {fam!r}")
+    _check_range(spec.j, m)
+    return f2_up(spec, m - 1)
+
+
+def f2_higgs_shifted_down(beta: float, gamma: float, j, m) -> float:
+    """Lowering structure function of the shifted Higgs family, F(j, m-1)."""
+    return f2_down(StructureSpec(HiggsShifted(beta, gamma), j), m)
+
+
+def f2_quadratic_down(alpha: float, gamma: float, j, m) -> float:
+    """Lowering structure function of the shifted quadratic family, F(j, m-1)."""
+    return f2_down(StructureSpec(QuadraticShifted(alpha, gamma), j), m)
 
 
 def phi_ladder_numerators(alpha: Sequence, j) -> tuple[list[int], int]:
@@ -232,6 +203,38 @@ def phi_ladder(alpha: Sequence, j) -> list[Fraction]:
     """Exact phi(m(m+1)) for m = j, j-1, ..., -j, from `phi_ladder_numerators`."""
     ns, d = phi_ladder_numerators(alpha, j)
     return [Fraction(n, d) for n in ns]
+
+
+def divided_difference(alpha: Sequence, top: int) -> Callable[[int, int], float]:
+    """g(2J, 2M) = (phi(c) - phi(x)) / (c - x) at c = J(J+1), x = M(M+1), |M| <= J <= top/2, M != J.
+
+    The polynomial map factor on an irrep (top = 2j) or a product space (top
+    its largest 2J). With n = D phi(t(t+2)/4) from one `phi_ladder_numerators`
+    pass, g = 4 (n_J - n_M) / (D (C - X)), C = 2J(2J+2), X = 2M(2M+2): one
+    correctly rounded int division, with the sign of the exact value.
+    """
+    phis, d = phi_ladder_numerators(alpha, HalfInt(top))
+
+    def g(two_j: int, two_m: int) -> float:
+        num = 4 * (phis[(top - two_j) // 2] - phis[(top - two_m) // 2])
+        return num / (d * (two_j * (two_j + 2) - two_m * (two_m + 2)))
+
+    return g
+
+
+def quadratic_radicand(alpha: float, c: float) -> float:
+    """s^2 = 1 - 16 alpha^2 c / 3 of the quadratic maps at the Casimir value c = J(J+1)."""
+    return 1 - 16 * alpha * alpha * c / 3
+
+
+def quadratic_shift(alpha: float, s: float) -> float:
+    """gamma = (s - 1) / (4 alpha): J3' = J3 + gamma on the block where sqrt(radicand) = s."""
+    return (s - 1) / (4 * alpha)
+
+
+def quadratic_ladder_factor(alpha: float, s: float, m: float) -> float:
+    """(2 alpha / 3)(2m + 1) + s: J+' = J+ (this)^(1/2), taken at the source weight m."""
+    return 2 * alpha * (2 * m + 1) / 3 + s
 
 
 def ladder_numerators(spec: StructureSpec) -> tuple[list, int]:
@@ -260,14 +263,15 @@ def ladder_values(spec: StructureSpec) -> list:
 
 
 def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
-    """Offending m (ascending) of the unitarity screen, given the ladder values.
+    """Offending m of the unitarity screen, given the ladder values.
 
     values are `ladder_values(spec)` or the numerators of `ladder_numerators`
-    (D > 0 keeps the sign). They must be nonnegative: exactly for the
+    (D > 0 keeps the sign). They must be nonnegative (offenders ascending):
+    exactly for the
     polynomial family, within ADMISSIBILITY_TOL for the real-valued ones.
-    For the shifted families the raising function must also vanish at m = j
-    and the lowering one at m = -j (within BOUNDARY_TOL), which pins the
-    allowed gamma values.
+    For the shifted families the lowering function must also vanish at m = -j
+    (within BOUNDARY_TOL), which pins the allowed gamma values; the raising
+    one vanishes at m = j exactly, through its factor (j - m).
     """
     j = spec.j
     if j.twice == 0:
@@ -276,11 +280,9 @@ def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
     # reversed(values) runs over m = -j, ..., j-1
     offending = [HalfInt(2 * i - j.twice) for i, val in enumerate(reversed(values)) if val < -tol]
 
-    if isinstance(spec.family, (HiggsShifted, QuadraticShifted)):
-        if abs(f2_up(spec, j)) > BOUNDARY_TOL:
-            offending.append(j)
-        if abs(f2_down(spec, -j)) > BOUNDARY_TOL and -j not in offending:
-            offending.append(-j)
+    if (isinstance(spec.family, (HiggsShifted, QuadraticShifted))
+            and abs(f2_down(spec, -j)) > BOUNDARY_TOL and -j not in offending):
+        offending.append(-j)
     return offending
 
 

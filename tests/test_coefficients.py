@@ -8,7 +8,6 @@ from nlsl2.coefficients import (
     alpha_from_beta,
     bernoulli,
     beta_from_alpha,
-    divided_difference_numerators,
     epsilon,
     format_rational,
     parse_rational,
@@ -18,6 +17,7 @@ from nlsl2.coefficients import (
     power_sum_oracle,
     scaled_phi,
 )
+from nlsl2.structure import divided_difference
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=30)
 # mixed signs, denominators up to 1e6, and floats (exact binary fractions)
@@ -112,16 +112,13 @@ def test_phi_numerators_equal_phi_eval(alpha, xs):
         assert n / d == float(exact)
 
 
-@given(kernel_alphas, st.integers(-(10**6), 10**6), scaled_xs)
+@given(kernel_alphas, st.integers(1, 2000), st.data())
 @settings(max_examples=80, deadline=None)
-def test_divided_difference_numerators_equal_quotient_and_derivative(alpha, c, xs):
-    xs = [*xs, c]
-    qs, d = divided_difference_numerators(alpha, c, xs)
-    assert d > 0 and len(qs) == len(xs)
-    for x, q in zip(xs, qs):
-        got = Fraction(4 * q, d)
-        if x == c:
-            assert got == phi_prime(alpha, Fraction(x, 4))
-        else:
-            cf, xf = Fraction(c, 4), Fraction(x, 4)
-            assert got == (phi_eval(alpha, cf) - phi_eval(alpha, xf)) / (cf - xf)
+def test_divided_difference_equals_exact_quotient(alpha, top, data):
+    # structure.divided_difference reads phi from phi_numerators on the ladder of top / 2
+    g = divided_difference(alpha, top)
+    for _ in range(8):
+        two_j = top - 2 * data.draw(st.integers(0, (top - 1) // 2))
+        two_m = two_j - 2 * data.draw(st.integers(1, two_j))
+        cf, xf = Fraction(two_j * (two_j + 2), 4), Fraction(two_m * (two_m + 2), 4)
+        assert g(two_j, two_m) == float((phi_eval(alpha, cf) - phi_eval(alpha, xf)) / (cf - xf))

@@ -104,6 +104,15 @@ def test_quadratic_explicit_shifted_spectrum():
     assert np.allclose(np.diag(rep.J3), [1 + gamma, gamma, -1 + gamma])
 
 
+def test_forward_maps_reject_a_deformed_input_rep():
+    # both maps write the deformed generators through the undeformed sl2 ones
+    for rep in (build_uq(1, 0.5), build_deformed(StructureSpec(Polynomial([1, Fraction(1, 10)]), 1))):
+        with pytest.raises(ValueError, match=repr(rep.family)):
+            deformed_from_undeformed(rep, [1, Fraction(1, 10)])
+        with pytest.raises(ValueError, match=repr(rep.family)):
+            build_quadratic_explicit(rep, 0.1)
+
+
 def test_quadratic_explicit_rejects_bad_alpha():
     rep = build_sl2(halfint(2))
     with pytest.raises(ValueError):

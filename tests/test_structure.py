@@ -37,6 +37,54 @@ def test_out_of_range_m_rejected():
         f2_higgs_shifted_up(0.1, 0.0, halfint(1), halfint("-3/2"))
 
 
+def test_off_lattice_m_rejected():
+    # m = 1/2 is not on the j = 1 ladder, though it lies inside -1..1
+    j, m = halfint(1), halfint("1/2")
+    for leaf in (lambda: f2_polynomial([1], j, m), lambda: f2_higgs_shifted_up(0.1, 0.0, j, m),
+                 lambda: f2_quadratic_up(0.1, 0.0, j, m), lambda: f2_qbase([1.0], 0.3, j, m),
+                 lambda: f2_up(StructureSpec(Polynomial([1]), j), m)):
+        with pytest.raises(ValueError, match="outside ladder"):
+            leaf()
+
+
+def test_leaves_take_the_boundary_point_and_f2_down_keeps_the_ladder():
+    j = halfint(1)
+    spec = StructureSpec(HiggsShifted(-0.1, 0.2), j)
+    assert f2_up(spec, halfint(-2)) == f2_down(spec, halfint(-1))
+    with pytest.raises(ValueError):
+        f2_up(spec, halfint(-3))
+    with pytest.raises(ValueError):
+        f2_down(spec, halfint(-2))
+    with pytest.raises(ValueError):
+        f2_down(spec, halfint(2))
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+family_specs = st.one_of(
+    st.builds(Polynomial, st.lists(st.fractions(-1000, 1000, max_denominator=1000), max_size=4)),
+    st.builds(HiggsShifted, st.floats(-1e3, 1e3, **finite), st.floats(-30, 30, **finite)),
+    st.builds(QuadraticShifted, st.floats(-1e3, 1e3, **finite), st.floats(-30, 30, **finite)),
+    st.builds(QBase, st.lists(st.floats(-1e3, 1e3, **finite), max_size=4),
+              st.floats(0.01, 1.0) | st.floats(-1.0, -0.01)),
+)
+
+
+@given(family_specs, st.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_raising_vanishes_exactly_at_the_top(family, two_j):
+    # F(j, j) carries the factor (j - m), exactly 0.0 at m = j: the screen needs no test there
+    spec = StructureSpec(family, HalfInt(two_j))
+    assert f2_up(spec, spec.j) == 0.0
+
+
+@given(family_specs, st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_lowering_is_raising_one_step_down(family, two_j):
+    spec = StructureSpec(family, HalfInt(two_j))
+    for m in ladder(spec.j):  # including the boundary value at m = -j
+        assert f2_down(spec, m) == f2_up(spec, m - 1)
+
+
 def test_boundary_annihilation_unshifted():
     # with gamma = 0 the raising function vanishes at m = j for every family
     j = halfint(2)
