@@ -2,21 +2,19 @@
 
 `primitive_coproduct` is the one place that labels a product space. Delta(J3)
 is diagonal, with each state's integral 2M read from the factors' ladders,
-and the Clebsch-Gordan series gives the multiset of 2J. Inside each M block
-one `eigh` of Delta(C) yields ascending eigenvalues, so its eigenvectors take
-the ascending exact labels {J >= |M|}: the product is stored as per-(J, M)
-blocks with exact labels. Deformed coproducts are functions of those exact
-labels, and coassociativity of the primitive coproduct is decided
-symbolically on label triples.
+and the Clebsch-Gordan series gives the multiset of 2J. One stacked `eigh`
+per block size diagonalizes Delta(C) in every M block; the ascending
+eigenvectors take the ascending exact labels {J >= |M|}, of which deformed
+coproducts are functions. Coassociativity of the primitive coproduct is
+decided symbolically on label triples.
 
 A product is stored on its weight blocks only: the Delta(C) block of each M
-and the (M -> M+1) step block of Delta(J+), both assembled straight from the
-factors' nonzeros (an irrep's ladder, or a product's own blocks), with no
-dense matrix and no np.kron. A function of the labels is block-diagonal over
-M, so Delta(J+) times such a factor is formed one step block at a time, with
-no dim^3 matmul. The dense DJ3, DJp, DJm and DC of `ProductRep` are built
-only when read. The deformed and quadratic coproducts still return dense
-matrices.
+and the (M -> M+1) step block of Delta(J+), both assembled from the factors'
+nonzeros with no dense matrix and no np.kron. Delta(J+) times a function of
+the labels is formed one step block at a time. Every dense output is
+scattered from block entries into zeros at cached flat positions; a
+transpose scatters the same entries at the transposed positions. The
+co-commutativity check reads each swap pair of entries once.
 """
 
 from __future__ import annotations
@@ -87,11 +85,16 @@ class ProductRep:
     def dim(self) -> int:
         return self.d1 * self.d2
 
-    def _plus_parts(self):
-        return [(hi.indices, lo.indices, s) for lo, hi, s in zip(self.blocks, self.blocks[1:], self.steps)]
+    @cached_property
+    def _step_at(self) -> tuple:
+        """Flat dense positions of every step-block entry, in `steps` order, and of their transposes."""
+        pairs = [(hi.indices, lo.indices) for lo, hi in zip(self.blocks, self.blocks[1:])]
+        return _positions(pairs, self.dim, 1), _positions(pairs, 1, self.dim)
 
-    def _casimir_parts(self):
-        return [(b.indices, b.indices, b.C) for b in self.blocks]
+    @cached_property
+    def _block_at(self) -> np.ndarray:
+        """Flat dense positions of every entry of the M blocks, block by block."""
+        return _positions([(b.indices, b.indices) for b in self.blocks], self.dim, 1)
 
     @cached_property
     def DJ3(self) -> np.ndarray:
@@ -99,32 +102,38 @@ class ProductRep:
 
     @cached_property
     def DJp(self) -> np.ndarray:
-        return _dense(self.dim, self._plus_parts())
+        return _scatter(self.dim, self._step_at[0], _flat(self.steps))
 
     @cached_property
     def DJm(self) -> np.ndarray:
-        return _dense(self.dim, [(cols, rows, s.T) for rows, cols, s in self._plus_parts()])
+        return _scatter(self.dim, self._step_at[1], _flat(self.steps))
 
     @cached_property
     def DC(self) -> np.ndarray:
-        return _dense(self.dim, self._casimir_parts())
+        return _scatter(self.dim, self._block_at, _flat(b.C for b in self.blocks))
 
 
-def _dense(dim: int, parts) -> np.ndarray:
-    """The dim x dim matrix holding each block at (rows x cols) and zeros elsewhere."""
-    out = np.zeros((dim, dim))
-    for rows, cols, block in parts:
-        out[np.ix_(rows, cols)] = block
-    return out
+def _positions(pairs, rs: int, cs: int) -> np.ndarray:
+    """rows[i] * rs + cols[k] * cs for every entry of each (rows, cols) block, block by block, row-major."""
+    return np.concatenate([np.empty(0, dtype=int)] + [np.add.outer(r * rs, c * cs).ravel() for r, c in pairs])
 
 
-def _nonzeros(parts):
-    """(rows, cols, values) of the nonzeros of blocks placed at (rows x cols)."""
-    found = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
-    for rows, cols, block in parts:
-        r, c = np.nonzero(block)
-        found.append((rows[r], cols[c], block[r, c]))
-    return tuple(np.concatenate(x) for x in zip(*found))
+def _flat(blocks) -> np.ndarray:
+    """The entries of every block, block by block, row-major: the order of `_positions`."""
+    return np.concatenate([np.empty(0)] + [b.ravel() for b in blocks])
+
+
+def _scatter(dim: int, at: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The dim x dim matrix holding vals at the flat positions `at` and zeros elsewhere."""
+    out = np.zeros(dim * dim)
+    out[at] = vals
+    return out.reshape(dim, dim)
+
+
+def _nonzeros(dim: int, at: np.ndarray, vals: np.ndarray) -> tuple:
+    """(rows, cols, values) of the nonzeros of vals placed at the flat positions `at`."""
+    nz = np.flatnonzero(vals)
+    return at[nz] // dim, at[nz] % dim, vals[nz]
 
 
 class _Factor(NamedTuple):
@@ -151,8 +160,8 @@ def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
     """An sl2 irrep, read from its ladder, or a product, read from its blocks."""
     if isinstance(x, ProductRep):
         i = np.arange(x.dim)
-        return _Factor((i, i, x.two_m / 2.0), _nonzeros(x._plus_parts()),
-                       _nonzeros(x._casimir_parts()), x.two_m, x.spins)
+        return _Factor((i, i, x.two_m / 2.0), _nonzeros(x.dim, x._step_at[0], _flat(x.steps)),
+                       _nonzeros(x.dim, x._block_at, _flat(b.C for b in x.blocks)), x.two_m, x.spins)
     if x.family != "sl2":
         raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
     w, u = ladder_vectors(x)
@@ -171,8 +180,8 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     term's products of nonzeros are added, term by term in a fixed order,
     into one flat buffer holding the Delta(C) blocks and one holding the
     Delta(J+) steps, each block at its own offset, so the values equal those
-    of the dense Kronecker sums. Each Delta(J3) = M block gets one `eigh` of
-    its Delta(C) block; its k-th eigenvector takes the k-th of the ascending
+    of the dense Kronecker sums. The Delta(C) blocks of each size share one
+    stacked `eigh`; a block's k-th eigenvector takes the k-th of the ascending
     labels {J in spins : J >= |M|}. This is exact because distinct values of
     J(J+1) lie at least 2 apart.
     """
@@ -205,15 +214,14 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
         dp[s_off[k] + pos[rows] * sizes[k] + pos[cols]] += vals
     dc.flags.writeable = dp.flags.writeable = False
 
-    spins = tuple(sorted(
-        t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)
-    ))
-    blocks = []
-    for k, (t, n) in enumerate(zip(block_m.tolist(), sizes.tolist())):
-        cas = dc[c_off[k]:c_off[k + 1]].reshape(n, n)
-        w, vecs = np.linalg.eigh(cas)
-        blocks.append(CoupledBlock(t, order[starts[k]:starts[k + 1]], w, vecs,
-                                   tuple(s for s in spins if s >= abs(t)), cas))
+    spins = tuple(sorted(t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)))
+    blocks = [None] * len(sizes)
+    for n in np.unique(sizes).tolist():  # one stacked eigh per block size
+        ks = np.flatnonzero(sizes == n).tolist()
+        cas = [dc[c_off[k]:c_off[k + 1]].reshape(n, n) for k in ks]
+        for k, c, w, vecs in zip(ks, cas, *np.linalg.eigh(np.stack(cas))):
+            blocks[k] = CoupledBlock(int(block_m[k]), order[starts[k]:starts[k + 1]], w, vecs,
+                                     tuple(s for s in spins if s >= abs(block_m[k])), c)
     steps = [dp[s_off[k]:s_off[k + 1]].reshape(hi, lo)
              for k, (lo, hi) in enumerate(zip(sizes.tolist(), sizes[1:].tolist()))]
     return ProductRep(d1, d2, two_m, spins, blocks, steps)
@@ -232,34 +240,27 @@ def _block_factors(pr: ProductRep, g: Callable[[int, int], float]) -> list:
     return out
 
 
-def _label_calculus(pr: ProductRep, g: Callable[[int, int], float]) -> np.ndarray:
-    """The dense V diag(g) V^T of every M block (`_block_factors`), zeros between blocks."""
-    return _dense(pr.dim, [(b.indices, b.indices, f) for b, f in zip(pr.blocks, _block_factors(pr, g))])
-
-
 def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> np.ndarray:
     """Apply a scalar function of (c, m) over the joint spectrum of (DC, DJ3).
 
     g is called with the exact Fractions c = J(J+1) and m = M of each coupled
     state, and V diag(g) V^T is written into each M block.
     """
-    return _label_calculus(pr, lambda two_j, two_m: g(HalfInt(two_j).mm1(), Fraction(two_m, 2)))
+    factors = _block_factors(pr, lambda two_j, two_m: g(HalfInt(two_j).mm1(), Fraction(two_m, 2)))
+    return _scatter(pr.dim, pr._block_at, _flat(factors))
 
 
-def _raise_with(pr: ProductRep, g: Callable[[int, int], float], order: str) -> np.ndarray:
-    """Delta(J+) times the joint-calculus factor of g(2J, 2M), one M -> M+1 block at a time.
+def _raise_with(pr: ProductRep, g: Callable[[int, int], float], order: str) -> tuple:
+    """Delta(J+) times the joint-calculus factor of g(2J, 2M), and its transpose.
 
     Delta(J+) maps the M block into the M+1 block only, and the factor is
     block-diagonal over M, so order='source' gives S_M @ F_M and
     order='target' gives F_{M+1} @ S_M, with S_M the stored step block
     `pr.steps`. g is called on every label, as in `_block_factors`.
     """
-    factors = _block_factors(pr, g)
-    out = np.zeros((pr.dim, pr.dim))
-    for k, step in enumerate(pr.steps):
-        rows, cols = np.ix_(pr.blocks[k + 1].indices, pr.blocks[k].indices)
-        out[rows, cols] = step @ factors[k] if order == "source" else factors[k + 1] @ step
-    return out
+    f = _block_factors(pr, g)
+    vals = _flat(s @ f[k] if order == "source" else f[k + 1] @ s for k, s in enumerate(pr.steps))
+    return tuple(_scatter(pr.dim, at, vals) for at in pr._step_at)
 
 
 def product_casimir_spectrum(j1, j2) -> list[float]:
@@ -301,8 +302,7 @@ def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
                                            HalfInt(two_j).mm1(), Fraction(two_m, 2))
         return math.sqrt(val)
 
-    djp_hat = _raise_with(pr, g, order)
-    return djp_hat, djp_hat.T.copy(), pr.DJ3
+    return (*_raise_with(pr, g, order), pr.DJ3)
 
 
 def quadratic_coproduct(pr: ProductRep, alpha: float):
@@ -320,7 +320,7 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
         raise InadmissibleProductError(
             f"negative radicand: need alpha^2 <= 3/(16 c_max) = {3 / (16 * cmax)}", cmax
         )
-    roots = {t: math.sqrt(max(quadratic_radicand(a, float(HalfInt(t).mm1())), 0.0)) for t in set(pr.spins)}
+    roots = {t: math.sqrt(quadratic_radicand(a, float(HalfInt(t).mm1()))) for t in set(pr.spins)}
 
     def ladder_factor(two_j: int, two_m: int) -> float:
         val = quadratic_ladder_factor(a, roots[two_j], two_m / 2)
@@ -328,32 +328,32 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
             raise InadmissibleProductError("negative ladder-factor radicand", HalfInt(two_j).mm1(), Fraction(two_m, 2))
         return math.sqrt(max(val, 0.0))
 
-    R = _label_calculus(pr, lambda two_j, two_m: roots[two_j])
-    dj3_a = pr.DJ3 - (1 / (4 * a)) * np.eye(pr.dim) + (1 / (4 * a)) * R
-    djp_a = _raise_with(pr, ladder_factor, "source")
-    djm_a = djp_a.T.copy()
-    return dj3_a, djp_a, djm_a
-
-
-def _swap_index(d1: int, d2: int) -> np.ndarray:
-    """Index permutation sending the state of w (x) v to that of v (x) w."""
-    return np.arange(d1 * d2).reshape(d1, d2).T.ravel()
+    R = _scatter(pr.dim, pr._block_at, _flat(_block_factors(pr, lambda two_j, two_m: roots[two_j])))
+    return (pr.DJ3 - (1 / (4 * a)) * np.eye(pr.dim) + (1 / (4 * a)) * R, *_raise_with(pr, ladder_factor, "source"))
 
 
 def swap_matrix(d1: int, d2: int) -> np.ndarray:
     """Permutation realizing v (x) w -> w (x) v."""
-    return np.eye(d1 * d2)[_swap_index(d1, d2)]
+    return np.eye(d1 * d2)[np.arange(d1 * d2).reshape(d1, d2).T.ravel()]
 
 
 def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]:
-    """Swap-conjugation residuals for coproduct matrices on V (x) V."""
-    dim = d * d
+    """Swap-conjugation residuals ||P X P^T - X|| for coproduct matrices on V (x) V.
+
+    With t[a, b] the d x d block <a b| X |. .>, P X P^T holds t[b, a]^T there, so
+    the squared residual is sum_a ||t[a, a] - t[a, a]^T||^2 + 2 sum_{a<b}
+    ||t[a, b] - t[b, a]^T||^2, read one slab of b >= a per a.
+    """
+    if any(mat.shape != (d * d, d * d) for mat in matrices):
+        raise ValueError("cocommutativity_check requires equal tensor factors")
+    out = []
     for mat in matrices:
-        if mat.shape != (dim, dim):
-            raise ValueError("cocommutativity_check requires equal tensor factors")
-    # t[a, b, c, e] = <a b| X |c e>; the swap conjugate reads t[b, a, e, c]
-    tensors = [mat.reshape(d, d, d, d) for mat in matrices]
-    return [float(np.linalg.norm(t.transpose(1, 0, 3, 2) - t)) for t in tensors]
+        t, sq = mat.reshape(d, d, d, d), 0.0
+        for a in range(d):
+            diff = t[a, a:] - t[a:, a].transpose(0, 2, 1)
+            sq += np.vdot(diff[0], diff[0]) + 2 * np.vdot(diff[1:], diff[1:])
+        out.append(math.sqrt(sq))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from nlsl2.hopf import (
     triple_coassociativity_residual,
 )
 from nlsl2.repbuilder import MatrixRep, build_sl2
-from nlsl2.structure import f2_polynomial
+from nlsl2.structure import divided_difference, f2_polynomial, quadratic_ladder_factor, quadratic_radicand
 from nlsl2.verifier import commutator_residuals
 
 
@@ -116,6 +116,106 @@ def test_cocommutativity_check_matches_swap_conjugation():
     assert cocommutativity_check(mats, d) == want
 
 
+def test_cocommutativity_check_matches_dense_swap_oracle():
+    d = 5
+    x = np.random.default_rng(11).standard_normal((d * d, d * d))
+    p = swap_matrix(d, d)
+    want = np.linalg.norm(p @ x @ p.T - x)
+    assert abs(cocommutativity_check([x], d)[0] - want) <= 1e-14 * want
+
+
+def test_cocommutativity_check_single_entry_controls():
+    # one entry delta off the swap-fixed positions ((a, a), (e, e)) leaves
+    # its swap partner at 0, so the residual is sqrt(delta^2 + delta^2)
+    d, delta = 5, 1e-9
+    for a, b, c, e in ((0, 1, 2, 3), (2, 2, 1, 4), (4, 3, 3, 3), (1, 0, 0, 1)):
+        x = np.zeros((d * d, d * d))
+        x[a * d + b, c * d + e] = delta
+        assert cocommutativity_check([x], d) == [math.sqrt(2 * delta * delta)]
+        assert cocommutativity_check([x], d)[0] == pytest.approx(math.sqrt(2) * delta, rel=1e-15)
+    for a, e in ((0, 0), (3, 1), (4, 4)):
+        x = np.zeros((d * d, d * d))
+        x[a * d + a, e * d + e] = delta
+        assert cocommutativity_check([x], d) == [0.0]
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _products():
+    pairs = [("0", "0"), ("1/2", "1/2"), ("1", "1"), ("3", "5/2"), ("7/2", "1"), ("5", "5"), ("17/2", "5/2")]
+    out = [primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2))) for j1, j2 in pairs]
+    rep = build_sl2(1)
+    return out + [primitive_coproduct(primitive_coproduct(rep, rep), rep)]
+
+
+def test_batched_eigh_equals_one_eigh_per_block():
+    for pr in _products():
+        for b in pr.blocks:
+            w, vecs = np.linalg.eigh(b.C)
+            assert _same_bits(b.w, w) and _same_bits(b.V, vecs)
+            assert b.two_js == tuple(s for s in pr.spins if s >= abs(b.two_m))
+
+
+def _former_dense(pr, parts):
+    """Per-block np.ix_ assembly of blocks placed at (rows x cols)."""
+    out = np.zeros((pr.dim, pr.dim))
+    for rows, cols, block in parts:
+        out[np.ix_(rows, cols)] = block
+    return out
+
+
+def _former_raise(pr, g, order):
+    factors = [(b.V * np.array([g(t, b.two_m) for t in b.two_js], dtype=float)) @ b.V.T for b in pr.blocks]
+    parts = [(hi.indices, lo.indices, s @ factors[k] if order == "source" else factors[k + 1] @ s)
+             for k, (lo, hi, s) in enumerate(zip(pr.blocks, pr.blocks[1:], pr.steps))]
+    djp = _former_dense(pr, parts)
+    return djp, djp.T.copy(), factors
+
+
+def _assert_transpose_pair(djp, djm):
+    assert djm.flags.c_contiguous and djm.flags.writeable
+    assert np.array_equal(djm, djp.T) and not np.shares_memory(djm, djp)
+
+
+@pytest.mark.parametrize("order", ["source", "target"])
+def test_deformed_coproduct_bitwise_equals_former_assembly(order):
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+    for pr in _products():
+        dd = divided_difference(alpha, max(pr.spins))
+        want_p, want_m, _ = _former_raise(pr, lambda t, m: 0.0 if t == m else math.sqrt(dd(t, m)), order)
+        djp, djm, dj3 = deformed_coproduct(pr, alpha, order=order)
+        assert _same_bits(djp, want_p) and _same_bits(djm, want_m) and dj3 is pr.DJ3
+        _assert_transpose_pair(djp, djm)
+
+
+def test_quadratic_coproduct_bitwise_equals_former_assembly():
+    for pr in _products():
+        cmax = max(pr.spins) * (max(pr.spins) + 2) / 4
+        a = 0.6 * math.sqrt(3 / (16 * cmax)) if cmax else 0.3
+        roots = {t: math.sqrt(max(quadratic_radicand(a, t * (t + 2) / 4), 0.0)) for t in pr.spins}
+
+        def ladder(t, m):
+            return math.sqrt(max(quadratic_ladder_factor(a, roots[t], m / 2), 0.0))
+
+        want_p, want_m, _ = _former_raise(pr, ladder, "source")
+        parts = [(b.indices, b.indices, (b.V * np.array([roots[t] for t in b.two_js])) @ b.V.T) for b in pr.blocks]
+        want_3 = pr.DJ3 - (1 / (4 * a)) * np.eye(pr.dim) + (1 / (4 * a)) * _former_dense(pr, parts)
+        dj3, djp, djm = quadratic_coproduct(pr, a)
+        assert _same_bits(dj3, want_3) and _same_bits(djp, want_p) and _same_bits(djm, want_m)
+        _assert_transpose_pair(djp, djm)
+
+
+def test_dense_views_equal_the_former_assembly():
+    for pr in _products():
+        plus = [(hi.indices, lo.indices, s) for lo, hi, s in zip(pr.blocks, pr.blocks[1:], pr.steps)]
+        assert _same_bits(pr.DJp, _former_dense(pr, plus))
+        assert _same_bits(pr.DJm, _former_dense(pr, [(c, r, s.T) for r, c, s in plus]))
+        assert _same_bits(pr.DC, _former_dense(pr, [(b.indices, b.indices, b.C) for b in pr.blocks]))
+
+
 def test_product_casimir_spectrum_oracle():
     assert product_casimir_spectrum("1/2", "1/2") == [0.0, 2.0, 2.0, 2.0]
     got = sorted(np.concatenate([b.w for b in primitive_coproduct(build_sl2(1), build_sl2("3/2")).blocks]))
@@ -138,11 +238,11 @@ def test_hopf_axioms_primitive():
         assert kinds == {"exact", "numeric"}
 
 
-@pytest.mark.parametrize("j1,j2", [("1/2", "1/2"), ("1/2", "1"), ("1", "1")])
-@pytest.mark.parametrize("b", [-0.1, -0.05])
+# 1 (x) 1 at beta = -0.1 is inadmissible: test_deformed_coproduct_rejects_inadmissible_component
+@pytest.mark.parametrize("b,j1,j2", [(b, j1, j2) for b in (-0.1, -0.05)
+                                     for j1, j2 in (("1/2", "1/2"), ("1/2", "1"), ("1", "1"))
+                                     if (b, j1, j2) != (-0.1, "1", "1")])
 def test_deformed_coproduct_is_algebra_map(j1, j2, b):
-    if (j1, j2, b) == ("1", "1", -0.1):
-        pytest.skip("covered by the inadmissible-product rejection test")
     pr = primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2)))
     beta = [Fraction(1), Fraction(b).limit_denominator(100)]
     djp, djm, dj3 = deformed_coproduct(pr, alpha_from_beta(beta))
