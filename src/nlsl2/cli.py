@@ -31,18 +31,21 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _rational_list(text: str) -> list[Fraction]:
-    return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+def _rational_list(text: str, parse=parse_rational) -> list:
+    values = [parse(tok) for tok in (text or "").split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _rational_list(text, float)
 
 
 def _emit(args, payload: dict, table: str):
     if args.format == "json":
         clean = {k: v for k, v in payload.items() if k != "csv"}
-        text = json.dumps(clean, indent=2, sort_keys=True)
+        text = json.dumps(clean, sort_keys=True)  # no indent: the C encoder, one line
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

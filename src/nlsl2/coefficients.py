@@ -1,22 +1,21 @@
 """Exact rational calculus for the coefficient systems of nonlinear sl(2).
 
-Everything here is a pure function over fractions.Fraction values: Bernoulli
-numbers (in the all-positive convention B_1 = 1/6, B_2 = 1/30, ...), odd
-power sums, the triangular epsilon recursion, and the two maps between the
-commutator coefficients beta_p (of (2 J3)^(2p+1)) and the structure-function
-coefficients alpha_k (of x^k in the deformation polynomial phi).
-
-The ladder arithmetic runs on scaled integers instead: `scaled_phi` puts
-phi over one common denominator D, D phi(X/4) = sum_k A_k X^k, and
-`phi_numerators` evaluates it at many integers X = 4 m(m+1) = t(t+2) in
-one call; `structure` takes phi's divided differences from those values.
+Bernoulli numbers (all-positive convention B_1 = 1/6, B_2 = 1/30, ...), odd power sums,
+the triangular epsilon recursion, and the two maps between the commutator coefficients
+beta_p (of (2 J3)^(2p+1)) and the structure-function coefficients alpha_k (of x^k in the
+deformation polynomial phi). Values are exact Fractions at the API. Inside, the two maps
+run on scaled integers over one common denominator, and so does the ladder arithmetic:
+`scaled_phi` puts phi over one common denominator D, D phi(X/4) = sum_k A_k X^k, and
+`phi_numerators` evaluates it at many integers X = 4 m(m+1) = t(t+2) in one call;
+`structure` takes phi's divided differences from those values.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]  # standard-convention B_0, B_1, ...
@@ -93,42 +92,43 @@ def as_rationals(values: Sequence) -> list[Fraction]:
     return [Fraction(v) for v in values]
 
 
+@functools.cache
+def _alpha_column(k: int) -> tuple[tuple[int, ...], int]:
+    """(c, d) with 4^k/(k+1) eps_r(k) = c[r-1] / d for r = 1..k, in lowest terms."""
+    e, den = over_common_denominator(_epsilon_row(k))
+    g = gcd((k + 1) * den, *(4**k * x for x in e))
+    return tuple(4**k * x // g for x in e), (k + 1) * den // g
+
+
 def alpha_from_beta(beta: Sequence) -> list[Fraction]:
     """Map commutator coefficients beta_0..beta_N to phi coefficients alpha_1..alpha_{N+1}.
 
     alpha_1 = beta_0 and, for l >= 2,
-    alpha_l = sum_{k=l-1}^{N} beta_k * 2^(2k)/(k+1) * eps_{l-1}(k).
+    alpha_l = sum_{k=l-1}^{N} beta_k * 2^(2k)/(k+1) * eps_{l-1}(k),
+    one integer sum over B L for beta_k = b_k / B and columns over their lcm L.
     """
-    b = as_rationals(beta)
-    n = len(b) - 1
-    alpha = [b[0]]
-    for l in range(2, n + 2):
-        acc = Fraction(0)
-        for k in range(l - 1, n + 1):
-            acc += b[k] * Fraction(4**k, k + 1) * epsilon(l - 1, k)
-        alpha.append(acc)
-    return alpha
+    b, b_den = over_common_denominator(beta)
+    if not b:
+        raise ValueError("alpha_from_beta requires at least beta_0")
+    cols = [_alpha_column(k) for k in range(1, len(b))]
+    scale = lcm(*(d for _, d in cols))
+    weights = [bk * (scale // d) for bk, (_, d) in zip(b[1:], cols)]
+    sums = (sum(w * c[r - 1] for w, (c, _) in zip(weights[r - 1:], cols[r - 1:])) for r in range(1, len(b)))
+    return [Fraction(b[0], b_den)] + [Fraction(acc, b_den * scale) for acc in sums]
 
 
 def beta_from_alpha(alpha: Sequence) -> list[Fraction]:
     """Inverse map: beta_p = 2^(-2p) * sum_{k=p+1}^{2p+1} alpha_k * C(k, 2k-2p-1).
 
     alpha_k beyond the declared order is treated as exact zero, so the output
-    has the same length N+1 as the input.
+    has the same length N+1 as the input. For alpha_k = A_k / D each beta_p is
+    one integer sum over D 4^p.
     """
-    a = as_rationals(alpha)
-    n = len(a) - 1
-
-    def alpha_at(k: int) -> Fraction:  # 1-based index, zero past the end
-        return a[k - 1] if 1 <= k <= n + 1 else Fraction(0)
-
-    beta = []
-    for p in range(n + 1):
-        acc = Fraction(0)
-        for k in range(p + 1, 2 * p + 2):
-            acc += alpha_at(k) * comb(k, 2 * k - 2 * p - 1)
-        beta.append(acc / 4**p)
-    return beta
+    a, den = over_common_denominator(alpha)
+    if not a:
+        raise ValueError("beta_from_alpha requires at least alpha_1")
+    return [Fraction(sum(a[k - 1] * comb(k, 2 * k - 2 * p - 1) for k in range(p + 1, min(2 * p + 2, len(a) + 1))),
+                     den * 4**p) for p in range(len(a))]
 
 
 def phi_eval(alpha: Sequence, x) -> Fraction:
@@ -254,5 +254,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse 'p/q' or decimal text to an exact rational."""
-    return Fraction(s.strip())
+    """Parse 'p/q' or decimal text to an exact rational; ValueError on a zero denominator."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from None

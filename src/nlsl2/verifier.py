@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -199,12 +200,19 @@ def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TO
     return report
 
 
+@functools.cache
+def _float_epsilon_row(k: int) -> tuple[float, ...]:
+    """float(eps_r(k)) for r = 1..k."""
+    return tuple(float(epsilon(r, k)) for r in range(1, k + 1))
+
+
 def q_series_identity_residual(j, m, delta: float, trunc: int) -> float:
     """Truncation residual of the q-bracket ratio against the epsilon series.
 
     LHS is (cosh(d(2j+1)) - cosh(d(2m+1))) / (2 sinh^2 d (j-m)(j+m+1)); RHS is
     the divergence-free series d/sinh d + sum_k 2^(2k+1) d^(2k+1)/((2k+2)! sinh d)
-    * sum_{r,s} (j(j+1))^s (m(m+1))^(r-s) eps_r(k), truncated at k = trunc.
+    * sum_{r,s} (j(j+1))^s (m(m+1))^(r-s) eps_r(k), truncated at k = trunc. The
+    sums over s do not depend on k, so they are taken once per r.
     """
     j, m = halfint(j), halfint(m)
     if j == m:
@@ -216,15 +224,15 @@ def q_series_identity_residual(j, m, delta: float, trunc: int) -> float:
         2 * math.sinh(delta) ** 2 * (jv - mv) * (jv + mv + 1)
     )
     jj1, mm1 = float(j.mm1()), float(m.mm1())
+    power_sums = [sum(jj1**s * mm1 ** (r - s) for s in range(r + 1)) for r in range(1, trunc + 1)]
     rhs = delta / math.sinh(delta)
     for k in range(1, trunc + 1):
         coeff = 2 ** (2 * k + 1) * delta ** (2 * k + 1) / (
             math.factorial(2 * k + 2) * math.sinh(delta)
         )
         inner = 0.0
-        for r in range(1, k + 1):
-            er = float(epsilon(r, k))
-            inner += er * sum(jj1**s * mm1 ** (r - s) for s in range(r + 1))
+        for er, ps in zip(_float_epsilon_row(k), power_sums):
+            inner += er * ps
         rhs += coeff * inner
     return abs(lhs - rhs)
 

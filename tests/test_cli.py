@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import nlsl2.cli as cli
 from nlsl2.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
 
 
@@ -137,3 +139,60 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1, 1/5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--alpha-from-beta=,"],
+    ["coeffs", "--beta-from-alpha=,"],
+    ["coeffs", "--alpha-from-beta=1/0"],
+    ["coeffs", "--beta-from-alpha=1,2/0"],
+    ["verify", "--family", "polynomial", "--j", "1", "--alpha=1/0"],
+    ["verify", "--family", "polynomial", "--j", "1", "--alpha=,"],
+    ["verify", "--family", "polynomial", "--j", "1"],
+    ["hopf", "--j1", "1/2", "--j2", "1/2", "--alpha=1/0"],
+    ["hopf", "--j1", "1/2", "--j2", "1/2", "--alpha=,"],
+    ["rep", "--family", "qbase", "--j", "1", "--alpha=,"],
+    ["families", "--family", "higgs", "--j", "1", "--beta-grid=,"],
+    ["families", "--family", "quadratic", "--j", "1", "--alpha=1/0"],
+], ids=" ".join)
+def test_bad_coefficient_text_is_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0]) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_examples_exit_zero(capsys, argv):
+    assert argv[0] == "nlsl2"
+    code, _, err = _run(capsys, *argv[1:])
+    assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--alpha-from-beta", "1,-3/10"],
+    ["coeffs", "--beta-from-alpha", "1,-3/5"],
+    ["rep", "--family", "polynomial", "--j", "5/2", "--alpha", "1,1/10"],
+    ["rep", "--family", "uq", "--j", "2", "--delta", "0.3"],
+    ["verify", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
+    ["verify", "--family", "uq", "--j", "3/2"],
+    ["families", "--family", "higgs", "--j", "1/2", "--beta-grid=-0.3,0.5,-2"],
+    ["families", "--family", "quadratic", "--j", "1", "--alpha-grid=0.1,-0.2,0.9"],
+    ["hopf", "--j1", "1/2", "--j2", "1", "--alpha", "1,-1/5", "--quadratic-alpha", "0.1"],
+    ["qlimit", "--j", "1"],
+], ids=" ".join)
+def test_json_output_is_one_line_that_parses_to_the_payload(capsys, monkeypatch, argv):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, table: (payloads.append(payload), emit(args, payload, table)))
+    code, out, _ = _run(capsys, "--format", "json", *argv)
+    assert code == EXIT_OK
+    assert out.endswith("\n") and out.count("\n") == 1
+    (payload,) = payloads
+    assert json.loads(out) == {k: v for k, v in payload.items() if k != "csv"}

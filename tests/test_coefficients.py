@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,56 @@ def test_cubic_case():
     assert beta_from_alpha([1, 2 * b]) == [Fraction(1), b]
 
 
+def _alpha_from_beta_reference(beta):
+    """alpha_1 = beta_0, alpha_l = sum_{k>=l-1} beta_k 4^k/(k+1) eps_{l-1}(k), all in Fractions."""
+    b = [Fraction(v) for v in beta]
+    alpha = [b[0]]
+    for l in range(2, len(b) + 1):
+        acc = Fraction(0)
+        for k in range(l - 1, len(b)):
+            acc += b[k] * Fraction(4**k, k + 1) * epsilon(l - 1, k)
+        alpha.append(acc)
+    return alpha
+
+
+def _beta_from_alpha_reference(alpha):
+    """beta_p = 4^-p sum_{k=p+1}^{2p+1} alpha_k C(k, 2k-2p-1), alpha_k = 0 past the end."""
+    a = [Fraction(v) for v in alpha]
+    beta = []
+    for p in range(len(a)):
+        acc = Fraction(0)
+        for k in range(p + 1, 2 * p + 2):
+            acc += (a[k - 1] if k <= len(a) else Fraction(0)) * comb(k, 2 * k - 2 * p - 1)
+        beta.append(acc / 4**p)
+    return beta
+
+
+# N = 0..30: signed rationals with large denominators, and exact zeros
+signed_vectors = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-100, max_value=100, max_denominator=10**4)),
+    min_size=1, max_size=31,
+)
+
+
+@given(signed_vectors)
+@settings(max_examples=60, deadline=None)
+def test_scaled_integer_maps_equal_the_fraction_formulas(v):
+    alpha = alpha_from_beta(v)
+    beta = beta_from_alpha(v)
+    assert alpha == _alpha_from_beta_reference(v)
+    assert beta == _beta_from_alpha_reference(v)
+    assert all(type(x) is Fraction for x in alpha + beta)
+    assert beta_from_alpha(alpha) == v
+    assert alpha_from_beta(beta) == v
+
+
+def test_maps_reject_an_empty_vector():
+    with pytest.raises(ValueError):
+        alpha_from_beta([])
+    with pytest.raises(ValueError):
+        beta_from_alpha([])
+
+
 @given(st.lists(rationals, min_size=1, max_size=9))
 @settings(max_examples=60, deadline=None)
 def test_round_trip_beta_alpha_beta(beta):
@@ -93,6 +144,11 @@ def test_rational_serialization_round_trip():
         assert parse_rational(format_rational(v)) == v
     assert format_rational(Fraction(0)) == "0/1"
     assert parse_rational("0.25") == Fraction(1, 4)
+
+
+def test_parse_rational_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def test_scaled_phi_common_denominator():

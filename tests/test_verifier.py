@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlsl2.verifier as verifier
-from nlsl2.coefficients import beta_from_alpha, format_rational
+from nlsl2.coefficients import beta_from_alpha, epsilon, format_rational
 from nlsl2.halfint import HalfInt, halfint, ladder
 from nlsl2.repbuilder import MatrixRep, build_deformed, build_sl2
 from nlsl2.structure import Polynomial, StructureSpec, f2_polynomial
@@ -97,9 +99,36 @@ def test_q_series_identity_converges_with_truncation():
     assert r25 < 1e-8
 
 
-def test_q_series_identity_rejects_degenerate_args():
-    import pytest
+def _q_series_reference(j, m, delta, trunc):
+    """The series residual as a triple loop, recomputing the inner power sum for every k."""
+    jv, mv = j.value, m.value
+    lhs = (math.cosh(delta * (2 * jv + 1)) - math.cosh(delta * (2 * mv + 1))) / (
+        2 * math.sinh(delta) ** 2 * (jv - mv) * (jv + mv + 1)
+    )
+    jj1, mm1 = float(j.mm1()), float(m.mm1())
+    rhs = delta / math.sinh(delta)
+    for k in range(1, trunc + 1):
+        coeff = 2 ** (2 * k + 1) * delta ** (2 * k + 1) / (math.factorial(2 * k + 2) * math.sinh(delta))
+        inner = 0.0
+        for r in range(1, k + 1):
+            er = float(epsilon(r, k))
+            inner += er * sum(jj1**s * mm1 ** (r - s) for s in range(r + 1))
+        rhs += coeff * inner
+    return abs(lhs - rhs)
 
+
+@pytest.mark.parametrize("trunc", [5, 25, 50])
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.47])
+def test_q_series_identity_is_bitwise_the_triple_loop(delta, trunc):
+    for two_j in (1, 2, 5, 12, 40, 80):
+        j = HalfInt(two_j)
+        for two_m in sorted({-two_j, 2 - two_j, two_j % 2, two_j - 2} - {two_j}):
+            m = HalfInt(two_m)
+            got = q_series_identity_residual(j, m, delta, trunc)
+            assert got.hex() == _q_series_reference(j, m, delta, trunc).hex(), (two_j, two_m)
+
+
+def test_q_series_identity_rejects_degenerate_args():
     with pytest.raises(ValueError):
         q_series_identity_residual(1, 1, 0.3, trunc=5)
     with pytest.raises(ValueError):
