@@ -7,6 +7,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,13 @@ def _float_list(text: str) -> list[float]:
     return _rational_list(text, float)
 
 
+def _scalar(args, name: str) -> Fraction:
+    text = getattr(args, name)
+    if text is None:
+        raise ValueError(f"--{name} is required for the {args.family} family")
+    return parse_rational(text)
+
+
 def _emit(args, payload: dict, table: str):
     if args.format == "json":
         clean = {k: v for k, v in payload.items() if k != "csv"}
@@ -67,13 +75,9 @@ def _build_spec(args) -> StructureSpec:
     if args.family == "polynomial":
         return StructureSpec(Polynomial(_rational_list(args.alpha)), j)
     if args.family == "higgs":
-        beta = float(parse_rational(args.beta))
-        gamma = float(args.gamma or 0.0)
-        return StructureSpec(HiggsShifted(beta, gamma), j)
+        return StructureSpec(HiggsShifted(float(_scalar(args, "beta")), args.gamma), j)
     if args.family == "quadratic":
-        alpha = float(parse_rational(args.alpha))
-        gamma = float(args.gamma or 0.0)
-        return StructureSpec(QuadraticShifted(alpha, gamma), j)
+        return StructureSpec(QuadraticShifted(float(_scalar(args, "alpha")), args.gamma), j)
     if args.family == "qbase":
         return StructureSpec(QBase(_float_list(args.alpha), args.delta), j)
     raise ValueError(f"unknown family {args.family!r}")
@@ -119,30 +123,25 @@ def cmd_verify(args) -> int:
     if args.family == "polynomial":
         alpha = _rational_list(args.alpha)
         report.extend(verifier.exact_recurrence_check(alpha, j))
-        spec = StructureSpec(Polynomial(alpha), j)
-        rep = repbuilder.build_deformed(spec)
+        rep = repbuilder.build_deformed(StructureSpec(Polynomial(alpha), j))
         beta = beta_from_alpha(alpha)
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
         cas = repbuilder._ladder_casimir_diagonal(rep, repbuilder._phi_values(rep, alpha))
         expected = float(phi_eval(alpha, j.mm1()))
-        report.add_numeric(
-            "Casimir = phi(j(j+1)) I",
-            float(np.linalg.norm(cas - expected)),
-            max(args.tol, 1e-12),
-        )
+        report.add_numeric("Casimir = phi(j(j+1)) I", float(np.linalg.norm(cas - expected)),
+                           verifier.gate(rep.dim, abs(expected) * math.sqrt(rep.dim), args.tol))
     elif args.family == "higgs":
-        spec = _build_spec(args)
-        rep = repbuilder.build_deformed(spec)
-        beta = [Fraction(1), Fraction(parse_rational(args.beta))]
+        rep = repbuilder.build_deformed(_build_spec(args))
+        beta = [Fraction(1), _scalar(args, "beta")]
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
     elif args.family == "uq":
         rep = repbuilder.build_uq(j, args.delta)
         pm, mp = repbuilder.ladder_products(repbuilder.ladder_vectors(rep)[1])
         target = [qdeform.q_bracket(2 * m.value, args.delta) for m in ladder_desc(j)]
-        report.add_numeric("[J+,J-] = [2 J3] diagonal",
-                           float(np.linalg.norm(pm - mp - target)), args.tol)
-        report.add_numeric("q-Casimir arcsinh relation",
-                           qdeform.uq_casimir_relation(j, qdeform.QParam(args.delta)), 1e-12)
+        report.add_numeric("[J+,J-] = [2 J3] diagonal", float(np.linalg.norm(pm - mp - target)),
+                           verifier.gate(rep.dim, max(np.linalg.norm(pm), np.linalg.norm(target)), args.tol))
+        report.add_numeric("q-Casimir arcsinh relation", qdeform.uq_casimir_relation(j, qdeform.QParam(args.delta)),
+                           verifier.gate(rep.dim, qdeform.q_bracket(j.value + 0.5, args.delta) ** 2, args.tol))
     else:
         print(f"verify: unsupported family {args.family!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -152,10 +151,9 @@ def cmd_verify(args) -> int:
 
 def cmd_families(args) -> int:
     j = halfint(args.j)
-    if args.family == "higgs":
-        grid = _float_list(args.beta_grid) if args.beta_grid else [float(parse_rational(args.beta))]
-    else:
-        grid = _float_list(args.alpha_grid) if args.alpha_grid else [float(parse_rational(args.alpha))]
+    name = "beta" if args.family == "higgs" else "alpha"
+    text = getattr(args, f"{name}_grid")
+    grid = _float_list(text) if text else [float(_scalar(args, name))]
     rows = fam_mod.scan(j, grid, args.family)
     header, csv_rows = fam_mod.scan_csv_rows(rows)
     payload = {"rows": rows, "csv": (header, csv_rows)}
@@ -172,48 +170,41 @@ def cmd_hopf(args) -> int:
     pr = hopf_mod.primitive_coproduct(rep1, rep2)
     report = verifier.VerificationReport()
 
-    spectrum = sorted(np.concatenate([b.w for b in pr.blocks]))
+    spectrum = np.sort(np.concatenate([b.w for b in pr.blocks]))
     oracle = hopf_mod.product_casimir_spectrum(j1, j2)
-    report.add_numeric(
-        "Delta(C) spectrum = Clebsch-Gordan J(J+1) pattern",
-        float(max(abs(a - b) for a, b in zip(spectrum, oracle))), 1e-8,
-    )
+    report.add_numeric("Delta(C) spectrum = Clebsch-Gordan J(J+1) pattern", np.abs(spectrum - oracle).max(),
+                       verifier.gate(pr.dim, oracle[-1], args.tol))
 
-    report.extend(hopf_mod.hopf_axiom_checks(rep1, quadratic_alpha=args.quadratic_alpha))
+    report.extend(hopf_mod.hopf_axiom_checks(rep1, quadratic_alpha=args.quadratic_alpha, tol=args.tol))
 
     if args.alpha:
         alpha = _rational_list(args.alpha)
         djp, djm, dj3 = hopf_mod.deformed_coproduct(pr, alpha)
         beta = beta_from_alpha(alpha)
         fake = repbuilder.MatrixRep(pr.dim, 0, 0.0, "product", dj3, djp, djm)
-        for check in verifier.commutator_residuals(fake, beta, tol=1e-8).checks:
+        for check in verifier.commutator_residuals(fake, beta, tol=args.tol).checks:
             check.name = "deformed coproduct: " + check.name
             report.checks.append(check)
         if j1 == j2:
             res = hopf_mod.cocommutativity_check([djp, djm, dj3], rep1.dim)
-            report.add_numeric("co-commutativity of deformed coproduct", max(res), 1e-10)
+            report.add_numeric("co-commutativity of deformed coproduct", max(res),
+                               verifier.gate(pr.dim, max(map(np.linalg.norm, (djp, djm, dj3))), args.tol))
     _emit(args, report.to_json_dict(), report.render_table())
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 def cmd_qlimit(args) -> int:
-    j = halfint(args.j)
+    j, delta = halfint(args.j), args.delta
     report = verifier.VerificationReport()
-    report.add_numeric(
-        "q-Casimir arcsinh relation",
-        qdeform.uq_casimir_relation(j, qdeform.QParam(args.delta)), 1e-12,
-    )
+    report.add_numeric("q-Casimir arcsinh relation", qdeform.uq_casimir_relation(j, qdeform.QParam(delta)),
+                       verifier.gate(j.twice + 1, qdeform.q_bracket(j.value + 0.5, delta) ** 2, args.tol))
     if j.twice > 0:
-        report.add_numeric(
-            "series identity truncation",
-            verifier.q_series_identity_residual(j, -j, args.delta, trunc=25), 1e-8,
-        )
-    roots = verifier.q_shift_rigidity(j, args.delta)
-    report.add_numeric(
-        "shift rigidity: only gamma = 0",
-        max(abs(r) for r in roots) if roots else float("inf"), 1e-12,
-        context=f"roots: {roots}",
-    )
+        # the larger of the two cosh terms on the left, at m = -j
+        scale = math.cosh(delta * (j.twice + 1)) / (4 * j.value * math.sinh(delta) ** 2)
+        report.add_numeric("series identity truncation", verifier.q_series_identity_residual(j, -j, delta),
+                           verifier.gate(j.twice + 1, scale, args.tol))
+    roots = verifier.q_shift_rigidity(j, delta)
+    report.add_exact("shift rigidity: only gamma = 0", Fraction(max(map(abs, roots))), context=f"roots: {roots}")
     _emit(args, report.to_json_dict(), report.render_table())
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
@@ -226,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "csv", "table"], default="table")
     parser.add_argument("--output", default=None, help="write to file instead of stdout")
-    parser.add_argument("--tol", type=float, default=1e-10, help="numeric tolerance")
+    parser.add_argument("--tol", type=float, help="absolute tolerance overriding every numeric gate")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="convert between beta and alpha coefficient vectors")

@@ -19,8 +19,8 @@ import numpy as np
 from .coefficients import phi_prime_witness
 from .halfint import HalfInt, halfint, ladder_desc
 from .qdeform import _q_bracket_values, q_bracket
-from .structure import (Polynomial, StructureSpec, divided_difference, ladder_numerators, phi_ladder_numerators,
-                        quadratic_ladder_factor, quadratic_radicand, quadratic_shift, screen)
+from .structure import (ALPHA_FLOOR, CLAMP_TOL, Polynomial, StructureSpec, divided_difference, ladder_numerators,
+                        phi_ladder_numerators, quadratic_ladder_factor, quadratic_radicand, quadratic_shift, screen)
 
 
 class InadmissibleSpecError(ValueError):
@@ -250,7 +250,7 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
     """
     _sl2_input(rep, "build_quadratic_explicit")
     a = float(alpha)
-    if abs(a) < 1e-12:
+    if abs(a) < ALPHA_FLOOR:
         raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor); use the undeformed rep")
     j = rep.j
     rad = quadratic_radicand(a, float(j.mm1()))
@@ -263,7 +263,7 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
     ups = []
     for m, base in zip(list(ladder_desc(j))[1:], _sl2_squares(j)):
         val = base * quadratic_ladder_factor(a, s, m.value)
-        if val < -1e-12:
+        if val < -CLAMP_TOL:
             raise ValueError(f"negative squared matrix element at m={m} for alpha={a}")
         ups.append(max(val, 0.0))
     return _assemble(j, ups, gamma=quadratic_shift(a, s), family="QuadraticShifted")
@@ -335,7 +335,7 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
         den = arg - q_bracket(m.value + 0.5, delta) ** 2
         entry2 = u[i] ** 2
         if den <= 0:
-            if entry2 > 1e-12 or num > 1e-12:
+            if entry2 > CLAMP_TOL or num > CLAMP_TOL:
                 raise ValueError(f"inconsistent q-deformed input at m={m}")
             ups.append(0.0)
             continue

@@ -24,8 +24,12 @@ from .coefficients import as_rationals, phi_numerators
 from .halfint import HalfInt, halfint, ladder_desc
 from .qdeform import q_bracket
 
-ADMISSIBILITY_TOL = 1e-12
-BOUNDARY_TOL = 1e-10
+# Guards, not check gates (`verifier.gate`): a float closed form is taken as its exact zero or sign.
+ADMISSIBILITY_TOL = 1e-12  # a ladder value above -this passes the screen
+BOUNDARY_TOL = 1e-10  # the lowering function at m = -j within this of 0 passes the screen
+CLAMP_TOL = 1e-12  # a squared irrep entry within this of 0 is taken as 0, below -this rejected
+JOINT_TOL = 1e-10  # the same for a ladder factor on a product space, whose eigenvectors add rounding
+ALPHA_FLOOR = 1e-12  # |alpha| below this is rejected: the quadratic maps divide by 4 alpha
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,12 @@ from .halfint import halfint, ladder
 from .repbuilder import MatrixRep, ladder_products, ladder_vectors
 from .structure import Polynomial, StructureSpec, ladder_numerators
 
-DEFAULT_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
+
+
+def gate(dim: int, scale: float, tol: Optional[float] = None) -> float:
+    """A numeric check's bound: 8 eps dim scale, scale the norm of the identity's largest term, or tol."""
+    return 8 * EPS * dim * scale if tol is None else tol
 
 
 @dataclass
@@ -27,12 +32,13 @@ class Check:
     passed: bool
     residual: Optional[float] = None
     context: str = ""
+    bound: Optional[float] = None  # the gate a numeric residual is held to
     discrepancy: Optional[str] = None  # exact nonzero mismatch, as 'p/q'
 
     def to_json_dict(self) -> dict:
         d = {"name": self.name, "kind": self.kind, "pass": self.passed, "context": self.context}
         if self.kind == "numeric":
-            d["residual"] = self.residual
+            d["residual"], d["bound"] = self.residual, self.bound
         if self.discrepancy is not None:
             d["discrepancy"] = self.discrepancy
         return d
@@ -51,8 +57,8 @@ class VerificationReport:
                   discrepancy=None if ok else format_rational(discrepancy))
         )
 
-    def add_numeric(self, name: str, residual: float, tol: float, context: str = ""):
-        self.checks.append(Check(name, "numeric", residual <= tol, float(residual), context))
+    def add_numeric(self, name: str, residual: float, bound: float, context: str = ""):
+        self.checks.append(Check(name, "numeric", bool(residual <= bound), float(residual), context, float(bound)))
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)
@@ -74,7 +80,7 @@ class VerificationReport:
     def render_table(self) -> str:
         lines = [f"{'check':<52} {'kind':<8} {'result':<6} residual"]
         for c in self.checks:
-            res = "exact" if c.kind == "exact" else f"{c.residual:.3e}"
+            res = "exact" if c.kind == "exact" else f"{c.residual:.3e} (gate {c.bound:.1e})"
             if c.discrepancy:
                 res = f"off by {c.discrepancy}"
             lines.append(f"{c.name:<52} {c.kind:<8} {'pass' if c.passed else 'FAIL':<6} {res}")
@@ -154,7 +160,7 @@ def _block_norm(parts) -> float:
     return float(np.linalg.norm(np.concatenate([np.ravel(x) for x in parts])))
 
 
-def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TOL) -> VerificationReport:
+def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: Optional[float] = None) -> VerificationReport:
     """Frobenius residuals of the two defining commutation relations.
 
     A rep with the ladder shape (`repbuilder.ladder_vectors`: diagonal J3 = w,
@@ -167,7 +173,8 @@ def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TO
     (w_(k+1) - w_k - 1) B_k on each step, and on the block of w_k
     [J+, J-] - sum_p beta_p (2 J3)^(2p+1) is
     B_(k-1) B_(k-1)^T - B_k^T B_k - f(w_k) I. Any other rep falls back to
-    dense matmuls.
+    dense matmuls. The `gate` scales are ||J3|| ||J+|| for [J3, J+-] and
+    max(||J+ J-||, ||f(2 J3)||) for [J+, J-].
     """
     report = VerificationReport()
     # The defining relation is in the (possibly shifted) diagonal generator
@@ -178,7 +185,9 @@ def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TO
         w, u = vectors
         r_plus = r_minus = np.linalg.norm((w[:-1] - w[1:] - 1) * u)
         pm, mp = ladder_products(u)
-        r_comm = np.linalg.norm(pm - mp - _odd_series(2 * w, beta, np.multiply))
+        series = _odd_series(2 * w, beta, np.multiply)
+        r_comm = np.linalg.norm(pm - mp - series)
+        terms = pm, series, w, u
     elif blocks is not None:
         w, sizes, steps = blocks
         r_plus = r_minus = _block_norm((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps))
@@ -186,17 +195,20 @@ def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: float = DEFAULT_TO
         downs = [b.T @ b for b in steps] + [np.zeros((sizes[-1], sizes[-1]))]
         series = _odd_series(2 * w, beta, np.multiply)
         r_comm = _block_norm(up - down - f * np.eye(len(up)) for up, down, f in zip(ups, downs, series))
+        terms = _block_norm(ups), series * np.sqrt(sizes), w * np.sqrt(sizes), _block_norm(steps)
     else:
         j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
         r_plus = np.linalg.norm(j3 @ jp - jp @ j3 - jp)
         r_minus = np.linalg.norm(j3 @ jm - jm @ j3 + jm)
-        r_comm = np.linalg.norm(jp @ jm - jm @ jp - _odd_series(2 * j3, beta, np.matmul))
-    report.add_numeric("[J3,J+] = +J+", float(r_plus), tol, context=f"{rep.family} j={rep.j}")
-    report.add_numeric("[J3,J-] = -J-", float(r_minus), tol, context=f"{rep.family} j={rep.j}")
-    report.add_numeric(
-        "[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", float(r_comm), tol,
-        context=f"{rep.family} j={rep.j} beta={[float(b) for b in beta]}",
-    )
+        pm, series = jp @ jm, _odd_series(2 * j3, beta, np.matmul)
+        r_comm = np.linalg.norm(pm - jm @ jp - series)
+        terms = pm, series, j3, jp
+    n_pm, n_f, n_3, n_p = (math.sqrt(np.vdot(t, t)) for t in terms)
+    where = f"{rep.family} j={rep.j}"
+    report.add_numeric("[J3,J+] = +J+", r_plus, gate(rep.dim, n_3 * n_p, tol), context=where)
+    report.add_numeric("[J3,J-] = -J-", r_minus, gate(rep.dim, n_3 * n_p, tol), context=where)
+    report.add_numeric("[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", r_comm, gate(rep.dim, max(n_pm, n_f), tol),
+                       context=f"{where} beta={[float(b) for b in beta]}")
     return report
 
 
@@ -206,13 +218,15 @@ def _float_epsilon_row(k: int) -> tuple[float, ...]:
     return tuple(float(epsilon(r, k)) for r in range(1, k + 1))
 
 
-def q_series_identity_residual(j, m, delta: float, trunc: int) -> float:
+def q_series_identity_residual(j, m, delta: float, trunc: Optional[int] = None) -> float:
     """Truncation residual of the q-bracket ratio against the epsilon series.
 
     LHS is (cosh(d(2j+1)) - cosh(d(2m+1))) / (2 sinh^2 d (j-m)(j+m+1)); RHS is
     the divergence-free series d/sinh d + sum_k 2^(2k+1) d^(2k+1)/((2k+2)! sinh d)
     * sum_{r,s} (j(j+1))^s (m(m+1))^(r-s) eps_r(k), truncated at k = trunc. The
-    sums over s do not depend on k, so they are taken once per r.
+    sums over s do not depend on k, so they are taken once per r. Term k is
+    of order x^(2k+2)/(2k+2)!, x = |d| (2j+1), so the default trunc, n/2 for the first
+    even n >= x with x^n/n! <= eps e^x, leaves a tail below the LHS's rounding.
     """
     j, m = halfint(j), halfint(m)
     if j == m:
@@ -220,6 +234,11 @@ def q_series_identity_residual(j, m, delta: float, trunc: int) -> float:
     if delta == 0:
         raise ValueError("q_series_identity_residual requires delta != 0")
     jv, mv = j.value, m.value
+    if trunc is None:
+        x, n = abs(delta) * (2 * jv + 1), 2
+        while n < x or n * math.log(x) - math.lgamma(n + 1) > x + math.log(EPS):
+            n += 2
+        trunc = n // 2
     lhs = (math.cosh(delta * (2 * jv + 1)) - math.cosh(delta * (2 * mv + 1))) / (
         2 * math.sinh(delta) ** 2 * (jv - mv) * (jv + mv + 1)
     )

@@ -5,12 +5,20 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nlsl2.cli as cli
+from nlsl2 import hopf, repbuilder
 from nlsl2.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
+from nlsl2.coefficients import beta_from_alpha
+from nlsl2.halfint import HalfInt
+from nlsl2.repbuilder import MatrixRep
+from nlsl2.structure import Polynomial, StructureSpec
+from nlsl2.verifier import commutator_residuals
 
 
 def _run(capsys, *argv):
@@ -107,10 +115,67 @@ def test_hopf_alpha_checks_the_deformed_coproduct_on_weight_blocks(capsys, monke
     assert len(taken) == 1 and taken[0] is not None
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     comm = checks["deformed coproduct: [J+,J-] = sum_p beta_p (2 J3)^(2p+1)"]
-    # rounding on terms of norm ~1.2e7: the dense matmuls gave 3.4139e-8, a
-    # false FAIL of the absolute 1e-8 gate until the gates scale with the operands
+    # rounding on terms of norm ~1.2e7 (the dense matmuls gave 3.4139e-8), which
+    # the scale-relative gate admits; the Clebsch-Gordan block spectra accept it
     assert 1e-8 < comm["residual"] < 1e-7
-    assert code == EXIT_CHECK_FAILED and not comm["pass"]
+    assert code == EXIT_OK and comm["pass"]
+
+
+FIXED_ALPHA = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+COMM = "[J+,J-] = sum_p beta_p (2 J3)^(2p+1)"
+
+
+def _ladder_off(build):
+    """build, with the largest entry of J+ (and so of J-) off by 1e-9 relative."""
+    def off(*args, **kwargs):
+        rep = build(*args, **kwargs)
+        w, u = rep.ladder
+        u = u.copy()
+        u[np.argmax(u)] *= 1 + 1e-9
+        return MatrixRep(rep.dim, rep.two_j, rep.gamma, rep.family, ladder=(w, u))
+    return off
+
+
+def _coproduct_off(build):
+    """build, with the largest entry of Delta(J+) and its transpose in Delta(J-) off by 1e-9 relative."""
+    def off(*args, **kwargs):
+        djp, djm, dj3 = build(*args, **kwargs)
+        r, c = np.unravel_index(np.argmax(djp), djp.shape)
+        djp[r, c] *= 1 + 1e-9
+        djm[c, r] = djp[r, c]
+        return djp, djm, dj3
+    return off
+
+
+# Each of these was a false FAIL of an absolute gate on terms of norm up to 1e11.
+@pytest.mark.parametrize("argv,module,name,off,flips", [
+    pytest.param(None, repbuilder, "build_deformed", _ladder_off, [COMM], id="irrep_2j200_default_gate"),
+    pytest.param(["verify", "--family", "polynomial", "--j", "40", "--alpha=1/1,1/10,1/100"], repbuilder,
+                 "build_deformed", _ladder_off, [COMM, "Casimir = phi(j(j+1)) I"], id="verify_polynomial_j40"),
+    pytest.param(["verify", "--family", "uq", "--j", "20", "--delta=0.3"], repbuilder, "build_uq", _ladder_off,
+                 ["[J+,J-] = [2 J3] diagonal", "q-Casimir arcsinh relation"], id="verify_uq_j20"),
+    pytest.param(["hopf", "--j1", "11", "--j2", "11", "--alpha=1/1,1/10,1/100"], hopf, "deformed_coproduct",
+                 _coproduct_off, ["deformed coproduct: " + COMM], id="hopf_alpha_j11"),
+    pytest.param(["hopf", "--j1", "20", "--j2", "20", "--alpha=1/1,1/10,1/100"], hopf, "deformed_coproduct",
+                 _coproduct_off, ["deformed coproduct: " + COMM, "co-commutativity of deformed coproduct"],
+                 id="hopf_alpha_j20"),
+    pytest.param(["qlimit", "--delta", "0.3", "--j", "40"], repbuilder, "build_uq", _ladder_off,
+                 ["q-Casimir arcsinh relation"], id="qlimit_j40"),
+])
+def test_former_false_fails_pass_and_fail_when_jplus_is_off(capsys, monkeypatch, argv, module, name, off, flips):
+    def verdicts():
+        if argv is None:
+            rep = repbuilder.build_deformed(StructureSpec(Polynomial(FIXED_ALPHA), HalfInt(200)))
+            return {c.name: c.passed for c in commutator_residuals(rep, beta_from_alpha(FIXED_ALPHA)).checks}
+        code, out, _ = _run(capsys, "--format", "json", *argv)
+        passed = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == (EXIT_OK if all(passed.values()) else EXIT_CHECK_FAILED)
+        return passed
+
+    assert all(verdicts().values())
+    monkeypatch.setattr(module, name, off(getattr(module, name)))
+    passed = verdicts()
+    assert not any(passed[n] for n in flips)
 
 
 def test_qlimit(capsys):
@@ -154,6 +219,10 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     ["rep", "--family", "qbase", "--j", "1", "--alpha=,"],
     ["families", "--family", "higgs", "--j", "1", "--beta-grid=,"],
     ["families", "--family", "quadratic", "--j", "1", "--alpha=1/0"],
+    ["rep", "--family", "higgs", "--j", "1"],
+    ["verify", "--family", "higgs", "--j", "1"],
+    ["families", "--family", "higgs", "--j", "1"],
+    ["rep", "--family", "quadratic", "--j", "1"],
 ], ids=" ".join)
 def test_bad_coefficient_text_is_a_usage_error(capsys, argv):
     code, out, err = _run(capsys, *argv)

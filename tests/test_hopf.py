@@ -25,7 +25,7 @@ from nlsl2.hopf import (
 )
 from nlsl2.repbuilder import MatrixRep, build_sl2
 from nlsl2.structure import divided_difference, f2_polynomial, quadratic_ladder_factor, quadratic_radicand
-from nlsl2.verifier import commutator_residuals
+from nlsl2.verifier import commutator_residuals, gate
 
 
 def test_primitive_coproduct_realizes_kron_sum():
@@ -204,7 +204,9 @@ def test_quadratic_coproduct_bitwise_equals_former_assembly():
         parts = [(b.indices, b.indices, (b.V * np.array([roots[t] for t in b.two_js])) @ b.V.T) for b in pr.blocks]
         want_3 = pr.DJ3 - (1 / (4 * a)) * np.eye(pr.dim) + (1 / (4 * a)) * _former_dense(pr, parts)
         dj3, djp, djm = quadratic_coproduct(pr, a)
-        assert _same_bits(dj3, want_3) and _same_bits(djp, want_p) and _same_bits(djm, want_m)
+        # Delta(J3') is now diag(M) + V diag(gamma) V^T, which rounds differently
+        assert np.abs(dj3 - want_3).max() <= gate(pr.dim, np.linalg.norm(want_3))
+        assert _same_bits(djp, want_p) and _same_bits(djm, want_m)
         _assert_transpose_pair(djp, djm)
 
 

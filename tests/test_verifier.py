@@ -99,6 +99,13 @@ def test_q_series_identity_converges_with_truncation():
     assert r25 < 1e-8
 
 
+def test_q_series_default_truncation_leaves_a_tail_below_the_gate():
+    # j = 40, delta = 0.3: terms of the left-hand side ~1e9; a fixed trunc = 25 left a tail of 1.7e2
+    j, delta = halfint(40), 0.3
+    bound = verifier.gate(j.twice + 1, math.cosh(delta * 81) / (4 * 40 * math.sinh(delta) ** 2))
+    assert q_series_identity_residual(j, -j, delta) <= bound < q_series_identity_residual(j, -j, delta, trunc=25)
+
+
 def _q_series_reference(j, m, delta, trunc):
     """The series residual as a triple loop, recomputing the inner power sum for every k."""
     jv, mv = j.value, m.value
