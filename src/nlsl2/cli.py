@@ -8,6 +8,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -17,13 +19,7 @@ from . import families as fam_mod
 from . import hopf as hopf_mod
 from . import qdeform
 from . import repbuilder, verifier
-from .coefficients import (
-    alpha_from_beta,
-    beta_from_alpha,
-    format_rational,
-    parse_rational,
-    phi_eval,
-)
+from .coefficients import alpha_from_beta, beta_from_alpha, format_rational, parse_rational, phi_eval
 from .halfint import halfint, ladder_desc
 from .structure import HiggsShifted, Polynomial, QBase, QuadraticShifted, StructureSpec
 
@@ -50,24 +46,28 @@ def _scalar(args, name: str) -> Fraction:
     return parse_rational(text)
 
 
-def _emit(args, payload: dict, table: str):
+def _emit(args, payload, table, rows=None):
+    """Print payload() as JSON, table() as text or rows() = (header, rows) as CSV (default: a JSON "value" column).
+
+    Only the asked-for text is built. --output is rewritten in place, then a regular file is cut to the new
+    length, since truncating an existing file to zero first made each write several times slower on ext4.
+    """
     if args.format == "json":
-        clean = {k: v for k, v in payload.items() if k != "csv"}
-        text = json.dumps(clean, sort_keys=True)  # no indent: the C encoder, one line
+        text = json.dumps(payload(), sort_keys=True)  # no indent: the C encoder, one line
     elif args.format == "csv":
+        header, body = rows() if rows else (["value"], [[json.dumps(payload())]])
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        header, rows = payload.get("csv", (["value"], [[json.dumps(payload)]]))
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf).writerows([header, *body])
         text = buf.getvalue().rstrip("\n")
     else:
-        text = table
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
+        text = table()
+    if not args.output:
         print(text)
+        return
+    with os.fdopen(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text + "\n")
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _build_spec(args) -> StructureSpec:
@@ -85,17 +85,14 @@ def _build_spec(args) -> StructureSpec:
 
 def cmd_coeffs(args) -> int:
     if args.alpha_from_beta:
-        out = alpha_from_beta(_rational_list(args.alpha_from_beta))
-        label = "alpha"
+        out, label = alpha_from_beta(_rational_list(args.alpha_from_beta)), "alpha"
     elif args.beta_from_alpha:
-        out = beta_from_alpha(_rational_list(args.beta_from_alpha))
-        label = "beta"
+        out, label = beta_from_alpha(_rational_list(args.beta_from_alpha)), "beta"
     else:
         print("coeffs: one of --alpha-from-beta / --beta-from-alpha is required", file=sys.stderr)
         return EXIT_USAGE
-    payload = {label: [format_rational(v) for v in out],
-               "csv": ([label], [[format_rational(v)] for v in out])}
-    _emit(args, payload, ", ".join(str(v) for v in out))
+    _emit(args, lambda: {label: list(map(format_rational, out))}, lambda: ", ".join(map(str, out)),
+          lambda: ([label], [[format_rational(v)] for v in out]))
     return EXIT_OK
 
 
@@ -107,14 +104,23 @@ def cmd_rep(args) -> int:
         rep = repbuilder.build_uq(j, args.delta)
     else:
         rep = repbuilder.build_deformed(_build_spec(args))
-    w, u = repbuilder.ladder_vectors(rep)
-    table = (
-        f"family={rep.family} j={rep.j} dim={rep.dim} gamma={rep.gamma}\n"
-        f"J3 diag: {w.tolist()}\n"
-        f"J+ superdiag: {u.tolist()}"
-    )
-    _emit(args, rep.to_json_dict() if args.format != "table" else {}, table)
+
+    def table():
+        w, u = repbuilder.ladder_vectors(rep)
+        head = f"family={rep.family} j={rep.j} dim={rep.dim} gamma={rep.gamma}"
+        return f"{head}\nJ3 diag: {w.tolist()}\nJ+ superdiag: {u.tolist()}"
+
+    _emit(args, rep.to_json_dict, table)
     return EXIT_OK
+
+
+def _add_q_casimir_checks(report, j, delta: float, tol):
+    """The three q-Casimir residuals of `qdeform.uq_casimir_residuals`, each gated at its own term's scale."""
+    spread, root, inversion = qdeform.uq_casimir_residuals(j, qdeform.QParam(delta))
+    bracket = qdeform.q_bracket(j.value + 0.5, delta)
+    report.add_numeric("q-Casimir diagonal constant", spread, verifier.gate(j.twice + 1, bracket ** 2, tol))
+    report.add_numeric("sqrt(Chat + [1/2]^2) = [j+1/2]", root, verifier.gate(j.twice + 1, bracket, tol))
+    report.add_numeric("q-Casimir arcsinh relation", inversion, verifier.gate(j.twice + 1, j.value + 0.5, tol))
 
 
 def cmd_verify(args) -> int:
@@ -140,12 +146,11 @@ def cmd_verify(args) -> int:
         target = [qdeform.q_bracket(2 * m.value, args.delta) for m in ladder_desc(j)]
         report.add_numeric("[J+,J-] = [2 J3] diagonal", float(np.linalg.norm(pm - mp - target)),
                            verifier.gate(rep.dim, max(np.linalg.norm(pm), np.linalg.norm(target)), args.tol))
-        report.add_numeric("q-Casimir arcsinh relation", qdeform.uq_casimir_relation(j, qdeform.QParam(args.delta)),
-                           verifier.gate(rep.dim, qdeform.q_bracket(j.value + 0.5, args.delta) ** 2, args.tol))
+        _add_q_casimir_checks(report, j, args.delta, args.tol)
     else:
         print(f"verify: unsupported family {args.family!r}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, report.to_json_dict(), report.render_table())
+    _emit(args, report.to_json_dict, report.render_table)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
@@ -155,12 +160,13 @@ def cmd_families(args) -> int:
     text = getattr(args, f"{name}_grid")
     grid = _float_list(text) if text else [float(_scalar(args, name))]
     rows = fam_mod.scan(j, grid, args.family)
-    header, csv_rows = fam_mod.scan_csv_rows(rows)
-    payload = {"rows": rows, "csv": (header, csv_rows)}
-    lines = ["  ".join(header)]
-    for r in csv_rows:
-        lines.append("  ".join(str(v) for v in r))
-    _emit(args, payload, "\n".join(lines))
+    flat = functools.partial(fam_mod.scan_csv_rows, rows)
+
+    def table():
+        header, body = flat()
+        return "\n".join("  ".join(map(str, r)) for r in (header, *body))
+
+    _emit(args, lambda: {"rows": rows}, table, flat)
     return EXIT_OK
 
 
@@ -189,15 +195,14 @@ def cmd_hopf(args) -> int:
             res = hopf_mod.cocommutativity_check([djp, djm, dj3], rep1.dim)
             report.add_numeric("co-commutativity of deformed coproduct", max(res),
                                verifier.gate(pr.dim, max(map(np.linalg.norm, (djp, djm, dj3))), args.tol))
-    _emit(args, report.to_json_dict(), report.render_table())
+    _emit(args, report.to_json_dict, report.render_table)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 def cmd_qlimit(args) -> int:
     j, delta = halfint(args.j), args.delta
     report = verifier.VerificationReport()
-    report.add_numeric("q-Casimir arcsinh relation", qdeform.uq_casimir_relation(j, qdeform.QParam(delta)),
-                       verifier.gate(j.twice + 1, qdeform.q_bracket(j.value + 0.5, delta) ** 2, args.tol))
+    _add_q_casimir_checks(report, j, delta, args.tol)
     if j.twice > 0:
         # the larger of the two cosh terms on the left, at m = -j
         scale = math.cosh(delta * (j.twice + 1)) / (4 * j.value * math.sinh(delta) ** 2)
@@ -205,16 +210,14 @@ def cmd_qlimit(args) -> int:
                            verifier.gate(j.twice + 1, scale, args.tol))
     roots = verifier.q_shift_rigidity(j, delta)
     report.add_exact("shift rigidity: only gamma = 0", Fraction(max(map(abs, roots))), context=f"roots: {roots}")
-    _emit(args, report.to_json_dict(), report.render_table())
+    _emit(args, report.to_json_dict, report.render_table)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nlsl2",
-        description="Nonlinear sl(2) representations: build, verify, enumerate, Hopf-check",
-    )
+        prog="nlsl2", description="Nonlinear sl(2) representations: build, verify, enumerate, Hopf-check")
     parser.add_argument("--format", choices=["json", "csv", "table"], default="table")
     parser.add_argument("--output", default=None, help="write to file instead of stdout")
     parser.add_argument("--tol", type=float, help="absolute tolerance overriding every numeric gate")
@@ -276,7 +279,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, repbuilder.InadmissibleSpecError) as exc:
+    except (ValueError, OverflowError, repbuilder.InadmissibleSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

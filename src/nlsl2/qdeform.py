@@ -64,33 +64,28 @@ def q_casimir_matrix(rep, delta: float) -> np.ndarray:
     return _ladder_casimir(rep, _q_bracket_values(rep.j, delta))
 
 
-def uq_casimir_relation(j, qp: QParam) -> float:
-    """Check the deformed Casimir identities of U_q(sl(2)) on one irrep.
+def uq_casimir_residuals(j, qp: QParam) -> tuple[float, float, float]:
+    """Residuals of the deformed Casimir identities of U_q(sl(2)) on one irrep, each in its own units.
 
-    Builds the q-deformed rep, forms the diagonal of its Casimir from the
-    ladder, checks that it is constant, and tests the two scalar identities
-        sqrt(Chat + [1/2]^2) = [sqrt(C + 1/4)]
-        sqrt(C + 1/4) = (1/delta) * arcsinh(sqrt(Chat + [1/2]^2) * sinh(delta))
-    with C = j(j+1). Returns the maximum residual.
+    From the ladder of the q-deformed rep: the spread of its Casimir diagonal Chat (units of [j+1/2]^2), and
+    at Chat's first entry, with C = j(j+1), sqrt(Chat + [1/2]^2) = [sqrt(C + 1/4)] (units of [j+1/2]) and
+    sqrt(C + 1/4) = (1/delta) arcsinh(sqrt(Chat + [1/2]^2) sinh(delta)) (units of j + 1/2).
     """
     from .repbuilder import _ladder_casimir_diagonal, build_uq
 
     j = halfint(j)
     d = qp.delta
-    rep = build_uq(j, d)
-    chat_diag = _ladder_casimir_diagonal(rep, _q_bracket_values(j, d))
-    scalar_residual = float(np.max(np.abs(chat_diag - chat_diag[0])))
-    chat = float(chat_diag[0])
-
+    chat_diag = _ladder_casimir_diagonal(build_uq(j, d), _q_bracket_values(j, d))
     half = q_bracket(0.5, d)
-    lhs = math.sqrt(chat + half * half)
-    rhs = q_bracket(j.value + 0.5, d)
-    r1 = abs(lhs - rhs)
-
+    lhs = math.sqrt(float(chat_diag[0]) + half * half)
     back = math.asinh(lhs * math.sinh(d)) / d
-    r2 = abs(back - (j.value + 0.5))
+    return (float(np.max(np.abs(chat_diag - chat_diag[0]))), abs(lhs - q_bracket(j.value + 0.5, d)),
+            abs(back - (j.value + 0.5)))
 
-    return max(scalar_residual, r1, r2)
+
+def uq_casimir_relation(j, qp: QParam) -> float:
+    """The largest of the three `uq_casimir_residuals`."""
+    return max(uq_casimir_residuals(j, qp))
 
 
 def qbase_example_commutator(j, beta: float, qp: QParam) -> float:

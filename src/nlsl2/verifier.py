@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import beta_from_alpha, epsilon, format_rational, over_common_denominator
-from .halfint import halfint, ladder
+from .halfint import halfint
 from .repbuilder import MatrixRep, ladder_products, ladder_vectors
 from .structure import Polynomial, StructureSpec, ladder_numerators
 
@@ -103,16 +103,16 @@ def exact_recurrence_check(alpha: Sequence, j) -> VerificationReport:
     ns, d = ladder_numerators(StructureSpec(Polynomial(alpha), j))
     fs = [*reversed(ns), 0]  # D F(j, m) for m = -j, ..., j; F(m) of one step is F(m-1) of the next
     report = VerificationReport()
-    for m, f_below, f_m in zip(list(ladder(j))[1:], fs, fs[1:]):
-        t = m.twice
+    # each m = t/2 as HalfInt prints it: t // 2 when j is an integer, else "t/2"
+    name = f"ladder-difference j={j} m="
+    div, suffix = (2, "") if j.twice % 2 == 0 else (1, "/2")
+    for t, f_below, f_m in zip(range(2 - j.twice, j.twice + 1, 2), fs, fs[1:]):
         rhs = 0  # B sum_p beta_p t^(2p), by Horner in t^2
         for b in reversed(b_num):
             rhs = rhs * t * t + b
         diff = (f_below - f_m) * b_den - rhs * t * d
-        report.add_exact(
-            f"ladder-difference j={j} m={m}", Fraction(diff, d * b_den) if diff else 0,
-            context="F(j,m-1)-F(j,m) vs odd polynomial in 2m",
-        )
+        report.add_exact(f"{name}{t // div}{suffix}", Fraction(diff, d * b_den) if diff else 0,
+                         context="F(j,m-1)-F(j,m) vs odd polynomial in 2m")
     return report
 
 

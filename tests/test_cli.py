@@ -3,8 +3,10 @@ import io
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +14,9 @@ import numpy as np
 import pytest
 
 import nlsl2.cli as cli
-from nlsl2 import hopf, repbuilder
+from nlsl2 import families, hopf, qdeform, repbuilder, verifier
 from nlsl2.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
-from nlsl2.coefficients import beta_from_alpha
+from nlsl2.coefficients import alpha_from_beta, beta_from_alpha, format_rational
 from nlsl2.halfint import HalfInt
 from nlsl2.repbuilder import MatrixRep
 from nlsl2.structure import Polynomial, StructureSpec
@@ -153,14 +155,14 @@ def _coproduct_off(build):
     pytest.param(["verify", "--family", "polynomial", "--j", "40", "--alpha=1/1,1/10,1/100"], repbuilder,
                  "build_deformed", _ladder_off, [COMM, "Casimir = phi(j(j+1)) I"], id="verify_polynomial_j40"),
     pytest.param(["verify", "--family", "uq", "--j", "20", "--delta=0.3"], repbuilder, "build_uq", _ladder_off,
-                 ["[J+,J-] = [2 J3] diagonal", "q-Casimir arcsinh relation"], id="verify_uq_j20"),
+                 ["[J+,J-] = [2 J3] diagonal", "q-Casimir diagonal constant"], id="verify_uq_j20"),
     pytest.param(["hopf", "--j1", "11", "--j2", "11", "--alpha=1/1,1/10,1/100"], hopf, "deformed_coproduct",
                  _coproduct_off, ["deformed coproduct: " + COMM], id="hopf_alpha_j11"),
     pytest.param(["hopf", "--j1", "20", "--j2", "20", "--alpha=1/1,1/10,1/100"], hopf, "deformed_coproduct",
                  _coproduct_off, ["deformed coproduct: " + COMM, "co-commutativity of deformed coproduct"],
                  id="hopf_alpha_j20"),
     pytest.param(["qlimit", "--delta", "0.3", "--j", "40"], repbuilder, "build_uq", _ladder_off,
-                 ["q-Casimir arcsinh relation"], id="qlimit_j40"),
+                 ["q-Casimir diagonal constant"], id="qlimit_j40"),
 ])
 def test_former_false_fails_pass_and_fail_when_jplus_is_off(capsys, monkeypatch, argv, module, name, off, flips):
     def verdicts():
@@ -259,9 +261,178 @@ def test_readme_cli_examples_exit_zero(capsys, argv):
 def test_json_output_is_one_line_that_parses_to_the_payload(capsys, monkeypatch, argv):
     payloads = []
     emit = cli._emit
-    monkeypatch.setattr(cli, "_emit", lambda args, payload, table: (payloads.append(payload), emit(args, payload, table)))
+    monkeypatch.setattr(cli, "_emit",
+                        lambda args, payload, *rest: (payloads.append(payload()), emit(args, payload, *rest)))
     code, out, _ = _run(capsys, "--format", "json", *argv)
     assert code == EXIT_OK
     assert out.endswith("\n") and out.count("\n") == 1
     (payload,) = payloads
-    assert json.loads(out) == {k: v for k, v in payload.items() if k != "csv"}
+    assert json.loads(out) == payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["qlimit", "--j", "800", "--delta", "0.5"],
+    ["verify", "--family", "uq", "--j", "800", "--delta", "0.5"],
+], ids=" ".join)
+def test_float_overflow_is_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+Q_CASIMIR = ["q-Casimir diagonal constant", "sqrt(Chat + [1/2]^2) = [j+1/2]", "q-Casimir arcsinh relation"]
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.1, 0.3, 0.5])
+def test_q_casimir_checks_pass_up_to_2j_200(delta):
+    for two_j in range(201):
+        report = verifier.VerificationReport()
+        cli._add_q_casimir_checks(report, HalfInt(two_j), delta, None)
+        assert [c.name for c in report.checks] == Q_CASIMIR
+        assert report.all_passed, (two_j, [c.to_json_dict() for c in report.checks])
+
+
+# fs[0] = [j][j+1] enters only the first Casimir diagonal entry, which the two
+# scalar identities read; fs[-1] enters only the last one.
+@pytest.mark.parametrize("entry,flips", [(0, Q_CASIMIR), (-1, Q_CASIMIR[:1])])
+@pytest.mark.parametrize("argv", [
+    ["qlimit", "--j", "1/2", "--delta", "0.3"],
+    ["qlimit", "--j", "40", "--delta", "0.01"],
+    ["verify", "--family", "uq", "--j", "20", "--delta", "0.5"],
+    ["verify", "--family", "uq", "--j", "100", "--delta", "0.5"],
+], ids=" ".join)
+def test_q_casimir_checks_fail_on_one_casimir_entry_off_by_1e9(capsys, monkeypatch, argv, entry, flips):
+    def verdicts():
+        code, out, _ = _run(capsys, "--format", "json", *argv)
+        passed = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == (EXIT_OK if all(passed.values()) else EXIT_CHECK_FAILED)
+        return passed
+
+    assert all(verdicts().values())
+    values = qdeform._q_bracket_values
+
+    def off(j, delta):
+        fs = values(j, delta)
+        fs[entry] *= 1 + 1e-9
+        return fs
+
+    monkeypatch.setattr(qdeform, "_q_bracket_values", off)
+    passed = verdicts()
+    assert [n for n in Q_CASIMIR if not passed[n]] == flips
+
+
+def _former_text(fmt, payload, table):
+    """What --format printed when every command built its JSON payload (with optional "csv"
+    rows) and its table text up front, whatever the format."""
+    if fmt == "json":
+        return json.dumps({k: v for k, v in payload.items() if k != "csv"}, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        header, rows = payload.get("csv", (["value"], [[json.dumps(payload)]]))
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().rstrip("\n") + "\n"
+    return table + "\n"
+
+
+def _coeffs_expected():
+    out = alpha_from_beta([Fraction(1), Fraction(-3, 10), Fraction(1, 7)])
+    text = [format_rational(v) for v in out]
+    return {"alpha": text, "csv": (["alpha"], [[t] for t in text])}, ", ".join(str(v) for v in out)
+
+
+def _rep_expected():
+    rep = repbuilder.build_deformed(StructureSpec(Polynomial([Fraction(1), Fraction(1, 10)]), HalfInt(5)))
+    w, u = repbuilder.ladder_vectors(rep)
+    table = (f"family={rep.family} j={rep.j} dim={rep.dim} gamma={rep.gamma}\n"
+             f"J3 diag: {w.tolist()}\nJ+ superdiag: {u.tolist()}")
+    return rep.to_json_dict(), table
+
+
+def _families_expected():
+    rows = families.scan(HalfInt(2), [-0.3, 0.5, -2.0, -0.05], "higgs")
+    header, csv_rows = families.scan_csv_rows(rows)
+    table = "\n".join(["  ".join(header)] + ["  ".join(str(v) for v in r) for r in csv_rows])
+    return {"rows": rows, "csv": (header, csv_rows)}, table
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv,expected", [
+    (["coeffs", "--alpha-from-beta", "1,-3/10,1/7"], _coeffs_expected),
+    (["rep", "--family", "polynomial", "--j", "5/2", "--alpha", "1,1/10"], _rep_expected),
+    (["verify", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"], None),
+    (["families", "--family", "higgs", "--j", "1", "--beta-grid=-0.3,0.5,-2,-0.05"], _families_expected),
+    (["hopf", "--j1", "1/2", "--j2", "1", "--alpha", "1,-1/5", "--quadratic-alpha", "0.1"], None),
+    (["qlimit", "--j", "3/2", "--delta", "0.2"], None),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_each_format_prints_what_building_every_format_printed(capsys, monkeypatch, fmt, argv, expected):
+    reports = []
+
+    class Recorded(verifier.VerificationReport):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            reports.append(self)
+
+    monkeypatch.setattr(verifier, "VerificationReport", Recorded)
+    code, out, _ = _run(capsys, "--format", fmt, *argv)
+    assert code == EXIT_OK
+    if expected is None:  # the report the command built first is the one it prints
+        payload, table = reports[0].to_json_dict(), reports[0].render_table()
+    else:
+        payload, table = expected()
+    assert out == _former_text(fmt, payload, table)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_output_over_a_longer_file_leaves_exactly_the_new_text(tmp_path, capsys, fmt):
+    target = tmp_path / "out"
+    long_argv = ["--format", fmt, "rep", "--family", "sl2", "--j", "5"]
+    short_argv = ["--format", fmt, "coeffs", "--alpha-from-beta", "1"]
+    assert run(["--output", str(target), *long_argv]) == EXIT_OK
+    long_size = target.stat().st_size
+    assert run(["--output", str(target), *short_argv]) == EXIT_OK
+    assert run(short_argv) == EXIT_OK
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) < long_size and target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+def test_output_creates_a_missing_file_with_the_mode_open_gives(tmp_path, capsys, mask):
+    reference, target = tmp_path / "reference", tmp_path / "target"
+    old = os.umask(mask)
+    try:
+        with open(reference, "w"):
+            pass
+        assert run(["--output", str(target), "coeffs", "--alpha-from-beta", "1"]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    assert target.read_text() == "1\n"
+
+
+def test_output_to_dev_null_exits_zero(capsys):
+    assert run(["--output", os.devnull, "rep", "--family", "sl2", "--j", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
+def test_output_to_a_fifo_writes_the_text(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        code = run(["--output", str(fifo), "coeffs", "--alpha-from-beta", "1,1/10"])
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive() and code == EXIT_OK and got == ["1, 1/5\n"]
+
+
+def test_output_to_dev_stdout_into_a_pipe_exits_zero():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "nlsl2", "--output", "/dev/stdout", "coeffs", "--alpha-from-beta",
+                           "1,1/10"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1, 1/5\n"

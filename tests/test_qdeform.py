@@ -14,6 +14,7 @@ from nlsl2.qdeform import (
     q_bracket,
     qbase_example_commutator,
     uq_casimir_relation,
+    uq_casimir_residuals,
 )
 
 deltas = st.floats(0.05, 2.0)
@@ -126,6 +127,12 @@ def test_beta_coeffs_resum_to_bracket():
 @settings(max_examples=24, deadline=None)
 def test_casimir_relation_all_spins(two_j, d):
     assert uq_casimir_relation(HalfInt(two_j), QParam(d)) < 1e-11
+
+
+@pytest.mark.parametrize("two_j,d", [(0, 0.3), (5, 0.1), (40, 0.3)])
+def test_casimir_relation_is_the_largest_residual(two_j, d):
+    residuals = uq_casimir_residuals(HalfInt(two_j), QParam(d))
+    assert len(residuals) == 3 and uq_casimir_relation(HalfInt(two_j), QParam(d)) == max(residuals)
 
 
 def test_qbase_example_commutator_small():

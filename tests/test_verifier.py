@@ -32,6 +32,14 @@ def test_recurrence_exact_for_any_alpha(alpha, two_j):
     assert all(c.kind == "exact" for c in report.checks)
 
 
+@pytest.mark.parametrize("two_j", [1, 6, 7])
+def test_recurrence_check_names_print_m_as_halfint_does(two_j):
+    j = HalfInt(two_j)
+    report = exact_recurrence_check([Fraction(1), Fraction(1, 10)], j)
+    assert len(report.checks) == two_j
+    assert [c.name for c in report.checks] == [f"ladder-difference j={j} m={m}" for m in list(ladder(j))[1:]]
+
+
 def test_recurrence_check_fails_on_beta_off_by_1e12(monkeypatch):
     # negative control: beta off by 1e-12 in its last coefficient breaks the
     # identity at every m != 0, by the exact amount the closed form gives
