@@ -20,7 +20,7 @@ from . import hopf as hopf_mod
 from . import qdeform
 from . import repbuilder, verifier
 from .coefficients import alpha_from_beta, beta_from_alpha, format_rational, parse_rational, phi_eval
-from .halfint import halfint, ladder_desc
+from .halfint import halfint
 from .structure import HiggsShifted, Polynomial, QBase, QuadraticShifted, StructureSpec
 
 EXIT_OK = 0
@@ -64,7 +64,11 @@ def _emit(args, payload, table, rows=None):
     if not args.output:
         print(text)
         return
-    with os.fdopen(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+    try:
+        fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
+    with os.fdopen(fd, "w") as fh:
         fh.write(text + "\n")
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
@@ -143,7 +147,7 @@ def cmd_verify(args) -> int:
     elif args.family == "uq":
         rep = repbuilder.build_uq(j, args.delta)
         pm, mp = repbuilder.ladder_products(repbuilder.ladder_vectors(rep)[1])
-        target = [qdeform.q_bracket(2 * m.value, args.delta) for m in ladder_desc(j)]
+        target = qdeform.q_brackets(np.arange(j.twice, -j.twice - 1, -2), args.delta)  # [2m], m = j, ..., -j
         report.add_numeric("[J+,J-] = [2 J3] diagonal", float(np.linalg.norm(pm - mp - target)),
                            verifier.gate(rep.dim, max(np.linalg.norm(pm), np.linalg.norm(target)), args.tol))
         _add_q_casimir_checks(report, j, args.delta, args.tol)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfint import HalfInt, halfint, ladder_desc
+from .halfint import HalfInt, halfint
+
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -27,11 +29,35 @@ class QParam:
             raise ValueError("QParam requires delta != 0 (q = e^delta must be deformed)")
 
 
-def q_bracket(x: float, delta: float) -> float:
-    """[x] = (q^x - q^-x)/(q - q^-1) = sinh(delta*x)/sinh(delta)."""
+def q_brackets(x, delta: float, dtype=float) -> np.ndarray:
+    """[x] = sinh(delta x)/sinh(delta) at every entry of x, in dtype: the one q-bracket every caller shares."""
     if delta == 0:
         raise ValueError("q_bracket requires delta != 0")
-    return math.sinh(delta * x) / math.sinh(delta)
+    d = np.dtype(dtype).type(delta)
+    return np.sinh(d * np.asarray(x, dtype=dtype)) / np.sinh(d)
+
+
+def q_bracket(x: float, delta: float) -> float:
+    """[x] = (q^x - q^-x)/(q - q^-1) = sinh(delta*x)/sinh(delta), from `q_brackets`."""
+    return float(q_brackets(x, delta))
+
+
+def check_q_range(j: HalfInt, delta: float):
+    """ValueError naming j, delta and the limit unless the U_q q-numbers of spin j are finite floats.
+
+    With x = |delta| (2j+1), the U_q builders and checks form cosh(x) and sums of up to four products [a][b],
+    |a| + |b| <= 2j + 1, each at most [j+1/2]^2 as log sinh is concave. Both stay below the float maximum e^L
+    while x <= min(L + log 2, 2 asinh(e^k)), k = (L - log 4)/2 + log sinh|delta|.
+    """
+    if delta == 0:
+        raise ValueError("q-numbers require delta != 0")
+    d = abs(delta)
+    k = (LOG_FLOAT_MAX - math.log(4)) / 2 + d - math.log(2) + math.log(-math.expm1(-2 * d))
+    asinh_exp_k = k + math.log1p(math.sqrt(1 + math.exp(-2 * k))) if k > 0 else math.asinh(math.exp(k))
+    limit = min(LOG_FLOAT_MAX + math.log(2), 2 * asinh_exp_k)
+    if not d * (j.twice + 1) <= limit:
+        raise ValueError(f"q-numbers at j={j}, delta={delta} overflow a float: "
+                         f"|delta|(2j+1) = {d * (j.twice + 1):.6g} exceeds the limit {limit:.6g}")
 
 
 def q_beta_coeffs(qp: QParam, count: int) -> list[float]:
@@ -46,9 +72,10 @@ def q_beta_coeffs(qp: QParam, count: int) -> list[float]:
 
 
 def _q_bracket_values(j: HalfInt, delta: float) -> np.ndarray:
-    """[m][m+1] over m = j, ..., -j-1: the f(m(m+1)) of the q-Casimir."""
-    return np.array([q_bracket(m, delta) * q_bracket(m + 1, delta)
-                     for m in [*(m.value for m in ladder_desc(j)), -j.value - 1]])
+    """[m][m+1] over m = j, ..., -j-1: the f(m(m+1)) of the q-Casimir, from the brackets of j+1, ..., -j-1."""
+    check_q_range(j, delta)
+    brackets = q_brackets(np.arange(j.twice + 2, -j.twice - 3, -2) / 2, delta)
+    return brackets[1:] * brackets[:-1]
 
 
 def q_casimir_matrix(rep, delta: float) -> np.ndarray:
@@ -102,8 +129,6 @@ def qbase_example_commutator(j, beta: float, qp: QParam) -> float:
     alpha = [1.0, beta / q_bracket(2.0, d)]
     rep = build_deformed(StructureSpec(QBase(alpha, d), j))
     pm, mp = ladder_products(ladder_vectors(rep)[1])
-    target = [
-        q_bracket(2 * m.value, d) * (1.0 + beta * q_bracket(m.value, d) ** 2)
-        for m in ladder_desc(j)
-    ]
+    ms = np.arange(j.twice, -j.twice - 1, -2) / 2
+    target = q_brackets(2 * ms, d) * (1.0 + beta * q_brackets(ms, d) ** 2)
     return float(np.linalg.norm(pm - mp - target))

@@ -17,10 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import phi_prime_witness
-from .halfint import HalfInt, halfint, ladder_desc
-from .qdeform import _q_bracket_values, q_bracket
+from .halfint import HalfInt, halfint
+from .qdeform import _q_bracket_values, check_q_range, q_bracket, q_brackets
 from .structure import (ALPHA_FLOOR, CLAMP_TOL, Polynomial, StructureSpec, divided_difference, ladder_numerators,
-                        phi_ladder_numerators, quadratic_ladder_factor, quadratic_radicand, quadratic_shift, screen)
+                        phi_ladder_numerators, quadratic_ladder_factor, quadratic_radicand, quadratic_shift, screen,
+                        sl2_squares)
 
 
 class InadmissibleSpecError(ValueError):
@@ -162,14 +163,15 @@ def ladder_products(u: np.ndarray):
     return np.concatenate((u2, zero)), np.concatenate((zero, u2))
 
 
-def _sl2_squares(j: HalfInt) -> list[float]:
-    """(j - m)(j + m + 1), the undeformed squared superdiagonal, for m = j-1, ..., -j."""
-    return [(j.value - m.value) * (j.value + m.value + 1) for m in list(ladder_desc(j))[1:]]
+def _first_m(j: HalfInt, mask: np.ndarray) -> HalfInt:
+    """The first source state m (descending from j-1) where mask holds."""
+    return HalfInt(j.twice - 2 - 2 * int(np.argmax(mask)))
 
 
 def build_sl2(j) -> MatrixRep:
     """Standard angular-momentum matrices for spin j."""
-    return _assemble(halfint(j), _sl2_squares(halfint(j)), family="sl2")
+    j = halfint(j)
+    return _assemble(j, sl2_squares(j), family="sl2")
 
 
 def build_deformed(spec: StructureSpec) -> MatrixRep:
@@ -185,8 +187,9 @@ def build_deformed(spec: StructureSpec) -> MatrixRep:
     offending = screen(spec, values)
     if offending:
         raise InadmissibleSpecError(spec, offending)
-    ups = [max(n / d, 0.0) for n in values]
-    return _assemble(spec.j, ups, gamma=spec.gamma, family=spec.family_name)
+    if isinstance(spec.family, Polynomial):
+        values = [n / d for n in values]
+    return _assemble(spec.j, np.maximum(values, 0.0), gamma=spec.gamma, family=spec.family_name)
 
 
 def build_uq(j, delta: float, dtype=float) -> MatrixRep:
@@ -197,26 +200,21 @@ def build_uq(j, delta: float, dtype=float) -> MatrixRep:
     the large q-bracket entries.
     """
     j = halfint(j)
-    if delta == 0:
-        raise ValueError("build_uq requires delta != 0")
-    dt = np.dtype(dtype).type
-    d = dt(delta)
-    sinh_d = np.sinh(d)
-
-    def qb(x):
-        return np.sinh(d * dt(x)) / sinh_d
-
-    ups = [
-        qb(j.value - m.value) * qb(j.value + m.value + 1)
-        for m in list(ladder_desc(j))[1:]
-    ]
-    return _assemble(j, ups, family="Uq", dtype=dtype)
+    check_q_range(j, delta)
+    brackets = q_brackets(np.arange(1, j.twice + 1), delta, dtype)  # [j-m] for m = j-1, ..., -j
+    return _assemble(j, brackets * brackets[::-1], family="Uq", dtype=dtype)
 
 
 def _sl2_input(rep: MatrixRep, caller: str):
     """ValueError naming rep's family unless rep is an undeformed sl2 irrep."""
     if rep.family != "sl2":
         raise ValueError(f"{caller} expects an sl2 irrep, not {rep.family!r}")
+
+
+def _divided_differences(alpha: Sequence, j: HalfInt) -> np.ndarray:
+    """`structure.divided_difference` at the labels (2j, 2m) for m = j-1, ..., -j."""
+    g = divided_difference(alpha, j.twice)
+    return np.array([g(j.twice, t) for t in range(j.twice - 2, -j.twice - 1, -2)])
 
 
 def deformed_from_undeformed(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
@@ -230,14 +228,11 @@ def deformed_from_undeformed(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     """
     _sl2_input(rep, "deformed_from_undeformed")
     j = rep.j
-    g = divided_difference(alpha, j.twice)
-    ups = []
-    for m, base in zip(list(ladder_desc(j))[1:], _sl2_squares(j)):
-        q = g(j.twice, m.twice)
-        if q < 0:
-            raise InadmissibleSpecError(StructureSpec(Polynomial(alpha), j), [m])
-        ups.append(base * q)
-    return _assemble(j, ups, family="Polynomial")
+    factors = _divided_differences(alpha, j)
+    negative = factors < 0
+    if negative.any():
+        raise InadmissibleSpecError(StructureSpec(Polynomial(alpha), j), [_first_m(j, negative)])
+    return _assemble(j, sl2_squares(j) * factors, family="Polynomial")
 
 
 def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
@@ -260,13 +255,11 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
             f"alpha must satisfy alpha <= 3/(2(4j+1)) = {3 / (2 * (2 * j.twice + 1)):.6g}"
         )
     s = math.sqrt(rad)
-    ups = []
-    for m, base in zip(list(ladder_desc(j))[1:], _sl2_squares(j)):
-        val = base * quadratic_ladder_factor(a, s, m.value)
-        if val < -CLAMP_TOL:
-            raise ValueError(f"negative squared matrix element at m={m} for alpha={a}")
-        ups.append(max(val, 0.0))
-    return _assemble(j, ups, gamma=quadratic_shift(a, s), family="QuadraticShifted")
+    vals = sl2_squares(j) * quadratic_ladder_factor(a, s, np.arange(j.twice - 2, -j.twice - 1, -2) / 2)
+    negative = vals < -CLAMP_TOL
+    if negative.any():
+        raise ValueError(f"negative squared matrix element at m={_first_m(j, negative)} for alpha={a}")
+    return _assemble(j, np.maximum(vals, 0.0), gamma=quadratic_shift(a, s), family="QuadraticShifted")
 
 
 def _ladder_casimir_diagonal(rep: MatrixRep, fs: np.ndarray):
@@ -317,8 +310,6 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
     sqrt(C + 1/4) = (1/delta) arcsinh(sqrt(Chat + [1/2]^2) sinh(delta))
     and rescales the ladder entries accordingly.
     """
-    if delta == 0:
-        raise ValueError("inverse_map_uq requires delta != 0")
     j = repq.j
     _, u = _irrep_ladder(repq, "inverse_map_uq")
     chat = float(_ladder_casimir_diagonal(repq, _q_bracket_values(j, delta))[0])
@@ -329,21 +320,16 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
         raise ValueError("inconsistent q-deformed input: negative Chat + [1/2]^2")
     c = (math.asinh(math.sqrt(arg) * math.sinh(delta)) / delta) ** 2 - 0.25
 
-    ups = []
-    for i, m in enumerate(list(ladder_desc(j))[1:]):
-        num = (c + 0.25) - (m.value + 0.5) ** 2
-        den = arg - q_bracket(m.value + 0.5, delta) ** 2
-        entry2 = u[i] ** 2
-        if den <= 0:
-            if entry2 > CLAMP_TOL or num > CLAMP_TOL:
-                raise ValueError(f"inconsistent q-deformed input at m={m}")
-            ups.append(0.0)
-            continue
-        ratio = num / den
-        if ratio < 0:
-            raise ValueError(f"inconsistent q-deformed input: negative ratio at m={m}")
-        ups.append(entry2 * ratio)
-    return _assemble(j, ups, family="sl2")
+    mid = np.arange(j.twice - 1, -j.twice, -2) / 2  # m + 1/2 for m = j-1, ..., -j
+    num = (c + 0.25) - mid ** 2
+    den = arg - q_brackets(mid, delta) ** 2
+    entry2 = u * u
+    singular = den <= 0
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=~singular)
+    bad = (singular & ((entry2 > CLAMP_TOL) | (num > CLAMP_TOL))) | (ratio < 0)
+    if bad.any():
+        raise ValueError(f"inconsistent q-deformed input at m={_first_m(j, bad)}")
+    return _assemble(j, entry2 * ratio, family="sl2")
 
 
 def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
@@ -358,6 +344,4 @@ def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     witness = phi_prime_witness(alpha, j.mm1())
     if witness is not None:
         raise NonBijectiveError(witness)
-    g = divided_difference(alpha, j.twice)
-    ups = [u[i] ** 2 / g(j.twice, m.twice) for i, m in enumerate(list(ladder_desc(j))[1:])]
-    return _assemble(j, ups, family="sl2")
+    return _assemble(j, u * u / _divided_differences(alpha, j), family="sl2")

@@ -11,7 +11,8 @@ integers, phi(m(m+1)) = n / D with n from one `coefficients.phi_numerators`
 call at the integers t(t+2), t = 2m, over phi's common denominator D, and
 Fractions are built only by the public functions that return them. The
 shifted Higgs, shifted quadratic and q-base families carry irrational
-parameters and are floating point with an explicit tolerance.
+parameters and are floating point with an explicit tolerance; each closed
+form takes m as a float (`f2_up`) or a whole ladder array, bitwise alike.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .coefficients import as_rationals, phi_numerators
-from .halfint import HalfInt, halfint, ladder_desc
-from .qdeform import q_bracket
+from .halfint import HalfInt, halfint
+from .qdeform import check_q_range, q_bracket, q_brackets
 
 # Guards, not check gates (`verifier.gate`): a float closed form is taken as its exact zero or sign.
 ADMISSIBILITY_TOL = 1e-12  # a ladder value above -this passes the screen
@@ -119,55 +122,40 @@ def f2_polynomial(alpha: Sequence, j, m) -> Fraction:
     return acc
 
 
-def f2_higgs_shifted_up(beta: float, gamma: float, j, m) -> float:
-    """Raising structure function of the shifted Higgs family."""
-    j, m = halfint(j), halfint(m)
-    _check_range(j, m, below=1)
-    jv, mv, b, g = j.value, m.value, float(beta), float(gamma)
-    return (jv - mv) * (jv + mv + 1 + 2 * g) * (
-        1 + 2 * b * (jv * (jv + 1) + mv * (mv + 1) + 2 * g * (jv + mv + 1 + g))
-    )
-
-
-def f2_quadratic_up(alpha: float, gamma: float, j, m) -> float:
-    """Raising structure function of the shifted quadratic family."""
-    j, m = halfint(j), halfint(m)
-    _check_range(j, m, below=1)
-    jv, mv, a, g = j.value, m.value, float(alpha), float(gamma)
-    inner = (4 * jv * jv / 3 + 4 * jv * mv / 3 + 4 * mv * mv / 3 + 4 * g * jv + 4 * g * mv
-             + 2 * jv + 2 * mv + 4 * g * g + 4 * g + 2.0 / 3)
-    return (jv - mv) * (jv + mv + 1 + 2 * g + a * inner)
-
-
-def f2_qbase(alpha: Sequence, delta: float, j, m) -> float:
-    """F(j, m) = sum_k alpha_k (([j][j+1])^k - ([m][m+1])^k), [x] the q-bracket."""
-    j, m = halfint(j), halfint(m)
-    _check_range(j, m, below=1)
-    if delta == 0:
-        raise ValueError("f2_qbase requires delta != 0")
-    jj1 = q_bracket(j.value, delta) * q_bracket(j.value + 1, delta)
-    mm1 = q_bracket(m.value, delta) * q_bracket(m.value + 1, delta)
-    acc = 0.0
-    jp = mp = 1.0
-    for coeff in alpha:
-        jp *= jj1
-        mp *= mm1
-        acc += float(coeff) * (jp - mp)
-    return acc
+def _float_closed_form(fam: Family, j: HalfInt, mv):
+    """F(j, m) of a float family at mv = m, a float or an array of them."""
+    jv = j.value
+    if isinstance(fam, HiggsShifted):
+        b, g = float(fam.beta), float(fam.gamma)
+        return (jv - mv) * (jv + mv + 1 + 2 * g) * (
+            1 + 2 * b * (jv * (jv + 1) + mv * (mv + 1) + 2 * g * (jv + mv + 1 + g))
+        )
+    if isinstance(fam, QuadraticShifted):
+        a, g = float(fam.alpha), float(fam.gamma)
+        inner = (4 * jv * jv / 3 + 4 * jv * mv / 3 + 4 * mv * mv / 3 + 4 * g * jv + 4 * g * mv
+                 + 2 * jv + 2 * mv + 4 * g * g + 4 * g + 2.0 / 3)
+        return (jv - mv) * (jv + mv + 1 + 2 * g + a * inner)
+    if isinstance(fam, QBase):  # sum_k alpha_k (([j][j+1])^k - ([m][m+1])^k)
+        check_q_range(j, fam.delta)
+        jj1 = q_bracket(jv, fam.delta) * q_bracket(jv + 1, fam.delta)
+        mm1 = q_brackets(mv, fam.delta) * q_brackets(mv + 1, fam.delta)
+        acc = 0.0
+        jp = mp = 1.0
+        for coeff in fam.alpha:
+            jp *= jj1
+            mp *= mm1
+            acc += coeff * (jp - mp)
+        return acc
+    raise TypeError(f"unknown family {fam!r}")
 
 
 def f2_up(spec: StructureSpec, m) -> float:
     """Family dispatch for the raising structure function (as float)."""
-    fam, j = spec.family, spec.j
+    fam, j, m = spec.family, spec.j, halfint(m)
     if isinstance(fam, Polynomial):
         return float(f2_polynomial(fam.alpha, j, m))
-    if isinstance(fam, HiggsShifted):
-        return f2_higgs_shifted_up(fam.beta, fam.gamma, j, m)
-    if isinstance(fam, QuadraticShifted):
-        return f2_quadratic_up(fam.alpha, fam.gamma, j, m)
-    if isinstance(fam, QBase):
-        return f2_qbase(fam.alpha, fam.delta, j, m)
-    raise TypeError(f"unknown family {fam!r}")
+    _check_range(j, m, below=1)
+    return float(_float_closed_form(fam, j, m.value))
 
 
 def f2_down(spec: StructureSpec, m) -> float:
@@ -182,14 +170,35 @@ def f2_down(spec: StructureSpec, m) -> float:
     return f2_up(spec, m - 1)
 
 
+def f2_higgs_shifted_up(beta: float, gamma: float, j, m) -> float:
+    """Raising structure function of the shifted Higgs family."""
+    return f2_up(StructureSpec(HiggsShifted(beta, gamma), j), m)
+
+
 def f2_higgs_shifted_down(beta: float, gamma: float, j, m) -> float:
     """Lowering structure function of the shifted Higgs family, F(j, m-1)."""
     return f2_down(StructureSpec(HiggsShifted(beta, gamma), j), m)
 
 
+def f2_quadratic_up(alpha: float, gamma: float, j, m) -> float:
+    """Raising structure function of the shifted quadratic family."""
+    return f2_up(StructureSpec(QuadraticShifted(alpha, gamma), j), m)
+
+
 def f2_quadratic_down(alpha: float, gamma: float, j, m) -> float:
     """Lowering structure function of the shifted quadratic family, F(j, m-1)."""
     return f2_down(StructureSpec(QuadraticShifted(alpha, gamma), j), m)
+
+
+def f2_qbase(alpha: Sequence, delta: float, j, m) -> float:
+    """F(j, m) = sum_k alpha_k (([j][j+1])^k - ([m][m+1])^k), [x] the q-bracket."""
+    return f2_up(StructureSpec(QBase(alpha, delta), j), m)
+
+
+def sl2_squares(j: HalfInt) -> np.ndarray:
+    """(j - m)(j + m + 1) = (2j - t)(2j + t + 2)/4, t = 2m, for m = j-1, ..., -j: the undeformed F, as floats."""
+    t = np.arange(j.twice - 2, -j.twice - 1, -2)
+    return ((j.twice - t) * (j.twice + t + 2) // 4).astype(float)
 
 
 def phi_ladder_numerators(alpha: Sequence, j) -> tuple[list[int], int]:
@@ -246,14 +255,14 @@ def ladder_numerators(spec: StructureSpec) -> tuple[list, int]:
 
     For the polynomial family ns are the ints phi(j(j+1)) - phi(m(m+1)) over
     phi's common denominator D > 0, so the sign of ns[i] is the sign of F and
-    ns[i] / D is float(F) bitwise. The other families give their float
-    closed forms over D = 1.
+    ns[i] / D is float(F) bitwise. The other families give an array of their
+    float closed forms over D = 1.
     """
     fam, j = spec.family, spec.j
     if isinstance(fam, Polynomial):
         (top, *rest), d = phi_ladder_numerators(fam.alpha, j)
         return [top - n for n in rest], d
-    return [f2_up(spec, m) for m in list(ladder_desc(j))[1:]], 1
+    return _float_closed_form(fam, j, np.arange(j.twice - 2, -j.twice - 1, -2) / 2), 1
 
 
 def ladder_values(spec: StructureSpec) -> list:
@@ -263,7 +272,7 @@ def ladder_values(spec: StructureSpec) -> list:
     closed forms otherwise; both from `ladder_numerators`.
     """
     ns, d = ladder_numerators(spec)
-    return [Fraction(n, d) for n in ns] if isinstance(spec.family, Polynomial) else ns
+    return [Fraction(n, d) for n in ns] if isinstance(spec.family, Polynomial) else ns.tolist()
 
 
 def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:

@@ -102,18 +102,22 @@ def exact_recurrence_check(alpha: Sequence, j) -> VerificationReport:
     b_num, b_den = over_common_denominator(beta_from_alpha(alpha))
     ns, d = ladder_numerators(StructureSpec(Polynomial(alpha), j))
     fs = [*reversed(ns), 0]  # D F(j, m) for m = -j, ..., j; F(m) of one step is F(m-1) of the next
-    report = VerificationReport()
+    ts = range(2 - j.twice, j.twice + 1, 2)
+    squares = [t * t for t in range(j.twice, -1, -2)]
+    evens = [0] * len(squares)  # B sum_p beta_p t^(2p) at t = 2j, 2j-2, ..., by Horner in t^2
+    for b in reversed(b_num):
+        evens = [r * sq + b for r, sq in zip(evens, squares)]
+    rhs = evens[1:len(evens) - 1 + j.twice % 2] + evens[::-1]  # over ts: even in t, so -t reuses t
+    diffs = [(f_below - f_m) * b_den - r * t * d for f_below, f_m, r, t in zip(fs, fs[1:], rhs, ts)]
     # each m = t/2 as HalfInt prints it: t // 2 when j is an integer, else "t/2"
     name = f"ladder-difference j={j} m="
     div, suffix = (2, "") if j.twice % 2 == 0 else (1, "/2")
-    for t, f_below, f_m in zip(range(2 - j.twice, j.twice + 1, 2), fs, fs[1:]):
-        rhs = 0  # B sum_p beta_p t^(2p), by Horner in t^2
-        for b in reversed(b_num):
-            rhs = rhs * t * t + b
-        diff = (f_below - f_m) * b_den - rhs * t * d
-        report.add_exact(f"{name}{t // div}{suffix}", Fraction(diff, d * b_den) if diff else 0,
-                         context="F(j,m-1)-F(j,m) vs odd polynomial in 2m")
-    return report
+    context = "F(j,m-1)-F(j,m) vs odd polynomial in 2m"
+    return VerificationReport([
+        Check(f"{name}{t // div}{suffix}", "exact", not diff, None, context, None,
+              format_rational(Fraction(diff, d * b_den)) if diff else None)
+        for t, diff in zip(ts, diffs)
+    ])
 
 
 def _odd_series(two_j3: np.ndarray, beta: Sequence, mul) -> np.ndarray:

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -279,6 +280,34 @@ def test_float_overflow_is_a_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qlimit", "--j", "800", "--delta", "0.5"],
+    ["qlimit", "--j", "356", "--delta", "1"],
+    ["verify", "--family", "uq", "--j", "800", "--delta", "0.5"],
+    ["rep", "--family", "uq", "--j", "800", "--delta", "-0.5"],
+], ids=" ".join)
+def test_q_number_overflow_is_one_error_line_naming_j_delta_and_the_limit(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: q-numbers at j=")
+    j, delta = argv[argv.index("--j") + 1], argv[argv.index("--delta") + 1]
+    assert f"j={j}, delta={float(delta)}" in err and "exceeds the limit" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_is_one_error_line_naming_the_path(tmp_path, capsys, fmt, where):
+    target = tmp_path / "no" / "such" / "x.json" if where == "missing_dir" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, "--format", fmt, "--output", str(target), "coeffs", "--alpha-from-beta", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(target) in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 Q_CASIMIR = ["q-Casimir diagonal constant", "sqrt(Chat + [1/2]^2) = [j+1/2]", "q-Casimir arcsinh relation"]

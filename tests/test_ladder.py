@@ -167,6 +167,33 @@ def test_ladder_values_match_closed_forms():
         assert ladder_values(spec) == [f2_up(spec, m) for m in ms[1:]]
 
 
+FLOAT_FAMILIES = [HiggsShifted(-1e-7, 0.3), QuadraticShifted(0.05, -0.1), QBase([1.0, 0.05], 0.01)]
+
+
+@pytest.mark.parametrize("fam", FLOAT_FAMILIES, ids=lambda fam: type(fam).__name__)
+@pytest.mark.parametrize("two_j", [0, 1, 2, 7, 64, 1000])
+def test_float_ladder_is_the_scalar_closed_form_bitwise(fam, two_j):
+    # the array expression over m = j, ..., -j-1 against f2_up one m at a time, boundary point included
+    spec = StructureSpec(fam, HalfInt(two_j))
+    ms = np.arange(two_j, -two_j - 3, -2) / 2
+    scalar = np.array([f2_up(spec, HalfInt(t)) for t in range(two_j, -two_j - 3, -2)])
+    array = structure._float_closed_form(fam, spec.j, ms)
+    assert bitwise_equal(array, scalar)
+    values, d = structure.ladder_numerators(spec)
+    assert d == 1 and bitwise_equal(values, scalar[1:-1])
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 7, 64, 1000])
+def test_sl2_and_uq_ladders_are_the_scalar_closed_forms_bitwise(two_j):
+    j = HalfInt(two_j)
+    sources = list(ladder_desc(j))[1:]
+    sl2 = np.array([(j.value - m.value) * (j.value + m.value + 1) for m in sources])
+    assert bitwise_equal(structure.sl2_squares(j), sl2)
+    assert bitwise_equal(ladder_vectors(build_sl2(j))[1], np.sqrt(sl2))
+    uq = np.array([q_bracket(j.value - m.value, 0.01) * q_bracket(j.value + m.value + 1, 0.01) for m in sources])
+    assert bitwise_equal(ladder_vectors(build_uq(j, 0.01))[1], np.sqrt(uq))
+
+
 def test_inadmissible_polynomial_rejection_list_matches_admissible():
     spec = StructureSpec(Polynomial([1, Fraction(-1, 7)]), halfint(4))
     ok, offending = admissible(spec)

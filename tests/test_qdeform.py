@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,12 +11,16 @@ from hypothesis import strategies as st
 from nlsl2.halfint import HalfInt, halfint
 from nlsl2.qdeform import (
     QParam,
+    _q_bracket_values,
+    check_q_range,
     q_beta_coeffs,
     q_bracket,
+    q_brackets,
     qbase_example_commutator,
     uq_casimir_relation,
     uq_casimir_residuals,
 )
+from nlsl2.repbuilder import _ladder_casimir_diagonal, build_uq
 
 deltas = st.floats(0.05, 2.0)
 args = st.floats(-6, 6)
@@ -54,6 +59,15 @@ def test_qparam_rejects_zero():
 @given(args, deltas)
 def test_bracket_odd(x, d):
     assert math.isclose(q_bracket(-x, d), -q_bracket(x, d), rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("delta", [-1.3, -0.2, 1e-3, 0.01, 0.3, 1.0, 5.0])
+def test_scalar_bracket_is_the_array_form_bitwise(delta):
+    xs = np.concatenate((np.arange(-300, 301) / 2, np.linspace(-40, 40, 997)))
+    xs = xs[np.abs(delta * xs) < 700]
+    scalar = np.array([q_bracket(float(x), delta) for x in xs])
+    assert np.array_equal(scalar, q_brackets(xs, delta))
+    assert np.array_equal(np.signbit(scalar), np.signbit(q_brackets(xs, delta)))
 
 
 @given(args, deltas)
@@ -138,3 +152,25 @@ def test_casimir_relation_is_the_largest_residual(two_j, d):
 def test_qbase_example_commutator_small():
     assert qbase_example_commutator(halfint("3/2"), 0.1, QParam(0.3)) < 1e-12
     assert qbase_example_commutator(halfint(1), -0.05, QParam(0.8)) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.01, 0.3, 0.5, 1.0, 5.0])
+def test_q_range_limit_is_the_float_range_of_the_q_numbers(delta):
+    # the largest admissible 2j builds and checks with finite floats and no warning; the next is rejected
+    two_j, rejected = 0, 10**7
+    while rejected - two_j > 1:
+        mid = (two_j + rejected) // 2
+        try:
+            check_q_range(HalfInt(mid), delta)
+            two_j = mid
+        except ValueError:
+            rejected = mid
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        build_uq(HalfInt(rejected), delta)
+    if two_j > 10**5:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = build_uq(HalfInt(two_j), delta)
+        diag = _ladder_casimir_diagonal(rep, _q_bracket_values(HalfInt(two_j), delta))
+        assert np.isfinite(diag).all() and np.isfinite(np.cosh(delta * (two_j + 1)))

@@ -65,6 +65,53 @@ def test_recurrence_check_fails_on_beta_off_by_1e12(monkeypatch):
             assert check.discrepancy == (None if want == 0 else format_rational(want))
 
 
+def former_recurrence_check(alpha, j):
+    """The per-m reference: each drop from exact Fractions of the closed form, one add_exact per m."""
+    beta = beta_from_alpha(alpha)
+    report = VerificationReport()
+    for m in list(ladder(j))[1:]:
+        two_m = 2 * m.exact
+        diff = (f2_polynomial(alpha, j, m - 1) - f2_polynomial(alpha, j, m)
+                - sum(b * two_m ** (2 * p + 1) for p, b in enumerate(beta)))
+        report.add_exact(f"ladder-difference j={j} m={m}", diff, context="F(j,m-1)-F(j,m) vs odd polynomial in 2m")
+    return report
+
+
+RECURRENCE_ALPHAS = [
+    [Fraction(1)],
+    [Fraction(1), Fraction(-1, 7), Fraction(1, 90)],
+    [Fraction(55, 100), Fraction(37, 1000), Fraction(21, 10000), Fraction(13, 100000)],
+]
+
+
+@pytest.mark.parametrize("alpha", RECURRENCE_ALPHAS, ids=len)
+@pytest.mark.parametrize("two_j", [0, 1, 2, 7, 64, 201, 1000])
+def test_recurrence_check_equals_the_per_m_reference(alpha, two_j):
+    j = HalfInt(two_j)
+    got, want = exact_recurrence_check(alpha, j), former_recurrence_check(alpha, j)
+    assert [c.to_json_dict() for c in got.checks] == [c.to_json_dict() for c in want.checks]
+
+
+@pytest.mark.parametrize("two_j", [7, 64, 1000])
+def test_recurrence_check_fails_exactly_where_a_corrupted_numerator_is_read(monkeypatch, two_j):
+    j = HalfInt(two_j)
+    alpha = RECURRENCE_ALPHAS[1]
+    ns, d = verifier.ladder_numerators(StructureSpec(Polynomial(alpha), j))
+    ms = list(ladder(j))  # m = -j, ..., j; ns[i] is D F(j, m) at m = j-1-i
+    for i in (len(ns) - 1, len(ns) // 2):
+        corrupted = list(ns)
+        corrupted[i] += 1
+        monkeypatch.setattr(verifier, "ladder_numerators", lambda spec: (corrupted, d))
+        report = exact_recurrence_check(alpha, j)
+        m0 = j - 1 - i
+        # the check at m reads F(j, m-1) - F(j, m): F(j, m0) enters at m = m0 (as -1/D) and m = m0 + 1 (as +1/D)
+        want = {f"ladder-difference j={j} m={m}": format_rational(Fraction(1 if m != m0 else -1, d))
+                for m in (m0, m0 + 1) if m in ms[1:]}
+        assert len(report.checks) == two_j
+        assert {c.name: c.discrepancy for c in report.checks if not c.passed} == want
+        assert all(c.kind == "exact" for c in report.checks)
+
+
 def test_commutator_residuals_pass_for_honest_rep():
     alpha = [Fraction(1), Fraction(1, 10)]
     rep = build_deformed(StructureSpec(Polynomial(alpha), halfint(2)))
