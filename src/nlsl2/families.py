@@ -8,8 +8,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .halfint import HalfInt, halfint
-from .structure import (HiggsShifted, QuadraticShifted, StructureSpec, admissible, quadratic_radicand,
-                        quadratic_shift)
+from .structure import HiggsShifted, QuadraticShifted, StructureSpec, admissible, quadratic_transfer
 
 UNSHIFTED = "unshifted"
 SHIFT_PLUS = "shift_plus"
@@ -81,20 +80,11 @@ def quadratic_gamma(j, alpha: float) -> FamilySolution:
 
     gamma = (1/(4 alpha)) (-1 + sqrt(1 - 16 alpha^2 j(j+1) / 3)), defined while
     the radicand is nonnegative, i.e. alpha <= 3/(2(4j+1)); gamma -> 0 as
-    alpha -> 0.
+    alpha -> 0. It is the shift of `structure.quadratic_transfer`, whose
+    guards reject |alpha| below ALPHA_FLOOR and a negative radicand.
     """
-    j = halfint(j)
-    a = float(alpha)
-    if a == 0:
-        raise ValueError("quadratic_gamma requires alpha != 0")
-    radicand = quadratic_radicand(a, float(j.mm1()))
-    if radicand < 0:
-        bound = 3 / (2 * (2 * j.twice + 1))
-        raise ValueError(
-            f"alpha = {a} outside the admissibility bound alpha <= 3/(2(4j+1)) = {bound:.6g} "
-            f"(negative radicand {radicand:.6g})"
-        )
-    g = quadratic_shift(a, math.sqrt(radicand))
+    j, a = halfint(j), float(alpha)
+    g = quadratic_transfer(a, j.twice).shift(j.twice)
     ok, offending = admissible(StructureSpec(QuadraticShifted(a, g), j))
     return FamilySolution(g, SHIFT_MINUS, ok, offending[0] if offending else None)
 

@@ -15,6 +15,10 @@ the labels is formed one step block at a time. Every dense output is
 scattered from block entries into zeros at cached flat positions; a
 transpose scatters the same entries at the transposed positions. The
 co-commutativity check reads each swap pair of entries once.
+
+A deformed coproduct applies its family's `structure` transfer map at every
+coupled label (2J, 2M); the map is defined for M < J, and at M = J, where
+Delta(J+) annihilates the state, the factor is 0.
 """
 
 from __future__ import annotations
@@ -29,22 +33,12 @@ import numpy as np
 
 from .halfint import HalfInt, halfint
 from .repbuilder import MatrixRep, build_sl2, ladder_vectors
-from .structure import (ALPHA_FLOOR, CLAMP_TOL, JOINT_TOL, divided_difference, quadratic_ladder_factor,
-                        quadratic_radicand, quadratic_shift)
+from .structure import (CLAMP_TOL, InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_ladder_factor,
+                        quadratic_radicand, quadratic_shift, quadratic_transfer)
 from .verifier import VerificationReport, gate
 
 
-class InadmissibleProductError(ValueError):
-    """A (J, M) block leaves the domain of the spectral function.
-
-    Carries the exact c = J(J+1) and, where one is at fault, the exact M.
-    """
-
-    def __init__(self, message: str, c: Fraction, m: Optional[Fraction] = None):
-        self.c = c
-        self.m = m
-        where = f"J(J+1) = {c}" if m is None else f"J(J+1) = {c}, M = {m}"
-        super().__init__(f"{message} at {where}")
+InadmissibleProductError = InadmissibleLabelError  # a coupled (J, M) label outside a transfer map's domain
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +243,6 @@ def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> 
     return _scatter(pr.dim, pr._block_at, _flat(factors))
 
 
-def _raise_with(pr: ProductRep, g: Callable[[int, int], float], order: str) -> tuple:
-    """Delta(J+) times the joint-calculus factor of g(2J, 2M), and its transpose.
-
-    Delta(J+) maps the M block into the M+1 block only, and the factor is
-    block-diagonal over M, so order='source' gives S_M @ F_M and
-    order='target' gives F_{M+1} @ S_M, with S_M the stored step block
-    `pr.steps`. g is called on every label, as in `_block_factors`.
-    """
-    f = _block_factors(pr, g)
-    vals = _flat(s @ f[k] if order == "source" else f[k + 1] @ s for k, s in enumerate(pr.steps))
-    return tuple(_scatter(pr.dim, at, vals) for at in pr._step_at)
-
-
 def product_casimir_spectrum(j1, j2) -> list[float]:
     """Clebsch-Gordan oracle: eigenvalues J(J+1), each with multiplicity 2J+1."""
     j1, j2 = halfint(j1), halfint(j2)
@@ -271,66 +252,47 @@ def product_casimir_spectrum(j1, j2) -> list[float]:
     return sorted(vals)
 
 
-def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
-    """Coproduct of the polynomial-deformed generators on the product space.
+def _transferred(pr: ProductRep, t: Transfer, order: str = "source") -> tuple:
+    """(Delta(J+'), Delta(J-'), Delta(J3')) of the transfer map t by joint calculus on pr's coupled labels.
 
-    The square-rooted divided difference (phi(c) - phi(m(m+1)))/(c - m(m+1))
-    is computed exactly at each label (c, m) = (J(J+1), M) and applied by
-    joint calculus; a negative value below the highest weight raises
-    InadmissibleProductError with the exact c and M. Labels are read as the
-    ints 2J and 2M by `structure.divided_difference`, the label function of
-    the single-irrep `deformed_from_undeformed` too. With order='source' the
-    factor sits to the right of Delta(J+) (evaluated at the source state,
-    matching the single irrep construction); order='target' puts it on the
-    left, which evaluates at the target state instead (and is not an
-    algebra map in general).
-
-    Returns (DJp_hat, DJm_hat, DJ3).
+    Delta(J+) maps the M block into the M+1 block only, and the factor F = V diag(h^(1/2)) V^T (h = 0 at
+    M = J) is block-diagonal over M, so order='source' gives S_M @ F_M and order='target' gives
+    F_{M+1} @ S_M, with S_M the stored step block `pr.steps`. Delta(J3') is diag(M) + V diag(s_J) V^T,
+    or pr.DJ3 when t has no shift.
     """
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
-    dd = divided_difference(alpha, max(pr.spins))
+    f = _block_factors(pr, lambda two_j, two_m: 0.0 if two_j == two_m else math.sqrt(t.factor(two_j, two_m)))
+    vals = _flat(s @ f[k] if order == "source" else f[k + 1] @ s for k, s in enumerate(pr.steps))
+    djp, djm = (_scatter(pr.dim, at, vals) for at in pr._step_at)
+    if t.shift is None:
+        return djp, djm, pr.DJ3
+    dj3 = _scatter(pr.dim, pr._block_at, _flat(_block_factors(pr, lambda two_j, _: t.shift(two_j))))
+    dj3.flat[::pr.dim + 1] += pr.two_m / 2.0
+    return djp, djm, dj3
 
-    def g(two_j: int, two_m: int) -> float:
-        if two_j == two_m:
-            # M = J: the factor multiplies a direction Delta(J+) annihilates
-            return 0.0
-        val = dd(two_j, two_m)
-        if val < 0:
-            raise InadmissibleProductError("negative divided difference (inadmissible tensor product)",
-                                           HalfInt(two_j).mm1(), Fraction(two_m, 2))
-        return math.sqrt(val)
 
-    return (*_raise_with(pr, g, order), pr.DJ3)
+def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
+    """Coproduct of the polynomial-deformed generators on the product space.
+
+    The square root of `structure.polynomial_transfer`, the divided difference
+    (phi(c) - phi(m(m+1)))/(c - m(m+1)) exact at each label (c, m) = (J(J+1), M), is applied by joint
+    calculus; a negative value below the highest weight raises InadmissibleProductError with the exact
+    c and M. order='source' puts the factor right of Delta(J+), at the source state as on one irrep;
+    order='target' puts it left, at the target state, which is not an algebra map in general.
+
+    Returns (DJp_hat, DJm_hat, DJ3).
+    """
+    return _transferred(pr, polynomial_transfer(alpha, max(pr.spins)), order)
 
 
 def quadratic_coproduct(pr: ProductRep, alpha: float):
-    """Hopf maps of the quadratic family realized on the product space.
+    """Hopf maps of the quadratic family on the product space, `structure.quadratic_transfer` by joint calculus.
 
-    Returns (DJ3_a, DJp_a, DJm_a) built with joint calculus for both square
-    roots; requires 1 - 16 alpha^2 c / 3 >= 0 at every Casimir eigenvalue.
-    s = sqrt of that radicand is taken once per distinct 2J, and DJ3_a is
-    diag(M) + V diag(gamma_J) V^T with gamma_J = `structure.quadratic_shift`.
+    Returns (DJ3_a, DJp_a, DJm_a), with DJ3_a = diag(M) + V diag(gamma_J) V^T.
     """
-    a = float(alpha)
-    if abs(a) < ALPHA_FLOOR:
-        raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor)")
-    cmax = HalfInt(max(pr.spins)).mm1()
-    if quadratic_radicand(a, float(cmax)) < 0:
-        raise InadmissibleProductError(
-            f"negative radicand: need alpha^2 <= 3/(16 c_max) = {3 / (16 * cmax)}", cmax
-        )
-    roots = {t: math.sqrt(quadratic_radicand(a, float(HalfInt(t).mm1()))) for t in set(pr.spins)}
-
-    def ladder_factor(two_j: int, two_m: int) -> float:
-        val = quadratic_ladder_factor(a, roots[two_j], two_m / 2)
-        if val < -JOINT_TOL:
-            raise InadmissibleProductError("negative ladder-factor radicand", HalfInt(two_j).mm1(), Fraction(two_m, 2))
-        return math.sqrt(max(val, 0.0))
-
-    dj3 = _scatter(pr.dim, pr._block_at, _flat(_block_factors(pr, lambda t, _: quadratic_shift(a, roots[t]))))
-    dj3.flat[::pr.dim + 1] += pr.two_m / 2.0
-    return (dj3, *_raise_with(pr, ladder_factor, "source"))
+    djp, djm, dj3 = _transferred(pr, quadratic_transfer(alpha, max(pr.spins)))
+    return dj3, djp, djm
 
 
 def swap_matrix(d1: int, d2: int) -> np.ndarray:

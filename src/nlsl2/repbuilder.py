@@ -6,6 +6,9 @@ and the lowering operator is its transpose (hermiticity is by construction).
 Every irrep built here is stored as those two vectors; the dense matrices are
 formed only when a caller reads them. The closed forms come from `structure`;
 the ladder Casimir diagonal, polynomial or q-deformed, is formed here.
+The routes through the undeformed irrep apply the family's `structure`
+transfer map, defined for m < j, at the labels (2j, 2m), as `hopf` does at
+the coupled labels of a product.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from .coefficients import phi_prime_witness
 from .halfint import HalfInt, halfint
 from .qdeform import _q_bracket_values, check_q_range, q_bracket, q_brackets
-from .structure import (ALPHA_FLOOR, CLAMP_TOL, Polynomial, StructureSpec, divided_difference, ladder_numerators,
-                        phi_ladder_numerators, quadratic_ladder_factor, quadratic_radicand, quadratic_shift, screen,
+from .structure import (CLAMP_TOL, InadmissibleLabelError, Polynomial, QuadraticShifted, StructureSpec, Transfer,
+                        ladder_numerators, phi_ladder_numerators, polynomial_transfer, quadratic_transfer, screen,
                         sl2_squares)
 
 
@@ -163,11 +166,6 @@ def ladder_products(u: np.ndarray):
     return np.concatenate((u2, zero)), np.concatenate((zero, u2))
 
 
-def _first_m(j: HalfInt, mask: np.ndarray) -> HalfInt:
-    """The first source state m (descending from j-1) where mask holds."""
-    return HalfInt(j.twice - 2 - 2 * int(np.argmax(mask)))
-
-
 def build_sl2(j) -> MatrixRep:
     """Standard angular-momentum matrices for spin j."""
     j = halfint(j)
@@ -211,27 +209,24 @@ def _sl2_input(rep: MatrixRep, caller: str):
         raise ValueError(f"{caller} expects an sl2 irrep, not {rep.family!r}")
 
 
-def _divided_differences(alpha: Sequence, j: HalfInt) -> np.ndarray:
-    """`structure.divided_difference` at the labels (2j, 2m) for m = j-1, ..., -j."""
-    g = divided_difference(alpha, j.twice)
-    return np.array([g(j.twice, t) for t in range(j.twice - 2, -j.twice - 1, -2)])
+def _factors(j: HalfInt, transfer: Transfer, family) -> np.ndarray:
+    """transfer's factor h at the labels (2j, 2m), m = j-1, ..., -j; InadmissibleSpecError names the first bad m."""
+    try:
+        return np.array([transfer.factor(j.twice, t) for t in range(j.twice - 2, -j.twice - 1, -2)])
+    except InadmissibleLabelError as exc:
+        raise InadmissibleSpecError(StructureSpec(family, j), [HalfInt(int(2 * exc.m))]) from None
 
 
 def deformed_from_undeformed(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     """Second construction route: scalar functional calculus on (C, J3).
 
-    On a single irrep C = j(j+1) is scalar and J3 diagonal, so the
-    divided-difference factor reduces to a diagonal matrix evaluated at the
-    source state; the raising operator is multiplied by its square root on
-    the right. The factor is `structure.divided_difference` at the labels
-    (2j, 2m), the same label function as the deformed coproduct's.
+    On a single irrep C = j(j+1) is scalar and J3 diagonal, so J+ is
+    multiplied on the right by the square root of the polynomial transfer
+    factor, `structure.divided_difference` at the source labels (2j, 2m).
     """
     _sl2_input(rep, "deformed_from_undeformed")
     j = rep.j
-    factors = _divided_differences(alpha, j)
-    negative = factors < 0
-    if negative.any():
-        raise InadmissibleSpecError(StructureSpec(Polynomial(alpha), j), [_first_m(j, negative)])
+    factors = _factors(j, polynomial_transfer(alpha, j.twice), Polynomial(alpha))
     return _assemble(j, sl2_squares(j) * factors, family="Polynomial")
 
 
@@ -240,26 +235,14 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
 
     J3' = J3 + gamma with gamma = (s - 1)/(4a), s = sqrt(1 - 16 a^2 C / 3),
     and the ladder operators pick up the factor ((2a/3)(2 J3 + 1) + s)^(1/2)
-    evaluated at the source state (`structure.quadratic_radicand`,
-    `quadratic_shift`, `quadratic_ladder_factor`).
+    evaluated at the source state: `structure.quadratic_transfer` at (2j, 2m).
     """
     _sl2_input(rep, "build_quadratic_explicit")
-    a = float(alpha)
-    if abs(a) < ALPHA_FLOOR:
-        raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor); use the undeformed rep")
     j = rep.j
-    rad = quadratic_radicand(a, float(j.mm1()))
-    if rad < 0:
-        raise ValueError(
-            f"negative radicand 1 - 16 a^2 j(j+1)/3 = {rad:.6g}; "
-            f"alpha must satisfy alpha <= 3/(2(4j+1)) = {3 / (2 * (2 * j.twice + 1)):.6g}"
-        )
-    s = math.sqrt(rad)
-    vals = sl2_squares(j) * quadratic_ladder_factor(a, s, np.arange(j.twice - 2, -j.twice - 1, -2) / 2)
-    negative = vals < -CLAMP_TOL
-    if negative.any():
-        raise ValueError(f"negative squared matrix element at m={_first_m(j, negative)} for alpha={a}")
-    return _assemble(j, np.maximum(vals, 0.0), gamma=quadratic_shift(a, s), family="QuadraticShifted")
+    transfer = quadratic_transfer(alpha, j.twice)
+    gamma = transfer.shift(j.twice)
+    factors = _factors(j, transfer, QuadraticShifted(float(alpha), gamma))
+    return _assemble(j, sl2_squares(j) * factors, gamma=gamma, family="QuadraticShifted")
 
 
 def _ladder_casimir_diagonal(rep: MatrixRep, fs: np.ndarray):
@@ -328,7 +311,7 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
     ratio = np.divide(num, den, out=np.zeros_like(num), where=~singular)
     bad = (singular & ((entry2 > CLAMP_TOL) | (num > CLAMP_TOL))) | (ratio < 0)
     if bad.any():
-        raise ValueError(f"inconsistent q-deformed input at m={_first_m(j, bad)}")
+        raise ValueError(f"inconsistent q-deformed input at m={HalfInt(j.twice - 2 - 2 * int(np.argmax(bad)))}")
     return _assemble(j, entry2 * ratio, family="sl2")
 
 
@@ -344,4 +327,4 @@ def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     witness = phi_prime_witness(alpha, j.mm1())
     if witness is not None:
         raise NonBijectiveError(witness)
-    return _assemble(j, u * u / _divided_differences(alpha, j), family="sl2")
+    return _assemble(j, u * u / _factors(j, polynomial_transfer(alpha, j.twice), Polynomial(alpha)), family="sl2")

@@ -2,9 +2,12 @@
 
 F(j, m) is the squared matrix element of the raising operator out of |j, m>.
 Each family's closed form is written once, on m = j, ..., -j and the
-boundary point -j-1, and lowering is F(j, m-1). The maps writing deformed
-generators through undeformed ones live here too: phi's divided difference
-and the quadratic family's radicand, shift and ladder factor.
+boundary point -j-1, and lowering is F(j, m-1).
+
+This module owns each family's transfer map, J+' = J+ h(C, J3)^(1/2) and
+J3' = J3 + s(C) through the undeformed generators, with its guards: h at
+exact labels (2J, 2M) is defined for M < J only. `repbuilder` applies it on
+one irrep, `hopf` on the coupled labels of a product space.
 
 The polynomial family is exact: a whole ladder is evaluated on scaled
 integers, phi(m(m+1)) = n / D with n from one `coefficients.phi_numerators`
@@ -17,21 +20,22 @@ form takes m as a float (`f2_up`) or a whole ladder array, bitwise alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from functools import cache
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .coefficients import as_rationals, phi_numerators
 from .halfint import HalfInt, halfint
-from .qdeform import check_q_range, q_bracket, q_brackets
+from .qdeform import LOG_FLOAT_MAX, check_q_range, q_bracket, q_brackets
 
 # Guards, not check gates (`verifier.gate`): a float closed form is taken as its exact zero or sign.
 ADMISSIBILITY_TOL = 1e-12  # a ladder value above -this passes the screen
 BOUNDARY_TOL = 1e-10  # the lowering function at m = -j within this of 0 passes the screen
-CLAMP_TOL = 1e-12  # a squared irrep entry within this of 0 is taken as 0, below -this rejected
-JOINT_TOL = 1e-10  # the same for a ladder factor on a product space, whose eigenvectors add rounding
+CLAMP_TOL = 1e-12  # a float ladder value or factor within this of 0 is taken as 0, below -this rejected
 ALPHA_FLOOR = 1e-12  # |alpha| below this is rejected: the quadratic maps divide by 4 alpha
 
 
@@ -138,6 +142,8 @@ def _float_closed_form(fam: Family, j: HalfInt, mv):
     if isinstance(fam, QBase):  # sum_k alpha_k (([j][j+1])^k - ([m][m+1])^k)
         check_q_range(j, fam.delta)
         jj1 = q_bracket(jv, fam.delta) * q_bracket(jv + 1, fam.delta)
+        if jj1 > 1 and len(fam.alpha) * math.log(jj1) + math.log(2 * max([1.0, *map(abs, fam.alpha)])) > LOG_FLOAT_MAX:
+            raise ValueError(f"q-base powers ([j][j+1])^{len(fam.alpha)} at j={j}, delta={fam.delta} overflow a float")
         mm1 = q_brackets(mv, fam.delta) * q_brackets(mv + 1, fam.delta)
         acc = 0.0
         jp = mp = 1.0
@@ -250,6 +256,58 @@ def quadratic_ladder_factor(alpha: float, s: float, m: float) -> float:
     return 2 * alpha * (2 * m + 1) / 3 + s
 
 
+class InadmissibleLabelError(ValueError):
+    """A transfer map leaves its domain at the exact c = J(J+1) and, where one is at fault, the exact M."""
+
+    def __init__(self, message: str, c: Fraction, m: Optional[Fraction] = None):
+        self.c, self.m = c, m
+        where = f"J(J+1) = {c}" if m is None else f"J(J+1) = {c}, M = {m}"
+        super().__init__(f"{message} at {where}")
+
+
+class Transfer(NamedTuple):
+    """J+' = J+ factor(2J, 2M)^(1/2), M < J, raising InadmissibleLabelError where < 0; J3' = J3 + shift(2J) or J3."""
+
+    factor: Callable[[int, int], float]
+    shift: Optional[Callable[[int], float]]
+
+
+def polynomial_transfer(alpha: Sequence, top: int) -> Transfer:
+    """h = `divided_difference`, exact in sign, at labels 2J <= top; no shift."""
+    dd = divided_difference(alpha, top)
+
+    def factor(two_j: int, two_m: int) -> float:
+        val = dd(two_j, two_m)
+        if val < 0:
+            raise InadmissibleLabelError("negative divided difference", HalfInt(two_j).mm1(), Fraction(two_m, 2))
+        return val
+
+    return Transfer(factor, None)
+
+
+def quadratic_transfer(alpha: float, top: int) -> Transfer:
+    """h = `quadratic_ladder_factor` and s = `quadratic_shift` at s_J = sqrt(`quadratic_radicand`), labels 2J <= top.
+
+    The radicand falls with J, so it is checked at top alone. An h within CLAMP_TOL below 0 is taken as 0.
+    """
+    a = float(alpha)
+    if abs(a) < ALPHA_FLOOR:
+        raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor); use the undeformed rep")
+    rad = quadratic_radicand(a, top * (top + 2) / 4)
+    if rad < 0:
+        raise InadmissibleLabelError(f"negative radicand 1 - 16 a^2 j(j+1)/3 = {rad:.6g}; alpha must satisfy "
+                                     f"alpha <= 3/(2(4j+1)) = {3 / (2 * (2 * top + 1)):.6g}", HalfInt(top).mm1())
+    root = cache(lambda two_j: math.sqrt(quadratic_radicand(a, two_j * (two_j + 2) / 4)))
+
+    def factor(two_j: int, two_m: int) -> float:
+        val = quadratic_ladder_factor(a, root(two_j), two_m / 2)
+        if val < -CLAMP_TOL:
+            raise InadmissibleLabelError("negative ladder factor", HalfInt(two_j).mm1(), Fraction(two_m, 2))
+        return max(val, 0.0)
+
+    return Transfer(factor, lambda two_j: quadratic_shift(a, root(two_j)))
+
+
 def ladder_numerators(spec: StructureSpec) -> tuple[list, int]:
     """(ns, D) with F(j, m) = ns[i] / D for m = j-1, ..., -j.
 
@@ -280,8 +338,7 @@ def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
 
     values are `ladder_values(spec)` or the numerators of `ladder_numerators`
     (D > 0 keeps the sign). They must be nonnegative (offenders ascending):
-    exactly for the
-    polynomial family, within ADMISSIBILITY_TOL for the real-valued ones.
+    exactly for the polynomial family, within ADMISSIBILITY_TOL for the real-valued ones.
     For the shifted families the lowering function must also vanish at m = -j
     (within BOUNDARY_TOL), which pins the allowed gamma values; the raising
     one vanishes at m = j exactly, through its factor (j - m).

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import beta_from_alpha, epsilon, format_rational, over_common_denominator
+from .coefficients import _epsilon_row, beta_from_alpha, format_rational, over_common_denominator
 from .halfint import halfint
 from .repbuilder import MatrixRep, ladder_products, ladder_vectors
 from .structure import Polynomial, StructureSpec, ladder_numerators
@@ -58,7 +59,8 @@ class VerificationReport:
         )
 
     def add_numeric(self, name: str, residual: float, bound: float, context: str = ""):
-        self.checks.append(Check(name, "numeric", bool(residual <= bound), float(residual), context, float(bound)))
+        passed = bool(-math.inf < residual <= bound < math.inf)  # a non-finite residual or bound FAILs
+        self.checks.append(Check(name, "numeric", passed, float(residual), context, float(bound)))
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)
@@ -217,20 +219,21 @@ def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: Optional[float] = 
 
 
 @functools.cache
-def _float_epsilon_row(k: int) -> tuple[float, ...]:
-    """float(eps_r(k)) for r = 1..k."""
-    return tuple(float(epsilon(r, k)) for r in range(1, k + 1))
+def _epsilon_ints(k: int) -> tuple[list[int], int]:
+    """(e, D) with eps_r(k) = e[r-1] / D for r = 1..k."""
+    return over_common_denominator(_epsilon_row(k))
 
 
 def q_series_identity_residual(j, m, delta: float, trunc: Optional[int] = None) -> float:
     """Truncation residual of the q-bracket ratio against the epsilon series.
 
-    LHS is (cosh(d(2j+1)) - cosh(d(2m+1))) / (2 sinh^2 d (j-m)(j+m+1)); RHS is
-    the divergence-free series d/sinh d + sum_k 2^(2k+1) d^(2k+1)/((2k+2)! sinh d)
-    * sum_{r,s} (j(j+1))^s (m(m+1))^(r-s) eps_r(k), truncated at k = trunc. The
-    sums over s do not depend on k, so they are taken once per r. Term k is
-    of order x^(2k+2)/(2k+2)!, x = |d| (2j+1), so the default trunc, n/2 for the first
-    even n >= x with x^n/n! <= eps e^x, leaves a tail below the LHS's rounding.
+    LHS is (cosh(d(2j+1)) - cosh(d(2m+1))) / (2 sinh^2 d (j-m)(j+m+1)); RHS is the divergence-free
+    series (d + sum_k T_k) / sinh d to k = trunc, T_k = (2d)^(2k+1)/(2k+2)! sum_r eps_r(k) P_r, with
+    P_r = sum_s (j(j+1))^s (m(m+1))^(r-s) = (c^(r+1) - x^(r+1)) / (4^r (c - x)), c = 4 j(j+1), x = 4 m(m+1).
+    Each T_k is exact on integers (d read exactly) and rounded once, and fsum adds them, so no power of
+    j(j+1) or eps_r(k) overflows where the series does not. Term k is of order x^(2k+2)/(2k+2)!,
+    x = |d| (2j+1), so the default trunc, n/2 for the first even n >= x with x^n/n! <= eps e^x, leaves
+    a tail below the LHS's rounding.
     """
     j, m = halfint(j), halfint(m)
     if j == m:
@@ -246,18 +249,15 @@ def q_series_identity_residual(j, m, delta: float, trunc: Optional[int] = None) 
     lhs = (math.cosh(delta * (2 * jv + 1)) - math.cosh(delta * (2 * mv + 1))) / (
         2 * math.sinh(delta) ** 2 * (jv - mv) * (jv + mv + 1)
     )
-    jj1, mm1 = float(j.mm1()), float(m.mm1())
-    power_sums = [sum(jj1**s * mm1 ** (r - s) for s in range(r + 1)) for r in range(1, trunc + 1)]
-    rhs = delta / math.sinh(delta)
+    c, x = j.twice * (j.twice + 2), m.twice * (m.twice + 2)
+    sums = [(c ** (r + 1) - x ** (r + 1)) // (c - x) << 2 * (trunc - r) for r in range(1, trunc + 1)]  # 4^trunc P_r
+    p, q = float(delta).as_integer_ratio()
+    terms = []
     for k in range(1, trunc + 1):
-        coeff = 2 ** (2 * k + 1) * delta ** (2 * k + 1) / (
-            math.factorial(2 * k + 2) * math.sinh(delta)
-        )
-        inner = 0.0
-        for er, ps in zip(_float_epsilon_row(k), power_sums):
-            inner += er * ps
-        rhs += coeff * inner
-    return abs(lhs - rhs)
+        e, d = _epsilon_ints(k)
+        num = sum(map(operator.mul, e, sums)) * (2 * p) ** (2 * k + 1)
+        terms.append(num / ((d * math.factorial(2 * k + 2) << 2 * trunc) * q ** (2 * k + 1)))
+    return abs(lhs - (delta + math.fsum(terms)) / math.sinh(delta))
 
 
 def q_shift_rigidity(j, delta: float) -> list[float]:

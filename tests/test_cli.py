@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shlex
 import stat
@@ -465,3 +466,49 @@ def test_output_to_dev_stdout_into_a_pipe_exits_zero():
                            "1,1/10"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1, 1/5\n"
+
+
+def test_hopf_quadratic_with_negative_alpha_exits_zero(capsys):
+    # the ladder factor at J = M = 1 is negative for alpha = -0.28, where Delta(J+) annihilates the state
+    code, out, err = _run(capsys, "hopf", "--j1", "1/2", "--j2", "1/2", "--quadratic-alpha=-0.28")
+    assert code == EXIT_OK and err == ""
+    assert "antipode axiom m(id x S)Delta(J+') = 0" in out
+
+
+def _uq_verdict(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "--format", "json", *argv)
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    assert all(math.isfinite(c["residual"]) and math.isfinite(c["bound"]) for c in checks)
+    return code, {c["name"]: c["pass"] for c in checks}
+
+
+def test_verify_uq_gives_a_finite_verdict_where_the_entries_square_past_a_float(capsys, monkeypatch):
+    # [j-m][j+m+1] reaches 1.4e307 at j = 354, delta = 1; its plain norm squared overflowed to inf
+    argv = ["verify", "--family", "uq", "--j", "354", "--delta", "1"]
+    code, passed = _uq_verdict(capsys, argv)
+    assert code == EXIT_OK and all(passed.values())
+    build_uq = repbuilder.build_uq
+
+    def off(j, delta):
+        rep = build_uq(j, delta)
+        w, u = rep.ladder
+        u = u.copy()
+        u[np.argmax(u)] *= 1 + 1e-9
+        return MatrixRep(rep.dim, rep.two_j, rep.gamma, rep.family, ladder=(w, u))
+
+    monkeypatch.setattr(repbuilder, "build_uq", off)
+    code, passed = _uq_verdict(capsys, argv)
+    assert code == EXIT_CHECK_FAILED and not passed["[J+,J-] = [2 J3] diagonal"]
+
+
+def test_qlimit_series_stays_finite_past_the_float_range_of_its_powers(capsys):
+    # (j(j+1))^89 and 180! pass 1e308 at j = 150, delta = 0.3; the series they build does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "--format", "json", "qlimit", "--j", "150", "--delta", "0.3")
+    assert code == EXIT_OK and err == ""
+    (series,) = [c for c in json.loads(out)["checks"] if c["name"] == "series identity truncation"]
+    assert series["pass"] and 0 < series["residual"] <= series["bound"] < math.inf

@@ -23,8 +23,9 @@ from nlsl2.hopf import (
     swap_matrix,
     triple_coassociativity_residual,
 )
-from nlsl2.repbuilder import MatrixRep, build_sl2
-from nlsl2.structure import divided_difference, f2_polynomial, quadratic_ladder_factor, quadratic_radicand
+from nlsl2.repbuilder import MatrixRep, build_deformed, build_quadratic_explicit, build_sl2
+from nlsl2.structure import (Polynomial, StructureSpec, divided_difference, f2_polynomial, quadratic_ladder_factor,
+                             quadratic_radicand)
 from nlsl2.verifier import commutator_residuals, gate
 
 
@@ -198,7 +199,7 @@ def test_quadratic_coproduct_bitwise_equals_former_assembly():
         roots = {t: math.sqrt(max(quadratic_radicand(a, t * (t + 2) / 4), 0.0)) for t in pr.spins}
 
         def ladder(t, m):
-            return math.sqrt(max(quadratic_ladder_factor(a, roots[t], m / 2), 0.0))
+            return 0.0 if t == m else math.sqrt(max(quadratic_ladder_factor(a, roots[t], m / 2), 0.0))
 
         want_p, want_m, _ = _former_raise(pr, ladder, "source")
         parts = [(b.indices, b.indices, (b.V * np.array([roots[t] for t in b.two_js])) @ b.V.T) for b in pr.blocks]
@@ -464,3 +465,76 @@ def test_dense_views_are_contiguous_copies_of_the_blocks():
     assert all(np.array_equal(b.C, c) for b, c in zip(pr.blocks, cas))
     assert not any(s.flags.writeable for s in pr.steps)
     assert not any(b.C.flags.writeable for b in pr.blocks)
+
+
+def test_quadratic_coproduct_with_negative_alpha_leaves_the_top_label_unread():
+    # at J = M = 1 the ladder factor (2a/3)(2M+1) + s_J is negative for a = -0.28,
+    # but Delta(J+) annihilates that state, so the transfer is never taken there
+    rep = build_sl2(halfint("1/2"))
+    pr = primitive_coproduct(rep, rep)
+    a = -0.28
+    dj3, djp, djm = quadratic_coproduct(pr, a)
+    n3, n_p = np.linalg.norm(dj3), np.linalg.norm(djp)
+    assert np.linalg.norm(dj3 @ djp - djp @ dj3 - djp) <= gate(pr.dim, n3 * n_p)
+    rhs = 2 * dj3 + 4 * a * dj3 @ dj3
+    assert np.linalg.norm(djp @ djm - djm @ djp - rhs) <= gate(pr.dim, max(n_p * n_p, np.linalg.norm(rhs)))
+    assert quadratic_antipode_checks(rep, a).all_passed
+
+
+def _coupled_reading(pr, djp, dj3, irrep):
+    """(residual, scale) of V_{M+1}^T step_M V_M and V_M^T J3'_M V_M against irrep(J) in each J block.
+
+    Entries diagonal in J must equal the irrep ladder at J up to the arbitrary eigenvector sign,
+    those off it 0; the J3' block must be diag(J3' of irrep(J) at M)."""
+    irreps = {t: irrep(HalfInt(t)) for t in set(pr.spins)}
+    sq_res = sq_scale = 0.0
+    for lo, hi in zip(pr.blocks, pr.blocks[1:]):
+        got = np.abs(hi.V.T @ djp[np.ix_(hi.indices, lo.indices)] @ lo.V)
+        want = np.zeros_like(got)
+        for c, t in enumerate(lo.two_js):
+            if t > lo.two_m:  # J+ of irrep t from m = M, at its superdiagonal index J - 1 - M
+                want[hi.two_js.index(t), c] = irreps[t].ladder[1][(t - 2 - lo.two_m) // 2]
+        sq_res += np.sum((got - want) ** 2)
+        sq_scale += np.sum(want ** 2)
+    for b in pr.blocks:
+        got = b.V.T @ dj3[np.ix_(b.indices, b.indices)] @ b.V
+        want = np.diag([irreps[t].ladder[0][(t - b.two_m) // 2] for t in b.two_js])
+        sq_res += np.sum((got - want) ** 2)
+        sq_scale += np.sum(want ** 2)
+    return math.sqrt(sq_res), math.sqrt(sq_scale)
+
+
+def _coupled_cases():
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+
+    def poly(pr):
+        djp, _, dj3 = deformed_coproduct(pr, alpha)
+        return djp, dj3, lambda j: build_deformed(StructureSpec(Polynomial(alpha), j))
+
+    def quad(share):
+        def case(pr):  # alpha a share of the radicand bound 3/(16 c) at the top label
+            top = max(pr.spins)
+            a = share * math.sqrt(3 / (4 * top * (top + 2))) if top else share
+            dj3, djp, _ = quadratic_coproduct(pr, a)
+            return djp, dj3, lambda j: build_quadratic_explicit(build_sl2(j), a)
+        return case
+
+    return [("polynomial", poly), ("quadratic", quad(0.6)), ("quadratic_negative", quad(-0.6))]
+
+
+@pytest.mark.parametrize("name,case", _coupled_cases(), ids=[n for n, _ in _coupled_cases()])
+@pytest.mark.parametrize("j1,j2", [("1/2", "1/2"), ("1", "1"), ("3", "5/2"), ("7/2", "1"), ("5", "5")])
+def test_coupled_basis_reads_the_family_irrep_in_each_j_block(name, case, j1, j2):
+    r1, r2 = build_sl2(halfint(j1)), build_sl2(halfint(j2))
+    pr = primitive_coproduct(r1, r2)
+    djp, dj3, irrep = case(pr)
+    resid, scale = _coupled_reading(pr, djp, dj3, irrep)
+    assert resid <= gate(pr.dim, scale), (resid, gate(pr.dim, scale))
+    # control: one tensor factor's ladder entry off by 1e-9 relative
+    w, u = r1.ladder
+    u = u.copy()
+    u[len(u) // 2] *= 1 + 1e-9
+    bad = primitive_coproduct(MatrixRep(r1.dim, r1.two_j, 0.0, "sl2", ladder=(w, u)), r2)
+    djp, dj3, _ = case(bad)
+    resid, scale = _coupled_reading(bad, djp, dj3, irrep)
+    assert resid > gate(bad.dim, scale)

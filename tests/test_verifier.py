@@ -162,21 +162,20 @@ def test_q_series_default_truncation_leaves_a_tail_below_the_gate():
 
 
 def _q_series_reference(j, m, delta, trunc):
-    """The series residual as a triple loop, recomputing the inner power sum for every k."""
+    """The series residual as a triple loop in exact rationals, recomputing the inner power sum
+    sum_s c^s x^(r-s) term by term for every k; each series term is rounded once and fsum adds them."""
     jv, mv = j.value, m.value
     lhs = (math.cosh(delta * (2 * jv + 1)) - math.cosh(delta * (2 * mv + 1))) / (
         2 * math.sinh(delta) ** 2 * (jv - mv) * (jv + mv + 1)
     )
-    jj1, mm1 = float(j.mm1()), float(m.mm1())
-    rhs = delta / math.sinh(delta)
+    c, x = j.twice * (j.twice + 2), m.twice * (m.twice + 2)  # 4 j(j+1), 4 m(m+1)
+    terms = []
     for k in range(1, trunc + 1):
-        coeff = 2 ** (2 * k + 1) * delta ** (2 * k + 1) / (math.factorial(2 * k + 2) * math.sinh(delta))
-        inner = 0.0
+        inner = Fraction(0)
         for r in range(1, k + 1):
-            er = float(epsilon(r, k))
-            inner += er * sum(jj1**s * mm1 ** (r - s) for s in range(r + 1))
-        rhs += coeff * inner
-    return abs(lhs - rhs)
+            inner += epsilon(r, k) * Fraction(sum(c**s * x ** (r - s) for s in range(r + 1)), 4**r)
+        terms.append(float((2 * Fraction(delta)) ** (2 * k + 1) / math.factorial(2 * k + 2) * inner))
+    return abs(lhs - (delta + math.fsum(terms)) / math.sinh(delta))
 
 
 @pytest.mark.parametrize("trunc", [5, 25, 50])
@@ -275,3 +274,14 @@ def test_weight_block_path_negative_controls():
             off = MatrixRep(rep.dim, 0, 0.0, "product", rep.J3, plus, minus)
             assert verifier._weight_blocks(off) is None
             assert not commutator_residuals(off, beta, tol=tol).all_passed
+
+
+@pytest.mark.parametrize("residual,bound", [
+    (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, math.inf), (-math.inf, 1.0),
+])
+def test_a_non_finite_residual_or_bound_fails(residual, bound):
+    report = VerificationReport()
+    report.add_numeric("non-finite", residual, bound)
+    report.add_numeric("finite", 0.5, 1.0)
+    assert [c.passed for c in report.checks] == [False, True]
+    assert not report.all_passed
