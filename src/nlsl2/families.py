@@ -79,9 +79,10 @@ def quadratic_gamma(j, alpha: float) -> FamilySolution:
     """Spectrum shift of the quadratic family, lowest-weight annihilation branch.
 
     gamma = (1/(4 alpha)) (-1 + sqrt(1 - 16 alpha^2 j(j+1) / 3)), defined while
-    the radicand is nonnegative, i.e. alpha <= 3/(2(4j+1)); gamma -> 0 as
-    alpha -> 0. It is the shift of `structure.quadratic_transfer`, whose
-    guards reject |alpha| below ALPHA_FLOOR and a negative radicand.
+    the radicand is nonnegative, which |alpha| <= 3/(2(4j+1)) (the ladder
+    factor's bound, for either sign) implies; gamma -> 0 as alpha -> 0. It
+    is the shift of `structure.quadratic_transfer`, whose guards reject
+    |alpha| below ALPHA_FLOOR and a negative radicand.
     """
     j, a = halfint(j), float(alpha)
     g = quadratic_transfer(a, j.twice).shift(j.twice)

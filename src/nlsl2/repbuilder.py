@@ -209,11 +209,16 @@ def _sl2_input(rep: MatrixRep, caller: str):
         raise ValueError(f"{caller} expects an sl2 irrep, not {rep.family!r}")
 
 
-def _factors(j: HalfInt, transfer: Transfer, family) -> np.ndarray:
-    """transfer's factor h at the labels (2j, 2m), m = j-1, ..., -j; InadmissibleSpecError names the first bad m."""
+def _factors(j: HalfInt, transfer: Transfer, family=None) -> np.ndarray:
+    """transfer's factor h at the labels (2j, 2m), m = j-1, ..., -j.
+
+    Given a family, InadmissibleSpecError names the first bad m; without one the InadmissibleLabelError stands.
+    """
     try:
         return np.array([transfer.factor(j.twice, t) for t in range(j.twice - 2, -j.twice - 1, -2)])
     except InadmissibleLabelError as exc:
+        if family is None:
+            raise
         raise InadmissibleSpecError(StructureSpec(family, j), [HalfInt(int(2 * exc.m))]) from None
 
 

@@ -228,14 +228,15 @@ def divided_difference(alpha: Sequence, top: int) -> Callable[[int, int], float]
     """g(2J, 2M) = (phi(c) - phi(x)) / (c - x) at c = J(J+1), x = M(M+1), |M| <= J <= top/2, M != J.
 
     The polynomial map factor on an irrep (top = 2j) or a product space (top
-    its largest 2J). With n = D phi(t(t+2)/4) from one `phi_ladder_numerators`
-    pass, g = 4 (n_J - n_M) / (D (C - X)), C = 2J(2J+2), X = 2M(2M+2): one
+    its largest 2J); 2J may have either parity. With n_t = D phi(t(t+2)/4) for
+    t = -1, 0, ..., top from one `phi_numerators` call (2M and -2M-2 share
+    t(t+2)), g = 4 (n_J - n_M) / (D (C - X)), C = 2J(2J+2), X = 2M(2M+2): one
     correctly rounded int division, with the sign of the exact value.
     """
-    phis, d = phi_ladder_numerators(alpha, HalfInt(top))
+    ns, d = phi_numerators(alpha, [t * (t + 2) for t in range(-1, top + 1)])
 
     def g(two_j: int, two_m: int) -> float:
-        num = 4 * (phis[(top - two_j) // 2] - phis[(top - two_m) // 2])
+        num = 4 * (ns[two_j + 1] - ns[max(two_m, -two_m - 2) + 1])
         return num / (d * (two_j * (two_j + 2) - two_m * (two_m + 2)))
 
     return g
@@ -296,7 +297,7 @@ def quadratic_transfer(alpha: float, top: int) -> Transfer:
     rad = quadratic_radicand(a, top * (top + 2) / 4)
     if rad < 0:
         raise InadmissibleLabelError(f"negative radicand 1 - 16 a^2 j(j+1)/3 = {rad:.6g}; alpha must satisfy "
-                                     f"alpha <= 3/(2(4j+1)) = {3 / (2 * (2 * top + 1)):.6g}", HalfInt(top).mm1())
+                                     f"|alpha| <= 3/(2(4j+1)) = {3 / (2 * (2 * top + 1)):.6g}", HalfInt(top).mm1())
     root = cache(lambda two_j: math.sqrt(quadratic_radicand(a, two_j * (two_j + 2) / 4)))
 
     def factor(two_j: int, two_m: int) -> float:

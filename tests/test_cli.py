@@ -105,7 +105,10 @@ def test_hopf_checks(capsys):
     code, out, _ = _run(capsys, "hopf", "--j1", "1/2", "--j2", "1", "--alpha", "1,-1/5")
     assert code == EXIT_OK
     assert "Clebsch-Gordan" in out
-    assert "coassociativity" in out
+    # Delta(J+') of the polynomial family against the antipode and the counit, no label-triple check left
+    assert "polynomial: antipode axiom m(S x id)Delta(J+') = 0" in out
+    assert "polynomial: counit (eps x id)Delta(J+') = J+'" in out
+    assert "coassociativity" not in out
 
 
 def test_hopf_alpha_checks_the_deformed_coproduct_on_weight_blocks(capsys, monkeypatch):
@@ -473,6 +476,32 @@ def test_hopf_quadratic_with_negative_alpha_exits_zero(capsys):
     code, out, err = _run(capsys, "hopf", "--j1", "1/2", "--j2", "1/2", "--quadratic-alpha=-0.28")
     assert code == EXIT_OK and err == ""
     assert "antipode axiom m(id x S)Delta(J+') = 0" in out
+
+
+@pytest.mark.parametrize("j,alpha", [("1/2", "-0.45"), ("1", "-0.3")])
+def test_hopf_quadratic_beyond_the_radicand_bound_names_the_product_radicand(capsys, j, alpha):
+    # the S formula reads h at M < J only, so the transfer's radicand guard names the failure
+    code, out, err = _run(capsys, "hopf", "--j1", j, "--j2", j, f"--quadratic-alpha={alpha}")
+    assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
+    assert err.startswith("error: negative radicand") and "|alpha| <= 3/(2(4j+1))" in err
+
+
+@pytest.mark.parametrize("argv,families", [
+    ([], ["sl2"]),
+    (["--alpha=1,1/10"], ["polynomial"]),
+    (["--quadratic-alpha=0.05"], ["quadratic"]),
+    (["--alpha=1,1/10", "--quadratic-alpha=-0.05"], ["polynomial", "quadratic"]),
+], ids=lambda v: " ".join(v) if v and v[0].startswith("-") else None)
+@pytest.mark.parametrize("j1,j2", [("3/2", "3/2"), ("1", "5/2")])
+def test_hopf_runs_the_axiom_checks_once_per_family(capsys, argv, families, j1, j2):
+    code, out, _ = _run(capsys, "--format", "json", "hopf", "--j1", j1, "--j2", j2, *argv)
+    checks = json.loads(out)["checks"]
+    assert code == EXIT_OK and all(c["pass"] for c in checks)
+    for name in families:
+        ours = [c for c in checks if c["name"].startswith(name + ": ")]
+        assert len(ours) == 15 and all(c["kind"] == "numeric" for c in ours)
+    deformed = 3 + (j1 == j2) if "polynomial" in families else 0  # commutators and co-commutativity
+    assert len(checks) == 1 + 15 * len(families) + deformed
 
 
 def _uq_verdict(capsys, argv):

@@ -178,3 +178,15 @@ def test_divided_difference_equals_exact_quotient(alpha, top, data):
         two_m = two_j - 2 * data.draw(st.integers(1, two_j))
         cf, xf = Fraction(two_j * (two_j + 2), 4), Fraction(two_m * (two_m + 2), 4)
         assert g(two_j, two_m) == float((phi_eval(alpha, cf) - phi_eval(alpha, xf)) / (cf - xf))
+
+
+@given(kernel_alphas, st.integers(1, 2000), st.data())
+@settings(max_examples=80, deadline=None)
+def test_divided_difference_reads_labels_of_either_parity(alpha, top, data):
+    # an irrep at half-integer j reads the map built at the even top of its V (x) V
+    g = divided_difference(alpha, top)
+    for _ in range(8):
+        two_j = data.draw(st.integers(1, top))
+        two_m = two_j - 2 * data.draw(st.integers(1, two_j))
+        cf, xf = Fraction(two_j * (two_j + 2), 4), Fraction(two_m * (two_m + 2), 4)
+        assert g(two_j, two_m) == float((phi_eval(alpha, cf) - phi_eval(alpha, xf)) / (cf - xf))

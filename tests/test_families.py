@@ -82,6 +82,9 @@ def test_quadratic_gamma_rejects_beyond_bound():
     with pytest.raises(ValueError) as exc:
         quadratic_gamma(halfint(2), 1.0)
     assert "3/(2(4j+1))" in str(exc.value)
+    with pytest.raises(ValueError) as exc:  # the bound holds for either sign of alpha
+        quadratic_gamma(halfint(2), -1.0)
+    assert "|alpha| <= 3/(2(4j+1))" in str(exc.value)
     with pytest.raises(ValueError):
         quadratic_gamma(halfint(1), 0.0)
 

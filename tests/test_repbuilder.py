@@ -120,6 +120,9 @@ def test_quadratic_explicit_rejects_bad_alpha():
     with pytest.raises(ValueError) as exc:
         build_quadratic_explicit(rep, 1.0)
     assert "3/(2(4j+1))" in str(exc.value)
+    with pytest.raises(ValueError) as exc:  # the bound holds for either sign of alpha
+        build_quadratic_explicit(rep, -1.0)
+    assert "|alpha| <= 3/(2(4j+1))" in str(exc.value)
 
 
 @given(st.sampled_from(["1/2", "1", "3/2", "3"]), st.sampled_from([0.1, 0.3, 1.0]))
