@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .halfint import HalfInt, halfint
-from .repbuilder import MatrixRep, _assemble, _factors, build_sl2, ladder_vectors
-from .structure import InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_transfer, sl2_squares
+from .repbuilder import MatrixRep, _factors, _transferred_irrep, build_sl2, ladder_vectors
+from .structure import InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_transfer
 from .verifier import VerificationReport, gate
 
 
@@ -360,20 +360,14 @@ def multiply_with_antipode(x: np.ndarray, d: int, w: np.ndarray, side: str = "ri
     raise ValueError("side must be 'right' or 'left'")
 
 
-def _transferred_irrep(rep: MatrixRep, t: Transfer) -> MatrixRep:
-    """The transfer map t on the irrep rep, J+' = J+ h(j, J3)^(1/2) and J3' = J3 + s(j), as the irrep builders form it."""
-    j = rep.j
-    shift = 0.0 if t.shift is None else t.shift(j.twice)
-    return _assemble(j, sl2_squares(j) * _factors(j, t), shift, "transferred")
-
-
-def hopf_axiom_checks(rep: MatrixRep, transfer: Optional[Transfer] = None,
+def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]] = None,
                       tol: Optional[float] = None) -> VerificationReport:
     """Counit and antipode identities of one family's transferred generators on the sl2 irrep V = rep.
 
-    transfer is the family's `structure` map (`polynomial_transfer` or `quadratic_transfer`) built at
-    top = 2 * 2j, by default the undeformed sl2 map `polynomial_transfer([1], 2 * 2j)`. X' is the map on V,
-    Delta' the map by joint calculus on a product's coupled labels. For each of X' = J3', J+', J-':
+    family builds the family's `structure` map for labels 2J <= top, e.g. partial(polynomial_transfer, alpha)
+    or partial(quadratic_transfer, a); it is called here at top = 2 * 2j, the largest label of V (x) V, and
+    defaults to the undeformed sl2 map partial(polynomial_transfer, [1]). X' is the map on V, Delta' the map by
+    joint calculus on a product's coupled labels. For each of X' = J3', J+', J-':
     - S(X') realized as (W X' W^T)^T against S(J3') = -J3 + s(C), S(J+') = -h(C, -J3)^(1/2) J+ (h at M < J);
     - m(id x S)Delta'(X') = 0 and m(S x id)Delta'(X') = 0 on V (x) V, whose J = 0 part gives eps(X') = 0;
     - the counit: Delta'(X') on V (x) V(0) and on V(0) (x) V equals X'.
@@ -381,20 +375,14 @@ def hopf_axiom_checks(rep: MatrixRep, transfer: Optional[Transfer] = None,
     too large to hold densely at these sizes; `triple_coassociativity_residual` is its witness. Checks are
     gated at ||X'|| on V and ||Delta'(X')|| on V (x) V, unless tol is given.
     """
-    t = polynomial_transfer([1], 2 * rep.two_j) if transfer is None else transfer
-    pr = primitive_coproduct(rep, rep)
-    return _axiom_checks(rep, t, pr, _transferred(pr, t), tol)
-
-
-def _axiom_checks(rep: MatrixRep, t: Transfer, pr: ProductRep, coproduct: tuple,
-                  tol: Optional[float]) -> VerificationReport:
-    """`hopf_axiom_checks` given pr = rep (x) rep and coproduct = `_transferred`(pr, t)."""
+    t = (family or partial(polynomial_transfer, [1]))(2 * rep.two_j)
     report = VerificationReport()
     j, d = rep.j, rep.dim
     w = antipode_realization(j)
     weights, u = ladder_vectors(rep)
-    irrep = _transferred_irrep(rep, t)
+    irrep = _transferred_irrep(j, t)
     trivial = build_sl2(0)
+    coproduct = _transferred(primitive_coproduct(rep, rep), t)
     counits = {side: _transferred(p, t) for side, p in (("id x eps", primitive_coproduct(rep, trivial)),
                                                         ("eps x id", primitive_coproduct(trivial, rep)))}
     # S(J+') = -h(C, -J3)^(1/2) J+: the rows m = j, ..., -j+1 of J+ take h at 2M = -2m = -2j, ..., 2j-2
@@ -409,7 +397,7 @@ def _axiom_checks(rep: MatrixRep, t: Transfer, pr: ProductRep, coproduct: tuple,
         for side, axiom in (("right", "m(id x S)"), ("left", "m(S x id)")):
             report.add_numeric(f"antipode axiom {axiom}Delta({name}) = 0",
                                float(np.linalg.norm(multiply_with_antipode(delta, d, w, side))),
-                               gate(pr.dim, float(np.linalg.norm(delta)), tol), context=f"j={j} (x) j={j}")
+                               gate(d * d, float(np.linalg.norm(delta)), tol), context=f"j={j} (x) j={j}")
         for side, maps in counits.items():
             report.add_numeric(f"counit ({side})Delta({name}) = {name}", float(np.linalg.norm(maps[k] - x)), bound,
                                context=f"j={j} (x) j=0")

@@ -222,6 +222,17 @@ def _factors(j: HalfInt, transfer: Transfer, family=None) -> np.ndarray:
         raise InadmissibleSpecError(StructureSpec(family, j), [HalfInt(int(2 * exc.m))]) from None
 
 
+def _transferred_irrep(j: HalfInt, transfer: Transfer, family=None) -> MatrixRep:
+    """The irrep at j of transfer: J+' = J+ h(2j, 2J3)^(1/2) and J3' = J3 + s(2j).
+
+    family is the `structure` family the map belongs to, naming the rep and, through `_factors`, the
+    InadmissibleSpecError; without one the rep is named "transferred".
+    """
+    gamma = 0.0 if transfer.shift is None else transfer.shift(j.twice)
+    name = "transferred" if family is None else type(family).__name__
+    return _assemble(j, sl2_squares(j) * _factors(j, transfer, family), gamma, name)
+
+
 def deformed_from_undeformed(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     """Second construction route: scalar functional calculus on (C, J3).
 
@@ -230,9 +241,7 @@ def deformed_from_undeformed(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     factor, `structure.divided_difference` at the source labels (2j, 2m).
     """
     _sl2_input(rep, "deformed_from_undeformed")
-    j = rep.j
-    factors = _factors(j, polynomial_transfer(alpha, j.twice), Polynomial(alpha))
-    return _assemble(j, sl2_squares(j) * factors, family="Polynomial")
+    return _transferred_irrep(rep.j, polynomial_transfer(alpha, rep.j.twice), Polynomial(alpha))
 
 
 def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
@@ -245,9 +254,7 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
     _sl2_input(rep, "build_quadratic_explicit")
     j = rep.j
     transfer = quadratic_transfer(alpha, j.twice)
-    gamma = transfer.shift(j.twice)
-    factors = _factors(j, transfer, QuadraticShifted(float(alpha), gamma))
-    return _assemble(j, sl2_squares(j) * factors, gamma=gamma, family="QuadraticShifted")
+    return _transferred_irrep(j, transfer, QuadraticShifted(float(alpha), transfer.shift(j.twice)))
 
 
 def _ladder_casimir_diagonal(rep: MatrixRep, fs: np.ndarray):

@@ -504,6 +504,36 @@ def test_hopf_runs_the_axiom_checks_once_per_family(capsys, argv, families, j1, 
     assert len(checks) == 1 + 15 * len(families) + deformed
 
 
+@pytest.mark.parametrize("j1,j2", [("1", "1/2"), ("1/2", "1")])
+def test_hopf_reads_the_axioms_on_the_smaller_factor(capsys, j1, j2):
+    # alpha = 1, -1/5 is admissible on 1 (x) 1/2 but not at J = 2 of 1 (x) 1, so the checks read
+    # 1/2 (x) 1/2 whichever factor is named first
+    code, out, err = _run(capsys, "--format", "json", "hopf", "--j1", j1, "--j2", j2, "--alpha", "1,-1/5")
+    checks = [c for c in json.loads(out)["checks"] if c["name"].startswith("polynomial: ")]
+    assert code == EXIT_OK and err == "" and len(checks) == 15 and all(c["pass"] for c in checks)
+    assert {c["context"] for c in checks} == {"j=1/2", "j=1/2 (x) j=1/2", "j=1/2 (x) j=0"}
+
+
+def test_hopf_leaves_out_a_family_inadmissible_on_the_check_product_alone(capsys):
+    # phi = x^3 - 5x has a negative divided difference at J = 1 of 1 (x) 1, a label 1 (x) 3 does not
+    # hold, and none on 1 (x) 3 itself
+    code, out, err = _run(capsys, "--format", "json", "hopf", "--j1", "1", "--j2", "3", "--alpha=-5,0,1")
+    checks = json.loads(out)["checks"]
+    assert code == EXIT_OK and all(c["pass"] for c in checks)
+    assert not any(c["name"].startswith("polynomial: ") for c in checks)
+    assert sum(c["name"].startswith("deformed coproduct: ") for c in checks) == 3
+    assert err == ("note: polynomial axiom checks left out, V(1) (x) V(1): "
+                   "negative divided difference at J(J+1) = 2, M = 0\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--alpha=1,1/10"], ["--quadratic-alpha=0.05"]])
+def test_hopf_forms_no_product_larger_than_the_one_asked_for(capsys, monkeypatch, argv):
+    dims, real = [], hopf.primitive_coproduct
+    monkeypatch.setattr(hopf, "primitive_coproduct", lambda a, b: dims.append(real(a, b)) or dims[-1])
+    code, _, _ = _run(capsys, "hopf", "--j1", "20", "--j2", "1/2", *argv)
+    assert code == EXIT_OK and max(pr.dim for pr in dims) == 41 * 2
+
+
 def _uq_verdict(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from nlsl2.hopf import (
     triple_coassociativity_residual,
 )
 from nlsl2 import hopf
-from nlsl2.repbuilder import MatrixRep, build_deformed, build_quadratic_explicit, build_sl2, deformed_from_undeformed
+from nlsl2.repbuilder import (MatrixRep, _transferred_irrep, build_deformed, build_quadratic_explicit, build_sl2,
+                              deformed_from_undeformed)
 from nlsl2.structure import (Polynomial, StructureSpec, divided_difference, f2_polynomial, polynomial_transfer,
                              quadratic_ladder_factor, quadratic_radicand, quadratic_transfer)
 from nlsl2.verifier import commutator_residuals, gate
@@ -409,7 +411,7 @@ def test_multiply_with_antipode_on_elementary_tensor():
 
 def test_quadratic_antipode_checks_pass():
     rep = build_sl2(halfint("1/2"))
-    report = hopf_axiom_checks(rep, quadratic_transfer(0.2, 2 * rep.two_j))
+    report = hopf_axiom_checks(rep, partial(quadratic_transfer, 0.2))
     assert report.all_passed
     names = [c.name for c in report.checks]
     assert "S(J+') realization vs formula" in names and "antipode axiom m(id x S)Delta(J+') = 0" in names
@@ -479,7 +481,7 @@ def test_quadratic_coproduct_with_negative_alpha_leaves_the_top_label_unread():
     assert np.linalg.norm(dj3 @ djp - djp @ dj3 - djp) <= gate(pr.dim, n3 * n_p)
     rhs = 2 * dj3 + 4 * a * dj3 @ dj3
     assert np.linalg.norm(djp @ djm - djm @ djp - rhs) <= gate(pr.dim, max(n_p * n_p, np.linalg.norm(rhs)))
-    assert hopf_axiom_checks(rep, quadratic_transfer(a, 2 * rep.two_j)).all_passed
+    assert hopf_axiom_checks(rep, partial(quadratic_transfer, a)).all_passed
 
 
 def _coupled_reading(pr, djp, dj3, irrep):
@@ -562,10 +564,10 @@ def test_multiply_with_antipode_equals_the_einsum_form(side):
 def _families():
     alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
     return {
-        "sl2": lambda top: None,
-        "polynomial": lambda top: polynomial_transfer(alpha, top),
-        "quadratic": lambda top: quadratic_transfer(0.05, top),
-        "quadratic_negative": lambda top: quadratic_transfer(-0.05, top),
+        "sl2": None,
+        "polynomial": partial(polynomial_transfer, alpha),
+        "quadratic": partial(quadratic_transfer, 0.05),
+        "quadratic_negative": partial(quadratic_transfer, -0.05),
     }
 
 
@@ -573,18 +575,33 @@ def _families():
 @pytest.mark.parametrize("j", ["0", "1/2", "1", "7/2"])
 def test_hopf_axiom_checks_pass_for_each_family(family, j):
     rep = build_sl2(halfint(j))
-    report = hopf_axiom_checks(rep, _families()[family](2 * rep.two_j))
+    report = hopf_axiom_checks(rep, _families()[family])
     assert report.all_passed and len(report.checks) == 15
     assert all(c.kind == "numeric" and c.residual <= c.bound for c in report.checks)
 
 
 def test_transferred_irrep_is_the_family_irrep():
+    # the checks read V(5/2) through the map built at the top 2J = 10 of V (x) V, the builders at 2J = 5
     rep = build_sl2(halfint("5/2"))
     alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
-    got = hopf._transferred_irrep(rep, polynomial_transfer(alpha, 2 * rep.two_j))
+    got = _transferred_irrep(rep.j, polynomial_transfer(alpha, 2 * rep.two_j))
     assert all(np.array_equal(x, y) for x, y in zip(got.ladder, deformed_from_undeformed(rep, alpha).ladder))
-    got = hopf._transferred_irrep(rep, quadratic_transfer(-0.05, 2 * rep.two_j))
+    got = _transferred_irrep(rep.j, quadratic_transfer(-0.05, 2 * rep.two_j))
     assert all(np.array_equal(x, y) for x, y in zip(got.ladder, build_quadratic_explicit(rep, -0.05).ladder))
+
+
+@pytest.mark.parametrize("family,c,m", [
+    (partial(polynomial_transfer, [Fraction(1), Fraction(-1, 5)]), Fraction(6), Fraction(-2)),
+    (partial(quadratic_transfer, -0.3), Fraction(6), None),
+])
+def test_hopf_axiom_checks_build_the_map_for_the_labels_of_v_x_v(family, c, m):
+    # both maps are admissible on the irrep V(1), not at J = 2 of V(1) (x) V(1): the checks build the map at
+    # top = 2 * 2j themselves, so the label is named instead of reading past a table or a square root
+    rep = build_sl2(1)
+    assert _transferred_irrep(rep.j, family(rep.two_j)).dim == 3
+    with pytest.raises(InadmissibleProductError) as exc:
+        hopf_axiom_checks(rep, family)
+    assert (exc.value.c, exc.value.m) == (c, m)
 
 
 def _failed(report):
@@ -597,7 +614,7 @@ ANTIPODE = [f"antipode axiom m({s})Delta({x}) = 0" for x in ("J3'", "J+'", "J-'"
 @pytest.mark.parametrize("family", list(_families()))
 def test_antipode_checks_fail_with_s_realized_untransposed(monkeypatch, family):
     rep = build_sl2(1)
-    t = _families()[family](2 * rep.two_j)
+    t = _families()[family]
     monkeypatch.setattr(hopf, "multiply_with_antipode",
                         lambda x, d, w, side="right": _einsum_with_antipode(x, d, w, side, transpose=False))
     report = hopf_axiom_checks(rep, t)
@@ -611,7 +628,7 @@ def test_antipode_checks_fail_with_s_realized_untransposed(monkeypatch, family):
 @pytest.mark.parametrize("j", ["1", "7/2"])
 def test_counit_check_fails_with_one_entry_off(monkeypatch, family, j):
     rep = build_sl2(halfint(j))
-    t = _families()[family](2 * rep.two_j)
+    t = _families()[family]
     real = hopf._transferred
 
     def off(pr, t, order="source"):
@@ -628,11 +645,11 @@ def test_counit_check_fails_with_one_entry_off(monkeypatch, family, j):
 @pytest.mark.parametrize("j", ["1", "7/2"])
 def test_s_formula_check_fails_with_one_ladder_entry_off(monkeypatch, family, j):
     rep = build_sl2(halfint(j))
-    t = _families()[family](2 * rep.two_j)
+    t = _families()[family]
     real = hopf._transferred_irrep
 
-    def off(rep, t):
-        irrep = real(rep, t)
+    def off(j, t):
+        irrep = real(j, t)
         w, u = irrep.ladder
         u = u.copy()
         u[len(u) // 2] *= 1 + 1e-9
