@@ -54,6 +54,7 @@ from .families import (
 )
 from .qdeform import QParam, q_beta_coeffs, q_bracket, qbase_example_commutator, uq_casimir_relation
 from .hopf import (
+    Coproduct,
     ProductRep,
     cocommutativity_check,
     deformed_coproduct,
@@ -62,6 +63,7 @@ from .hopf import (
     primitive_coproduct,
     product_casimir_spectrum,
     quadratic_coproduct,
+    transferred_coproduct,
 )
 
 __all__ = [
@@ -79,7 +81,7 @@ __all__ = [
     "FamilySolution", "family_count", "higgs_beta_window", "higgs_gamma_roots",
     "quadratic_gamma", "scan",
     "QParam", "q_beta_coeffs", "q_bracket", "qbase_example_commutator", "uq_casimir_relation",
-    "ProductRep", "cocommutativity_check", "deformed_coproduct",
+    "Coproduct", "ProductRep", "cocommutativity_check", "deformed_coproduct",
     "hopf_axiom_checks", "joint_calculus", "primitive_coproduct", "product_casimir_spectrum",
-    "quadratic_coproduct",
+    "quadratic_coproduct", "transferred_coproduct",
 ]

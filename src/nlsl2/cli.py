@@ -111,7 +111,7 @@ def cmd_rep(args) -> int:
         rep = repbuilder.build_deformed(_build_spec(args))
 
     def table():
-        w, u = repbuilder.ladder_vectors(rep)
+        w, u = rep.ladder
         head = f"family={rep.family} j={rep.j} dim={rep.dim} gamma={rep.gamma}"
         return f"{head}\nJ3 diag: {w.tolist()}\nJ+ superdiag: {u.tolist()}"
 
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
     elif args.family == "uq":
         rep = repbuilder.build_uq(j, args.delta)
-        pm, mp = repbuilder.ladder_products(repbuilder.ladder_vectors(rep)[1])
+        pm, mp = repbuilder.ladder_products(rep.ladder[1])
         target = qdeform.q_brackets(np.arange(j.twice, -j.twice - 1, -2), args.delta)  # [2m], m = j, ..., -j
         top = max(np.abs(pm).max(), np.abs(target).max()) or 1.0  # norms in units of the largest entry stay finite
         report.add_numeric("[J+,J-] = [2 J3] diagonal", float(np.linalg.norm((pm - mp - target) / top)),
@@ -211,16 +211,15 @@ def cmd_hopf(args) -> int:
             report.checks.append(check)
 
     if args.alpha:
-        djp, djm, dj3 = hopf_mod.deformed_coproduct(pr, alpha)
-        beta = beta_from_alpha(alpha)
-        fake = repbuilder.MatrixRep(pr.dim, 0, 0.0, "product", dj3, djp, djm)
-        for check in verifier.commutator_residuals(fake, beta, tol=args.tol).checks:
+        deformed = hopf_mod.transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)))
+        for check in verifier.commutator_residuals(deformed, beta_from_alpha(alpha), tol=args.tol).checks:
             check.name = "deformed coproduct: " + check.name
             report.checks.append(check)
         if j1 == j2:
-            res = hopf_mod.cocommutativity_check([djp, djm, dj3], rep1.dim)
+            mats = deformed.dense()
+            res = hopf_mod.cocommutativity_check(mats, rep1.dim)
             report.add_numeric("co-commutativity of deformed coproduct", max(res),
-                               verifier.gate(pr.dim, max(map(np.linalg.norm, (djp, djm, dj3))), args.tol))
+                               verifier.gate(pr.dim, max(map(np.linalg.norm, mats)), args.tol))
     _emit(args, report.to_json_dict, report.render_table)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 

@@ -51,40 +51,31 @@ def power_sum_oracle(p: int, n: int) -> Fraction:
     return Fraction(sum(r ** (2 * p + 1) for r in range(1, n + 1)))
 
 
-_epsilon_cache: dict[int, list[Fraction]] = {}
-_epsilon_lock = threading.Lock()
+@functools.cache
+def _epsilon_row(k: int) -> tuple[tuple[int, ...], int]:
+    """(e, L) with eps_r(k) = e[r-1] / L for r = 1..k.
 
-
-def _epsilon_row(k: int) -> list[Fraction]:
-    """All eps_r(k) for r = 1..k, as a list indexed r-1."""
-    with _epsilon_lock:
-        if k in _epsilon_cache:
-            return _epsilon_cache[k]
-        eps = [Fraction(0)] * k
-        eps[k - 1] = Fraction(1)  # eps_k(k) = 1
-        # Each successive relation (index jj = 1..k-1) determines eps_{k-jj}(k):
-        #   (-1)^(jj+1) * (k+1)/jj * C(2k+1, 2jj-1) * B_jj
-        #     = sum_{i=0}^{jj} eps_{k-i}(k) * C(k+1-i, 2jj-2i)
-        for jj in range(1, k):
-            lhs = (
-                (-1) ** (jj + 1)
-                * Fraction(k + 1, jj)
-                * comb(2 * k + 1, 2 * jj - 1)
-                * bernoulli(jj)
-            )
-            known = sum(
-                eps[k - i - 1] * comb(k + 1 - i, 2 * jj - 2 * i) for i in range(jj)
-            )
-            eps[k - jj - 1] = lhs - known
-        _epsilon_cache[k] = eps
-        return eps
+    Each relation (index jj = 1..k-1) determines eps_{k-jj}(k):
+      (-1)^(jj+1) * (k+1)/jj * C(2k+1, 2jj-1) * B_jj = sum_{i=0}^{jj} eps_{k-i}(k) * C(k+1-i, 2jj-2i),
+    an integer combination of earlier entries and the left side, so with L the lcm of the left sides'
+    denominators every L eps_r(k) is an integer and the row is solved on ints.
+    """
+    lhs = [(-1) ** (jj + 1) * Fraction(k + 1, jj) * comb(2 * k + 1, 2 * jj - 1) * bernoulli(jj) for jj in range(1, k)]
+    big = lcm(*(f.denominator for f in lhs))
+    eps = [0] * k
+    eps[k - 1] = big  # eps_k(k) = 1
+    for jj, f in enumerate(lhs, 1):
+        known = sum(eps[k - i - 1] * comb(k + 1 - i, 2 * jj - 2 * i) for i in range(jj))
+        eps[k - jj - 1] = f.numerator * (big // f.denominator) - known
+    return tuple(eps), big
 
 
 def epsilon(r: int, k: int) -> Fraction:
     """eps_r(k) from the triangular system; defined for 1 <= r <= k."""
     if not 1 <= r <= k:
         raise ValueError(f"epsilon(r, k) requires 1 <= r <= k, got r={r}, k={k}")
-    return _epsilon_row(k)[r - 1]
+    e, big = _epsilon_row(k)
+    return Fraction(e[r - 1], big)
 
 
 def as_rationals(values: Sequence) -> list[Fraction]:
@@ -95,7 +86,7 @@ def as_rationals(values: Sequence) -> list[Fraction]:
 @functools.cache
 def _alpha_column(k: int) -> tuple[tuple[int, ...], int]:
     """(c, d) with 4^k/(k+1) eps_r(k) = c[r-1] / d for r = 1..k, in lowest terms."""
-    e, den = over_common_denominator(_epsilon_row(k))
+    e, den = _epsilon_row(k)
     g = gcd((k + 1) * den, *(4**k * x for x in e))
     return tuple(4**k * x // g for x in e), (k + 1) * den // g
 

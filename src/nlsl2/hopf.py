@@ -17,7 +17,9 @@ co-commutativity check reads each swap pair of entries once.
 
 A deformed coproduct applies its family's `structure` transfer map at every
 coupled label (2J, 2M); the map is defined for M < J, and at M = J, where
-Delta(J+) annihilates the state, the factor is 0.
+Delta(J+) annihilates the state, the factor is 0. `transferred_coproduct`
+keeps the result on the same weight blocks, as a `Coproduct`: the step blocks
+of Delta'(J+) and, for a shifted family, the Delta'(J3') block of each M.
 
 `hopf_axiom_checks` tests one family's transfer map against the counit and
 antipode axioms; coassociativity is left to `triple_coassociativity_residual`.
@@ -34,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .halfint import HalfInt, halfint
-from .repbuilder import MatrixRep, _factors, _transferred_irrep, build_sl2, ladder_vectors
+from .repbuilder import MatrixRep, _factors, _transferred_irrep, build_sl2
 from .structure import InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_transfer
 from .verifier import VerificationReport, gate
 
@@ -158,7 +160,7 @@ def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
                        _nonzeros(x.dim, x._block_at, _flat(b.C for b in x.blocks)), x.two_m, x.spins)
     if x.family != "sl2":
         raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
-    w, u = ladder_vectors(x)
+    w, u = x.ladder
     i = np.arange(x.dim)
     c = np.full(x.dim, float(x.j.mm1()))
     return _Factor((i, i, w), (i[:-1], i[1:], u), (i, i, c),
@@ -253,24 +255,50 @@ def product_casimir_spectrum(j1, j2) -> list[float]:
     return sorted(vals)
 
 
-def _transferred(pr: ProductRep, t: Transfer, order: str = "source") -> tuple:
-    """(Delta(J+'), Delta(J-'), Delta(J3')) of the transfer map t by joint calculus on pr's coupled labels.
+@dataclass(frozen=True)
+class Coproduct:
+    """A deformed coproduct on the weight blocks of the primitive product pr.
+
+    steps[k] is Delta'(J+) from pr.blocks[k] to pr.blocks[k+1], and Delta'(J-) is its transpose. j3 is
+    None when Delta'(J3') = Delta(J3) = diag(M); for a family that shifts the spectrum, j3[k] is the
+    Delta'(J3') block of pr.blocks[k].
+    """
+
+    pr: ProductRep
+    steps: list
+    j3: Optional[list] = None
+
+    def dense(self) -> tuple:
+        """(Delta(J+'), Delta(J-'), Delta(J3')) as dense matrices, the blocks scattered into zeros.
+
+        Without a shift Delta(J3') is pr.DJ3 itself.
+        """
+        pr = self.pr
+        vals = _flat(self.steps)
+        djp, djm = (_scatter(pr.dim, at, vals) for at in pr._step_at)
+        if self.j3 is None:
+            return djp, djm, pr.DJ3
+        return djp, djm, _scatter(pr.dim, pr._block_at, _flat(self.j3))
+
+
+def transferred_coproduct(pr: ProductRep, t: Transfer, order: str = "source") -> Coproduct:
+    """The Coproduct of the transfer map t by joint calculus on pr's coupled labels.
 
     Delta(J+) maps the M block into the M+1 block only, and the factor F = V diag(h^(1/2)) V^T (h = 0 at
     M = J) is block-diagonal over M, so order='source' gives S_M @ F_M and order='target' gives
-    F_{M+1} @ S_M, with S_M the stored step block `pr.steps`. Delta(J3') is diag(M) + V diag(s_J) V^T,
-    or pr.DJ3 when t has no shift.
+    F_{M+1} @ S_M, with S_M the stored step block `pr.steps`. A shift s gives the Delta(J3') blocks
+    V diag(s_J) V^T + M I.
     """
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
     f = _block_factors(pr, lambda two_j, two_m: 0.0 if two_j == two_m else math.sqrt(t.factor(two_j, two_m)))
-    vals = _flat(s @ f[k] if order == "source" else f[k + 1] @ s for k, s in enumerate(pr.steps))
-    djp, djm = (_scatter(pr.dim, at, vals) for at in pr._step_at)
+    steps = [s @ f[k] if order == "source" else f[k + 1] @ s for k, s in enumerate(pr.steps)]
     if t.shift is None:
-        return djp, djm, pr.DJ3
-    dj3 = _scatter(pr.dim, pr._block_at, _flat(_block_factors(pr, lambda two_j, _: t.shift(two_j))))
-    dj3.flat[::pr.dim + 1] += pr.two_m / 2.0
-    return djp, djm, dj3
+        return Coproduct(pr, steps)
+    j3 = _block_factors(pr, lambda two_j, _: t.shift(two_j))
+    for b, x in zip(pr.blocks, j3):
+        x.flat[::len(b.indices) + 1] += b.two_m / 2.0
+    return Coproduct(pr, steps, j3)
 
 
 def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
@@ -282,17 +310,17 @@ def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
     c and M. order='source' puts the factor right of Delta(J+), at the source state as on one irrep;
     order='target' puts it left, at the target state, which is not an algebra map in general.
 
-    Returns (DJp_hat, DJm_hat, DJ3).
+    Returns the dense (DJp_hat, DJm_hat, DJ3) of `transferred_coproduct`.
     """
-    return _transferred(pr, polynomial_transfer(alpha, max(pr.spins)), order)
+    return transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)), order).dense()
 
 
 def quadratic_coproduct(pr: ProductRep, alpha: float):
     """Hopf maps of the quadratic family on the product space, `structure.quadratic_transfer` by joint calculus.
 
-    Returns (DJ3_a, DJp_a, DJm_a), with DJ3_a = diag(M) + V diag(gamma_J) V^T.
+    Returns the dense (DJ3_a, DJp_a, DJm_a) of `transferred_coproduct`, with DJ3_a = diag(M) + V diag(gamma_J) V^T.
     """
-    djp, djm, dj3 = _transferred(pr, quadratic_transfer(alpha, max(pr.spins)))
+    djp, djm, dj3 = transferred_coproduct(pr, quadratic_transfer(alpha, max(pr.spins))).dense()
     return dj3, djp, djm
 
 
@@ -379,12 +407,13 @@ def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]
     report = VerificationReport()
     j, d = rep.j, rep.dim
     w = antipode_realization(j)
-    weights, u = ladder_vectors(rep)
+    weights, u = rep.ladder
     irrep = _transferred_irrep(j, t)
     trivial = build_sl2(0)
-    coproduct = _transferred(primitive_coproduct(rep, rep), t)
-    counits = {side: _transferred(p, t) for side, p in (("id x eps", primitive_coproduct(rep, trivial)),
-                                                        ("eps x id", primitive_coproduct(trivial, rep)))}
+    coproduct = transferred_coproduct(primitive_coproduct(rep, rep), t).dense()
+    counits = {side: transferred_coproduct(p, t).dense()
+               for side, p in (("id x eps", primitive_coproduct(rep, trivial)),
+                               ("eps x id", primitive_coproduct(trivial, rep)))}
     # S(J+') = -h(C, -J3)^(1/2) J+: the rows m = j, ..., -j+1 of J+ take h at 2M = -2m = -2j, ..., 2j-2
     s_plus = np.diag(-np.sqrt(_factors(j, t)[::-1]) * u, 1)
     gens = (("J3'", irrep.J3, np.diag(irrep.gamma - weights), 2), ("J+'", irrep.Jplus, s_plus, 0),

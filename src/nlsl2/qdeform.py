@@ -82,13 +82,12 @@ def q_casimir_matrix(rep, delta: float) -> np.ndarray:
     """Chat = (1/2)(J+J- + J-J+ + [J3][J3+1] + [J3][J3-1]) on a U_q irrep.
 
     rep is an unshifted irrep with basis m = j, ..., -j; on an irrep of
-    U_q(sl(2)) the result is a multiple of the identity. A rep with the
-    ladder shape gets its diagonal in O(d), bitwise equal to the dense
-    products; any other rep keeps the dense matmuls (`repbuilder._ladder_casimir`).
+    U_q(sl(2)) the result is a multiple of the identity. Its diagonal comes
+    in O(d) from the ladder, bitwise equal to the dense products.
     """
-    from .repbuilder import _ladder_casimir
+    from .repbuilder import _ladder_casimir_diagonal
 
-    return _ladder_casimir(rep, _q_bracket_values(rep.j, delta))
+    return np.diag(_ladder_casimir_diagonal(rep, _q_bracket_values(rep.j, delta)))
 
 
 def uq_casimir_residuals(j, qp: QParam) -> tuple[float, float, float]:
@@ -121,14 +120,14 @@ def qbase_example_commutator(j, beta: float, qp: QParam) -> float:
     The representation is built from the q-base structure function with
     alpha = [1, beta/[2]]; the commutator must be the stated diagonal.
     """
-    from .repbuilder import build_deformed, ladder_products, ladder_vectors
+    from .repbuilder import build_deformed, ladder_products
     from .structure import QBase, StructureSpec
 
     j = halfint(j)
     d = qp.delta
     alpha = [1.0, beta / q_bracket(2.0, d)]
     rep = build_deformed(StructureSpec(QBase(alpha, d), j))
-    pm, mp = ladder_products(ladder_vectors(rep)[1])
+    pm, mp = ladder_products(rep.ladder[1])
     ms = np.arange(j.twice, -j.twice - 1, -2) / 2
     target = q_brackets(2 * ms, d) * (1.0 + beta * q_brackets(ms, d) ** 2)
     return float(np.linalg.norm(pm - mp - target))

@@ -62,26 +62,16 @@ class NonBijectiveError(ValueError):
 
 
 class MatrixRep:
-    """A real matrix triple (J3, Jplus, Jminus) with its metadata.
+    """An irrep stored as its ladder, with its metadata.
 
-    Built from dense matrices, MatrixRep(dim, two_j, gamma, family, J3, Jplus,
-    Jminus) holds them as given and has ladder = None. The builders here
-    store only ladder = (w, u) = (diagonal of J3, superdiagonal of J+), both
-    read-only, and derive J3 = diag(w), J+ = diag(u, 1) and J- = diag(u, -1)
-    once, on first access. Those dense arrays are derived copies: editing
-    them does not change a ladder-backed rep. To check a corrupted rep, build
-    a new MatrixRep from edited dense copies.
+    ladder = (w, u) holds the diagonal of J3 and the superdiagonal of J+; J- is J+^T. The dense
+    J3 = diag(w), J+ = diag(u, 1) and J- = diag(u, -1) are derived once, on first access. They are
+    copies: editing them does not change the rep. To check a corrupted rep, build a new MatrixRep
+    from an edited ladder.
     """
 
-    def __init__(self, dim: int, two_j: int, gamma: float, family: str,
-                 J3: np.ndarray | None = None, Jplus: np.ndarray | None = None,
-                 Jminus: np.ndarray | None = None, *, ladder: tuple | None = None):
-        if (ladder is None) == (J3 is None or Jplus is None or Jminus is None):
-            raise TypeError("MatrixRep takes either the dense J3, Jplus, Jminus or ladder=(w, u)")
-        self.dim, self.two_j, self.gamma, self.family = dim, two_j, gamma, family
-        self.ladder = ladder
-        if ladder is None:
-            self.J3, self.Jplus, self.Jminus = J3, Jplus, Jminus
+    def __init__(self, dim: int, two_j: int, gamma: float, family: str, *, ladder: tuple):
+        self.dim, self.two_j, self.gamma, self.family, self.ladder = dim, two_j, gamma, family, ladder
 
     @cached_property
     def J3(self) -> np.ndarray:
@@ -116,8 +106,10 @@ def _assemble(j: HalfInt, up_values, gamma: float = 0.0, family: str = "sl2",
     """The ladder-backed rep with weights m + gamma and superdiagonal sqrt(up_values).
 
     up_values[i] is F(j, m_i) for the source states m_i = j-1, ..., -j
-    (column index i+1).
+    (column index i+1). A label j < 0 raises ValueError.
     """
+    if j.twice < 0:
+        raise ValueError("spin label j must be >= 0")
     weights = (np.arange(j.twice, -j.twice - 1, -2) / 2.0 + gamma).astype(dtype)
     ups = np.array(up_values, dtype=dtype)
     negative = np.flatnonzero(ups < 0)
@@ -129,38 +121,8 @@ def _assemble(j: HalfInt, up_values, gamma: float = 0.0, family: str = "sl2",
     return MatrixRep(j.twice + 1, j.twice, gamma, family, ladder=(weights, u))
 
 
-def ladder_vectors(rep: MatrixRep):
-    """(w, u) = (diagonal of J3, superdiagonal of J+) when rep has the ladder shape, else None.
-
-    A builder-made rep returns its stored ladder and forms no dense matrix.
-    A rep built from dense matrices has the ladder shape when J3 has no
-    entry off its diagonal, J+ none off its superdiagonal, and Jminus
-    equals Jplus.T. Product-space matrices do not; `commutator_residuals`
-    checks those on their weight blocks instead. Nonzero counts stand in for
-    dense differences.
-    """
-    if rep.ladder is not None:
-        return rep.ladder
-    w, u = np.diag(rep.J3), np.diag(rep.Jplus, 1)
-    if (
-        np.count_nonzero(rep.J3) == np.count_nonzero(w)
-        and np.count_nonzero(rep.Jplus) == np.count_nonzero(u)
-        and np.array_equal(rep.Jminus, rep.Jplus.T)
-    ):
-        return w, u
-    return None
-
-
-def _irrep_ladder(rep: MatrixRep, caller: str):
-    """ladder_vectors(rep), or a ValueError naming caller when rep lacks the ladder shape."""
-    vectors = ladder_vectors(rep)
-    if vectors is None:
-        raise ValueError(f"{caller} expects an irrep with the ladder shape")
-    return vectors
-
-
 def ladder_products(u: np.ndarray):
-    """Diagonals of J+J- and J-J+ for a ladder rep with superdiagonal u: (u^2|0) and (0|u^2)."""
+    """Diagonals of J+J- and J-J+ for the ladder superdiagonal u of J+: (u^2|0) and (0|u^2)."""
     u2 = u * u
     zero = np.zeros(1, dtype=u2.dtype)
     return np.concatenate((u2, zero)), np.concatenate((zero, u2))
@@ -178,8 +140,7 @@ def build_deformed(spec: StructureSpec) -> MatrixRep:
     One pass of `ladder_numerators` (exact integers over phi's common
     denominator D for the polynomial family) feeds both the unitarity
     `screen`, on the numerators' signs, and the superdiagonal
-    sqrt(F(j, m)) with F = n / D, so each F is evaluated once. The result
-    has the ladder shape of `ladder_vectors`.
+    sqrt(F(j, m)) with F = n / D, so each F is evaluated once.
     """
     values, d = ladder_numerators(spec)
     offending = screen(spec, values)
@@ -257,25 +218,14 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
     return _transferred_irrep(j, transfer, QuadraticShifted(float(alpha), transfer.shift(j.twice)))
 
 
-def _ladder_casimir_diagonal(rep: MatrixRep, fs: np.ndarray):
-    """Diagonal of (1/2)(J+J- + J-J+ + f(J3(J3+1)) + f(J3(J3-1))) in O(d), else None.
+def _ladder_casimir_diagonal(rep: MatrixRep, fs: np.ndarray) -> np.ndarray:
+    """Diagonal of (1/2)(J+J- + J-J+ + f(J3(J3+1)) + f(J3(J3-1))) in O(d), read from rep's ladder.
 
     fs holds f(m(m+1)) over m = j, ..., -j-1, so f(m(m-1)) at m is fs at
-    m - 1. None unless rep has the ladder shape (`ladder_vectors`).
+    m - 1.
     """
-    vectors = ladder_vectors(rep)
-    if vectors is None:
-        return None
-    pm, mp = ladder_products(vectors[1])
+    pm, mp = ladder_products(rep.ladder[1])
     return 0.5 * (pm + mp + fs[:-1] + fs[1:])
-
-
-def _ladder_casimir(rep: MatrixRep, fs: np.ndarray) -> np.ndarray:
-    """The d x d Casimir of `_ladder_casimir_diagonal`; the dense matmuls for any other shape."""
-    diag = _ladder_casimir_diagonal(rep, fs)
-    if diag is not None:
-        return np.diag(diag)
-    return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + np.diag(fs[:-1]) + np.diag(fs[1:]))
 
 
 def _phi_values(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
@@ -290,12 +240,11 @@ def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
     """Deformed Casimir (1/2)(J+J- + J-J+ + phi(J3(J3+1)) + phi(J3(J3-1))).
 
     Only meaningful for polynomial-family reps (unshifted spectrum), where it
-    must equal phi(j(j+1)) times the identity. A rep with the ladder shape
-    (`ladder_vectors`) gets its diagonal in O(d) from the superdiagonal,
-    bitwise equal to the dense products; any other rep keeps the dense
-    matmuls. The result is a dense d x d matrix either way.
+    must equal phi(j(j+1)) times the identity. Its diagonal comes in O(d)
+    from the ladder, bitwise equal to the dense products, and is returned
+    as a dense d x d matrix.
     """
-    return _ladder_casimir(rep, _phi_values(rep, alpha))
+    return np.diag(_ladder_casimir_diagonal(rep, _phi_values(rep, alpha)))
 
 
 def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
@@ -306,7 +255,7 @@ def inverse_map_uq(repq: MatrixRep, delta: float) -> MatrixRep:
     and rescales the ladder entries accordingly.
     """
     j = repq.j
-    _, u = _irrep_ladder(repq, "inverse_map_uq")
+    _, u = repq.ladder
     chat = float(_ladder_casimir_diagonal(repq, _q_bracket_values(j, delta))[0])
 
     half = q_bracket(0.5, delta)
@@ -335,7 +284,7 @@ def inverse_map_polynomial(rep: MatrixRep, alpha: Sequence) -> MatrixRep:
     the exact witness.
     """
     j = rep.j
-    _, u = _irrep_ladder(rep, "inverse_map_polynomial")
+    _, u = rep.ladder
     witness = phi_prime_witness(alpha, j.mm1())
     if witness is not None:
         raise NonBijectiveError(witness)

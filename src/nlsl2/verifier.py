@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .coefficients import _epsilon_row, beta_from_alpha, format_rational, over_common_denominator
 from .halfint import halfint
-from .repbuilder import MatrixRep, ladder_products, ladder_vectors
+from .repbuilder import MatrixRep, ladder_products
 from .structure import Polynomial, StructureSpec, ladder_numerators
+
+if TYPE_CHECKING:
+    from .hopf import Coproduct
 
 EPS = float(np.finfo(float).eps)
 
@@ -122,106 +124,65 @@ def exact_recurrence_check(alpha: Sequence, j) -> VerificationReport:
     ])
 
 
-def _odd_series(two_j3: np.ndarray, beta: Sequence, mul) -> np.ndarray:
-    """sum_p beta_p (2 J3)^(2p+1), with mul the product (matmul, or elementwise on a diagonal)."""
+def _odd_series(two_j3: np.ndarray, beta: Sequence) -> np.ndarray:
+    """sum_p beta_p (2 J3)^(2p+1) on the diagonal two_j3 of 2 J3."""
     target = np.zeros_like(two_j3)
     power = two_j3
-    two_j3_sq = mul(two_j3, two_j3)
+    two_j3_sq = two_j3 * two_j3
     for p, b in enumerate(beta):
         if p > 0:
-            power = mul(power, two_j3_sq)
+            power = power * two_j3_sq
         target = target + float(b) * power
     return target
 
 
-def _weight_blocks(rep: MatrixRep):
-    """(weights, sizes, steps) when rep's matrices live on weight blocks, else None.
-
-    The rep qualifies when J3 is diagonal, every nonzero of J+ lies in a block
-    from the states of one distinct weight to those of the next larger one,
-    and J- is J+^T. weights are the distinct diagonal entries of J3,
-    ascending, sizes how many states carry each, and steps[k] is the block of
-    J+ from weights[k] to weights[k+1]. Nonzero counts decide what lies
-    outside the blocks, so no dense difference is formed.
-    """
-    j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
-    diagonal = np.diag(j3)
-    if np.count_nonzero(j3) != np.count_nonzero(diagonal):
-        return None
-    weights, block_of, sizes = np.unique(diagonal, return_inverse=True, return_counts=True)
-    states = np.split(np.argsort(block_of, kind="stable"), np.cumsum(sizes)[:-1])
-    steps = [jp[np.ix_(hi, lo)] for lo, hi in zip(states, states[1:])]
-    downs = [jm[np.ix_(lo, hi)] for lo, hi in zip(states, states[1:])]
-    if (
-        sum(map(np.count_nonzero, steps)) != np.count_nonzero(jp)
-        or sum(map(np.count_nonzero, downs)) != np.count_nonzero(jm)
-        or not all(np.array_equal(down, step.T) for down, step in zip(downs, steps))
-    ):
-        return None
-    return weights, sizes, steps
-
-
 def _block_norm(parts) -> float:
-    """Frobenius norm of a block-diagonal matrix given its blocks."""
-    return float(np.linalg.norm(np.concatenate([np.ravel(x) for x in parts])))
+    """Frobenius norm of a block-diagonal matrix given its blocks (0 for none, as on V(0) (x) V(0))."""
+    return float(np.linalg.norm(np.concatenate([np.empty(0)] + [np.ravel(x) for x in parts])))
 
 
-def commutator_residuals(rep: MatrixRep, beta: Sequence, tol: Optional[float] = None) -> VerificationReport:
-    """Frobenius residuals of the two defining commutation relations.
+def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Optional[float] = None) -> VerificationReport:
+    """Frobenius residuals of the two defining commutation relations, read from rep's stored form.
 
-    A rep with the ladder shape (`repbuilder.ladder_vectors`: diagonal J3 = w,
-    superdiagonal J+ = u, J- = J+^T) is checked in O(d) from (w, u): the
-    residuals of [J3, J+] - J+ and [J3, J-] + J- both have the entries
-    (w[:-1] - w[1:] - 1) * u, and [J+, J-] is the diagonal (u^2|0) - (0|u^2).
-    A rep on weight blocks (`_weight_blocks`), such as a coproduct on a
-    product space, is checked one block at a time from the steps B_k of J+
-    between the distinct weights w_k < w_(k+1): [J3, J+-] -+ J+- is
-    (w_(k+1) - w_k - 1) B_k on each step, and on the block of w_k
-    [J+, J-] - sum_p beta_p (2 J3)^(2p+1) is
-    B_(k-1) B_(k-1)^T - B_k^T B_k - f(w_k) I. Any other rep falls back to
-    dense matmuls. The `gate` scales are ||J3|| ||J+|| for [J3, J+-] and
-    max(||J+ J-||, ||f(2 J3)||) for [J+, J-].
+    An irrep (`repbuilder.MatrixRep`) is read from its ladder (w, u) = (diagonal of J3, superdiagonal of
+    J+), J- = J+^T, in O(d): the residuals of [J3, J+] - J+ and [J3, J-] + J- both have the entries
+    (w[:-1] - w[1:] - 1) * u, and [J+, J-] is the diagonal (u^2|0) - (0|u^2). A coproduct
+    (`hopf.Coproduct`) is read from its step blocks B_k of Delta'(J+) between the weights
+    w_k < w_(k+1) of its product: [J3, J+-] -+ J+- is (w_(k+1) - w_k - 1) B_k on each step, and on the
+    block of w_k [J+, J-] - sum_p beta_p (2 J3)^(2p+1) is B_(k-1) B_(k-1)^T - B_k^T B_k - f(w_k) I.
+    A coproduct of a shifted family, whose Delta'(J3') is not Delta(J3), raises ValueError. The `gate`
+    scales are ||J3|| ||J+|| for [J3, J+-] and max(||J+ J-||, ||f(2 J3)||) for [J+, J-].
     """
     report = VerificationReport()
     # The defining relation is in the (possibly shifted) diagonal generator
     # itself, so the shift gamma stays inside J3 here.
-    vectors = ladder_vectors(rep)
-    blocks = None if vectors is not None else _weight_blocks(rep)
-    if vectors is not None:
-        w, u = vectors
+    if isinstance(rep, MatrixRep):
+        w, u = rep.ladder
         r_plus = r_minus = np.linalg.norm((w[:-1] - w[1:] - 1) * u)
         pm, mp = ladder_products(u)
-        series = _odd_series(2 * w, beta, np.multiply)
+        series = _odd_series(2 * w, beta)
         r_comm = np.linalg.norm(pm - mp - series)
         terms = pm, series, w, u
-    elif blocks is not None:
-        w, sizes, steps = blocks
+        dim, where = rep.dim, f"{rep.family} j={rep.j}"
+    else:
+        if rep.j3 is not None:
+            raise ValueError("commutator_residuals expects a coproduct whose Delta'(J3') is Delta(J3)")
+        steps = rep.steps
+        w = np.array([b.two_m for b in rep.pr.blocks]) / 2.0
+        sizes = np.array([len(b.indices) for b in rep.pr.blocks])
         r_plus = r_minus = _block_norm((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps))
         ups = [np.zeros((sizes[0], sizes[0]))] + [b @ b.T for b in steps]
         downs = [b.T @ b for b in steps] + [np.zeros((sizes[-1], sizes[-1]))]
-        series = _odd_series(2 * w, beta, np.multiply)
+        series = _odd_series(2 * w, beta)
         r_comm = _block_norm(up - down - f * np.eye(len(up)) for up, down, f in zip(ups, downs, series))
         terms = _block_norm(ups), series * np.sqrt(sizes), w * np.sqrt(sizes), _block_norm(steps)
-    else:
-        j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
-        r_plus = np.linalg.norm(j3 @ jp - jp @ j3 - jp)
-        r_minus = np.linalg.norm(j3 @ jm - jm @ j3 + jm)
-        pm, series = jp @ jm, _odd_series(2 * j3, beta, np.matmul)
-        r_comm = np.linalg.norm(pm - jm @ jp - series)
-        terms = pm, series, j3, jp
+        dim, where = rep.pr.dim, f"product dim={rep.pr.dim}"
     n_pm, n_f, n_3, n_p = (math.sqrt(np.vdot(t, t)) for t in terms)
-    where = f"{rep.family} j={rep.j}"
-    report.add_numeric("[J3,J+] = +J+", r_plus, gate(rep.dim, n_3 * n_p, tol), context=where)
-    report.add_numeric("[J3,J-] = -J-", r_minus, gate(rep.dim, n_3 * n_p, tol), context=where)
-    report.add_numeric("[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", r_comm, gate(rep.dim, max(n_pm, n_f), tol),
+    report.add_numeric("[J3,J+] = +J+", r_plus, gate(dim, n_3 * n_p, tol), context=where)
+    report.add_numeric("[J3,J-] = -J-", r_minus, gate(dim, n_3 * n_p, tol), context=where)
+    report.add_numeric("[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", r_comm, gate(dim, max(n_pm, n_f), tol),
                        context=f"{where} beta={[float(b) for b in beta]}")
     return report
-
-
-@functools.cache
-def _epsilon_ints(k: int) -> tuple[list[int], int]:
-    """(e, D) with eps_r(k) = e[r-1] / D for r = 1..k."""
-    return over_common_denominator(_epsilon_row(k))
 
 
 def q_series_identity_residual(j, m, delta: float, trunc: Optional[int] = None) -> float:
@@ -254,7 +215,7 @@ def q_series_identity_residual(j, m, delta: float, trunc: Optional[int] = None) 
     p, q = float(delta).as_integer_ratio()
     terms = []
     for k in range(1, trunc + 1):
-        e, d = _epsilon_ints(k)
+        e, d = _epsilon_row(k)
         num = sum(map(operator.mul, e, sums)) * (2 * p) ** (2 * k + 1)
         terms.append(num / ((d * math.factorial(2 * k + 2) << 2 * trunc) * q ** (2 * k + 1)))
     return abs(lhs - (delta + math.fsum(terms)) / math.sinh(delta))

@@ -9,6 +9,7 @@ import pytest
 from nlsl2.coefficients import alpha_from_beta, phi_eval
 from nlsl2.halfint import HalfInt, halfint
 from nlsl2.hopf import (
+    Coproduct,
     InadmissibleProductError,
     antipode_realization,
     apply_antipode,
@@ -21,6 +22,7 @@ from nlsl2.hopf import (
     product_casimir_spectrum,
     quadratic_coproduct,
     swap_matrix,
+    transferred_coproduct,
     triple_coassociativity_residual,
 )
 from nlsl2 import hopf
@@ -213,6 +215,33 @@ def test_quadratic_coproduct_bitwise_equals_former_assembly():
         _assert_transpose_pair(djp, djm)
 
 
+def _former_transferred(pr, t, order):
+    """The former dense assembly of a transferred coproduct: the step products scattered into zeros and, for a
+    shifted family, V diag(s) V^T scattered into zeros with diag(M) added on the diagonal."""
+    djp, djm, _ = _former_raise(pr, lambda tt, m: 0.0 if tt == m else math.sqrt(t.factor(tt, m)), order)
+    if t.shift is None:
+        return djp, djm, pr.DJ3
+    parts = [(b.indices, b.indices, (b.V * np.array([t.shift(tt) for tt in b.two_js])) @ b.V.T) for b in pr.blocks]
+    dj3 = _former_dense(pr, parts)
+    dj3.flat[::pr.dim + 1] += pr.two_m / 2.0
+    return djp, djm, dj3
+
+
+@pytest.mark.parametrize("order", ["source", "target"])
+def test_coproduct_dense_bitwise_equals_former_assembly(order):
+    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+    for pr in _products():
+        cmax = max(pr.spins) * (max(pr.spins) + 2) / 4
+        a = 0.6 * math.sqrt(3 / (16 * cmax)) if cmax else 0.3
+        for t in (polynomial_transfer(alpha, max(pr.spins)), quadratic_transfer(a, max(pr.spins))):
+            cop = transferred_coproduct(pr, t, order)
+            assert (cop.j3 is None) == (t.shift is None)
+            got, want = cop.dense(), _former_transferred(pr, t, order)
+            assert all(_same_bits(x, y) for x, y in zip(got, want))
+            assert t.shift is not None or got[2] is pr.DJ3
+            _assert_transpose_pair(*got[:2])
+
+
 def test_dense_views_equal_the_former_assembly():
     for pr in _products():
         plus = [(hi.indices, lo.indices, s) for lo, hi, s in zip(pr.blocks, pr.blocks[1:], pr.steps)]
@@ -246,14 +275,13 @@ def test_hopf_axioms_primitive():
 
 # 1 (x) 1 at beta = -0.1 is inadmissible: test_deformed_coproduct_rejects_inadmissible_component
 @pytest.mark.parametrize("b,j1,j2", [(b, j1, j2) for b in (-0.1, -0.05)
-                                     for j1, j2 in (("1/2", "1/2"), ("1/2", "1"), ("1", "1"))
+                                     for j1, j2 in (("0", "0"), ("1/2", "1/2"), ("1/2", "1"), ("1", "1"))
                                      if (b, j1, j2) != (-0.1, "1", "1")])
 def test_deformed_coproduct_is_algebra_map(j1, j2, b):
     pr = primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2)))
     beta = [Fraction(1), Fraction(b).limit_denominator(100)]
-    djp, djm, dj3 = deformed_coproduct(pr, alpha_from_beta(beta))
-    fake = MatrixRep(pr.dim, 0, 0.0, "product", dj3, djp, djm)
-    assert commutator_residuals(fake, beta, tol=1e-8).all_passed
+    cop = transferred_coproduct(pr, polynomial_transfer(alpha_from_beta(beta), max(pr.spins)))
+    assert commutator_residuals(cop, beta, tol=1e-8).all_passed
 
 
 def test_deformed_coproduct_rejects_inadmissible_component():
@@ -333,9 +361,8 @@ def test_deformed_coproduct_matches_coupled_basis_oracle(j1, j2):
 def test_deformed_coproduct_target_order_is_not_homomorphism():
     pr = primitive_coproduct(build_sl2(halfint("1/2")), build_sl2(halfint("1/2")))
     beta = [Fraction(1), Fraction(-1, 10)]
-    djp, djm, dj3 = deformed_coproduct(pr, alpha_from_beta(beta), order="target")
-    fake = MatrixRep(pr.dim, 0, 0.0, "product", dj3, djp, djm)
-    report = commutator_residuals(fake, beta, tol=1e-8)
+    cop = transferred_coproduct(pr, polynomial_transfer(alpha_from_beta(beta), max(pr.spins)), order="target")
+    report = commutator_residuals(cop, beta, tol=1e-8)
     assert not report.all_passed
     with pytest.raises(ValueError):
         deformed_coproduct(pr, [1], order="sideways")
@@ -629,16 +656,21 @@ def test_antipode_checks_fail_with_s_realized_untransposed(monkeypatch, family):
 def test_counit_check_fails_with_one_entry_off(monkeypatch, family, j):
     rep = build_sl2(halfint(j))
     t = _families()[family]
-    real = hopf._transferred
+    real = hopf.transferred_coproduct
 
     def off(pr, t, order="source"):
-        djp, djm, dj3 = real(pr, t, order)
-        if pr.d2 == 1:  # V (x) V(0): one entry of Delta(J+') off by 1e-9 relative
-            djp[np.unravel_index(np.argmax(djp), djp.shape)] *= 1 + 1e-9
-        return djp, djm, dj3
+        cop = real(pr, t, order)
+        if pr.d2 != 1:
+            return cop
+        # V (x) V(0): one step entry of Delta(J+'), and so of Delta(J-'), off by 1e-9 relative
+        steps = [s.copy() for s in cop.steps]
+        k = max(range(len(steps)), key=lambda i: steps[i].max())
+        steps[k][np.unravel_index(np.argmax(steps[k]), steps[k].shape)] *= 1 + 1e-9
+        return Coproduct(pr, steps, cop.j3)
 
-    monkeypatch.setattr(hopf, "_transferred", off)
-    assert _failed(hopf_axiom_checks(rep, t)) == {"counit (id x eps)Delta(J+') = J+'"}
+    monkeypatch.setattr(hopf, "transferred_coproduct", off)
+    assert _failed(hopf_axiom_checks(rep, t)) == {"counit (id x eps)Delta(J+') = J+'",
+                                                   "counit (id x eps)Delta(J-') = J-'"}
 
 
 @pytest.mark.parametrize("family", list(_families()))

@@ -1,8 +1,8 @@
-"""The ladder-shape fast path of the irrep checks against the dense formulas.
+"""The irrep checks, read from the ladder, against the dense formulas.
 
-Reps with the ladder shape (diagonal J3, superdiagonal J+, J- = J+^T) are
-checked from their two vectors; the dense matmul formulas below are the
-reference they must reproduce.
+Every irrep is stored as its ladder (diagonal J3, superdiagonal J+,
+J- = J+^T) and checked from those two vectors; the dense matmul formulas
+below are the reference they must reproduce.
 """
 
 import json
@@ -28,7 +28,6 @@ from nlsl2.repbuilder import (
     casimir_matrix,
     inverse_map_polynomial,
     inverse_map_uq,
-    ladder_vectors,
 )
 from nlsl2.structure import (
     HiggsShifted,
@@ -108,7 +107,6 @@ def ladder_cases():
 
 @pytest.mark.parametrize("name,rep,beta", list(ladder_cases()), ids=lambda x: x if isinstance(x, str) else "")
 def test_commutator_residuals_match_dense_reference(name, rep, beta):
-    assert ladder_vectors(rep) is not None
     reference, scale = dense_residuals(rep, beta)
     gate = 8 * EPS * rep.dim * scale
     report = commutator_residuals(rep, beta, tol=gate)
@@ -189,9 +187,9 @@ def test_sl2_and_uq_ladders_are_the_scalar_closed_forms_bitwise(two_j):
     sources = list(ladder_desc(j))[1:]
     sl2 = np.array([(j.value - m.value) * (j.value + m.value + 1) for m in sources])
     assert bitwise_equal(structure.sl2_squares(j), sl2)
-    assert bitwise_equal(ladder_vectors(build_sl2(j))[1], np.sqrt(sl2))
+    assert bitwise_equal(build_sl2(j).ladder[1], np.sqrt(sl2))
     uq = np.array([q_bracket(j.value - m.value, 0.01) * q_bracket(j.value + m.value + 1, 0.01) for m in sources])
-    assert bitwise_equal(ladder_vectors(build_uq(j, 0.01))[1], np.sqrt(uq))
+    assert bitwise_equal(build_uq(j, 0.01).ladder[1], np.sqrt(uq))
 
 
 def test_inadmissible_polynomial_rejection_list_matches_admissible():
@@ -205,34 +203,12 @@ def test_inadmissible_polynomial_rejection_list_matches_admissible():
     assert offending == [m for m in ladder(spec.j) if m != spec.j and f2_polynomial(spec.family.alpha, spec.j, m) < 0]
 
 
-def _corrupted(jp, jm):
-    rep = build_sl2(halfint(2))
-    return MatrixRep(rep.dim, rep.two_j, 0.0, "sl2", rep.J3, jp, jm)
-
-
-def test_entry_off_the_superdiagonal_takes_dense_path_and_fails():
-    jp = build_sl2(halfint(2)).Jplus.copy()
-    jp[0, 2] = 1e-6
-    rep = _corrupted(jp, jp.T.copy())
-    assert ladder_vectors(rep) is None
-    assert not commutator_residuals(rep, [Fraction(1)], tol=1e-10).all_passed
-
-
-def test_jminus_not_transpose_takes_dense_path_and_fails():
-    jp = build_sl2(halfint(2)).Jplus
-    jm = jp.T.copy()
-    jm[1, 0] += 1e-6
-    rep = _corrupted(jp, jm)
-    assert ladder_vectors(rep) is None
-    assert not commutator_residuals(rep, [Fraction(1)], tol=1e-10).all_passed
-
-
 def test_weight_off_by_1e6_fails_on_the_ladder_path():
     rep = build_sl2(halfint(2))
-    j3 = rep.J3.copy()
-    j3[0, 0] += 1e-6
-    shifted = MatrixRep(rep.dim, rep.two_j, 0.0, "sl2", j3, rep.Jplus, rep.Jminus)
-    assert ladder_vectors(shifted) is not None
+    w, u = rep.ladder
+    w = w.copy()
+    w[0] += 1e-6
+    shifted = MatrixRep(rep.dim, rep.two_j, 0.0, "sl2", ladder=(w, u))
     report = commutator_residuals(shifted, [Fraction(1)], tol=1e-10)
     assert [c.passed for c in report.checks] == [False, False, False]
 
@@ -263,7 +239,7 @@ def builder_reps():
 @pytest.mark.parametrize("name,rep", list(builder_reps()), ids=lambda x: x if isinstance(x, str) else "")
 def test_dense_views_equal_the_former_assembly(name, rep):
     # the former _assemble: np.diag(weights), jp = np.diag(u, 1), Jminus = jp.T.copy()
-    w, u = ladder_vectors(rep)
+    w, u = rep.ladder
     assert not DENSE & vars(rep).keys()
     weights = (np.arange(rep.two_j, -rep.two_j - 1, -2) / 2.0 + rep.gamma).astype(u.dtype)
     assert bitwise_equal(w, weights)
@@ -288,10 +264,10 @@ def test_checks_and_inverse_maps_build_no_dense_field():
 
 def test_editing_a_dense_view_leaves_the_ladder_rep_unchanged():
     rep = build_sl2(halfint(2))
-    w, u = ladder_vectors(rep)
+    w, u = rep.ladder
     assert not w.flags.writeable and not u.flags.writeable
     rep.Jplus[0, 1] += 1.0
-    assert ladder_vectors(rep)[1][0] == 2.0
+    assert rep.ladder[1][0] == 2.0
     assert commutator_residuals(rep, [Fraction(1)]).all_passed
     with pytest.raises(TypeError):
         MatrixRep(1, 0, 0.0, "sl2")

@@ -3,8 +3,8 @@
 With warnings as errors, every run either exits 0 or 1 with finite residuals and bounds (a
 table with no inf or nan for `rep`), or exits 2 with one `error:` line. The grid runs the
 irreps up to 2j = 4000, the U_q and q-base families at the largest 2j that
-`qdeform.check_q_range` accepts and the next one at three deltas, and products up to
-j1 = j2 = 11.
+`qdeform.check_q_range` accepts and the next one at three deltas, products up to
+j1 = j2 = 11, and a negative spin for each command that builds an irrep.
 """
 
 import json
@@ -20,6 +20,9 @@ from nlsl2.qdeform import check_q_range
 
 DELTAS = (0.3, 1.0, -3.0)
 ALPHA = "--alpha=1/1,1/10,1/100"
+# a negative spin, rejected where each irrep is assembled
+NEGATIVE_SPIN = (["rep", "--family", "sl2", "--j=-1"], ["rep", "--family", "uq", "--j=-1"],
+                 ["verify", "--family", "uq", "--j=-1"], ["qlimit", "--j=-1"], ["hopf", "--j1=-1", "--j2=1"])
 
 
 def _q_edge(delta):
@@ -54,9 +57,10 @@ def _runs():
     # the series needs exact eps_r(k) rows to k of about |delta|(2j+1), whose cost grows as k^3
     for two_j, delta in ((1, 0.3), (7, 1.0), (40, 1.0), (7, -3.0), (300, 0.3)):
         yield ["qlimit", "--j", str(HalfInt(two_j)), f"--delta={delta}"]
-    for j1, j2 in (("1/2", "1/2"), ("3", "5/2"), ("1/2", "11"), ("11", "11")):
+    for j1, j2 in (("0", "0"), ("1/2", "1/2"), ("3", "5/2"), ("1/2", "11"), ("11", "11")):
         for quadratic in ("0.01", "-0.01"):
             yield ["hopf", "--j1", j1, "--j2", j2, ALPHA, f"--quadratic-alpha={quadratic}"]
+    yield from NEGATIVE_SPIN
 
 
 @pytest.mark.parametrize("argv", list(_runs()), ids=" ".join)
@@ -66,6 +70,8 @@ def test_every_run_gives_a_finite_verdict_or_one_error_line(capsys, argv):
         warnings.simplefilter("error")
         code = run(["--format", "table" if table else "json", *argv])
     out, err = capsys.readouterr()
+    if argv in NEGATIVE_SPIN:
+        assert (code, err) == (EXIT_USAGE, "error: spin label j must be >= 0\n")
     if code == EXIT_USAGE:
         assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
         return
@@ -77,3 +83,4 @@ def test_every_run_gives_a_finite_verdict_or_one_error_line(capsys, argv):
     numeric = [c for c in checks if c["kind"] == "numeric"]
     assert all(math.isfinite(c["residual"]) and math.isfinite(c["bound"]) for c in numeric)
     assert (code == EXIT_OK) == all(c["pass"] for c in checks)
+

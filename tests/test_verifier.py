@@ -10,7 +10,7 @@ import nlsl2.verifier as verifier
 from nlsl2.coefficients import beta_from_alpha, epsilon, format_rational
 from nlsl2.halfint import HalfInt, halfint, ladder
 from nlsl2.repbuilder import MatrixRep, build_deformed, build_sl2
-from nlsl2.structure import Polynomial, StructureSpec, f2_polynomial
+from nlsl2.structure import Polynomial, StructureSpec, f2_polynomial, polynomial_transfer, quadratic_transfer
 from nlsl2.verifier import (
     VerificationReport,
     commutator_residuals,
@@ -124,9 +124,10 @@ def test_commutator_residuals_pass_for_honest_rep():
 def test_commutator_residuals_negative_control():
     # a 1e-6 corruption must trip the 1e-10 tolerance and clear a loose one
     rep = build_sl2(halfint("3/2"))
-    jp = rep.Jplus.copy()
-    jp[0, 1] += 1e-6
-    corrupted = MatrixRep(rep.dim, rep.two_j, 0.0, "sl2", rep.J3, jp, jp.T.copy())
+    w, u = rep.ladder
+    u = u.copy()
+    u[0] += 1e-6
+    corrupted = MatrixRep(rep.dim, rep.two_j, 0.0, "sl2", ladder=(w, u))
     tight = commutator_residuals(corrupted, [Fraction(1)], tol=1e-10)
     assert not tight.all_passed
     loose = commutator_residuals(corrupted, [Fraction(1)], tol=1e-3)
@@ -204,25 +205,40 @@ def test_q_shift_rigidity_only_zero(two_j, delta):
     assert abs(roots[0]) < 1e-12
 
 
-def _deformed_products():
-    from nlsl2.hopf import deformed_coproduct, primitive_coproduct
+ALPHA = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
 
-    alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+
+def _products():
+    from nlsl2.hopf import primitive_coproduct
+
     half, one = build_sl2("1/2"), build_sl2(1)
-    prs = [
+    return [
         primitive_coproduct(half, one),
         primitive_coproduct(build_sl2(3), build_sl2("5/2")),
         primitive_coproduct(build_sl2("7/2"), one),
         primitive_coproduct(primitive_coproduct(one, half), one),
     ]
-    for pr in prs:
-        djp, djm, dj3 = deformed_coproduct(pr, alpha)
-        yield MatrixRep(pr.dim, 0, 0.0, "product", dj3, djp, djm), beta_from_alpha(alpha)
 
 
-def _dense_residuals(rep, beta):
-    """The three residuals from dense matmuls, and the norm of the largest term."""
-    j3, jp, jm = rep.J3, rep.Jplus, rep.Jminus
+def _deformed(pr, order="source"):
+    from nlsl2.hopf import transferred_coproduct
+
+    return transferred_coproduct(pr, polynomial_transfer(ALPHA, max(pr.spins)), order)
+
+
+def _one_step_off(cop):
+    """cop with its largest step entry of Delta(J+), and so of Delta(J-), off by 1e-9 relative."""
+    from nlsl2.hopf import Coproduct
+
+    steps = [s.copy() for s in cop.steps]
+    k = max(range(len(steps)), key=lambda i: steps[i].max())
+    steps[k][np.unravel_index(np.argmax(steps[k]), steps[k].shape)] *= 1 + 1e-9
+    return Coproduct(cop.pr, steps, cop.j3)
+
+
+def _dense_residuals(mats, beta):
+    """The three residuals from dense matmuls on (DJ+, DJ-, DJ3), and the norm of the largest term."""
+    jp, jm, j3 = mats
     series = sum(float(b) * np.linalg.matrix_power(2 * j3, 2 * p + 1) for p, b in enumerate(beta))
     terms = (j3 @ jp, jp @ j3, jp @ jm, jm @ jp, series)
     residuals = (
@@ -234,46 +250,36 @@ def _dense_residuals(rep, beta):
 
 
 def test_weight_block_residuals_equal_the_dense_formulas():
-    for rep, beta in _deformed_products():
-        # J3 scaled by 3/2 keeps the weight blocks but breaks [J3, J+-] = +-J+-
-        stretched = MatrixRep(rep.dim, 0, 0.0, "product", 1.5 * rep.J3, rep.Jplus, rep.Jminus)
-        for r in (rep, stretched):
-            assert verifier.ladder_vectors(r) is None and verifier._weight_blocks(r) is not None
-            want, scale = _dense_residuals(r, beta)
-            got = [c.residual for c in commutator_residuals(r, beta).checks]
+    beta = beta_from_alpha(ALPHA)
+    for pr in _products():
+        honest = _deformed(pr)
+        for cop in (honest, _deformed(pr, "target"), _one_step_off(honest)):
+            want, scale = _dense_residuals(cop.dense(), beta)
+            got = [c.residual for c in commutator_residuals(cop, beta).checks]
             assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
-        assert commutator_residuals(rep, beta, tol=1e-12 * scale).all_passed
-        assert min(c.residual for c in commutator_residuals(stretched, beta).checks[:2]) > 0.1
+        assert commutator_residuals(honest, beta, tol=1e-12 * scale).all_passed
 
 
 def test_weight_block_path_negative_controls():
-    for rep, beta in _deformed_products():
-        _, scale = _dense_residuals(rep, beta)
-        tol = 1e-12 * scale
-        assert commutator_residuals(rep, beta, tol=tol).all_passed
-        r, c = (int(x[0]) for x in np.nonzero(rep.Jplus))
-        # one J+ entry off by 1e-9 relative, J- kept its transpose: still on the blocks
-        jp, jm = rep.Jplus.copy(), rep.Jminus.copy()
-        jp[r, c] *= 1 + 1e-9
-        jm[c, r] = jp[r, c]
-        scaled = MatrixRep(rep.dim, 0, 0.0, "product", rep.J3, jp, jm)
-        assert verifier._weight_blocks(scaled) is not None
-        assert not commutator_residuals(scaled, beta, tol=tol).all_passed
-        # the same entry moved to a column two weights below its row: off the blocks
-        jp, jm = rep.Jplus.copy(), rep.Jminus.copy()
-        w = np.diag(rep.J3)
-        far = int(np.flatnonzero(w == w[r] - 2)[0]) if np.any(w == w[r] - 2) else None
-        if far is None:
-            continue
-        jp[r, far], jp[r, c] = jp[r, c], 0.0
-        jm[far, r], jm[c, r] = jm[c, r], 0.0
-        # and a copy of it there, in J+ only
-        extra = rep.Jplus.copy()
-        extra[r, far] = extra[r, c]
-        for plus, minus in ((jp, jm), (extra, rep.Jminus)):
-            off = MatrixRep(rep.dim, 0, 0.0, "product", rep.J3, plus, minus)
-            assert verifier._weight_blocks(off) is None
-            assert not commutator_residuals(off, beta, tol=tol).all_passed
+    beta = beta_from_alpha(ALPHA)
+    for pr in _products():
+        honest = _deformed(pr)
+        tol = 1e-12 * _dense_residuals(honest.dense(), beta)[1]
+        assert commutator_residuals(honest, beta, tol=tol).all_passed
+        # one step entry off by 1e-9 relative, J- still its transpose
+        assert not commutator_residuals(_one_step_off(honest), beta, tol=tol).all_passed
+        # the factor at the target state: not an algebra map
+        assert not commutator_residuals(_deformed(pr, "target"), beta, tol=tol).all_passed
+
+
+def test_a_shifted_coproduct_is_rejected():
+    from nlsl2.hopf import transferred_coproduct
+
+    pr = _products()[0]
+    shifted = transferred_coproduct(pr, quadratic_transfer(0.05, max(pr.spins)))
+    assert shifted.j3 is not None
+    with pytest.raises(ValueError, match="Delta'\\(J3'\\) is Delta\\(J3\\)"):
+        commutator_residuals(shifted, [Fraction(1)])
 
 
 @pytest.mark.parametrize("residual,bound", [
