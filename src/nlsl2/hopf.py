@@ -21,8 +21,8 @@ Delta(J+) annihilates the state, the factor is 0. `transferred_coproduct`
 keeps the result on the same weight blocks, as a `Coproduct`: the step blocks
 of Delta'(J+) and, for a shifted family, the Delta'(J3') block of each M.
 
-`hopf_axiom_checks` tests one family's transfer map against the counit and
-antipode axioms; coassociativity is left to `triple_coassociativity_residual`.
+`hopf_axiom_checks` tests one family's transfer map against the counit and antipode axioms, reading
+the coproducts' weight blocks; coassociativity is left to `triple_coassociativity_residual`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .halfint import HalfInt, halfint
 from .repbuilder import MatrixRep, _factors, _transferred_irrep, build_sl2
 from .structure import InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_transfer
-from .verifier import VerificationReport, gate
+from .verifier import VerificationReport, _block_norm, gate
 
 
 InadmissibleProductError = InadmissibleLabelError  # a coupled (J, M) label outside a transfer map's domain
@@ -371,21 +371,20 @@ def apply_antipode(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w @ x @ w.T).T
 
 
-def multiply_with_antipode(x: np.ndarray, d: int, w: np.ndarray, side: str = "right") -> np.ndarray:
-    """Realize m(id (x) S) (side='right') or m(S (x) id) (side='left') on End(V (x) V).
+def _antipode_vectors(w: np.ndarray, indices: np.ndarray) -> tuple:
+    """vec(W), vec(W^T) on the states `indices`: m(id x S)X = unvec(X vec W) W^T, m(S x id)X = W unvec(X^T vec W^T)."""
+    return w.ravel()[indices], w.T.ravel()[indices]
 
-    Any matrix on V (x) V is a sum of elementary tensors A_i (x) B_i; the map
-    sends it to sum A_i S(B_i) (or sum S(A_i) B_i) with S realized by W. The
-    result is decomposition-independent because the map is linear, so it is
-    computed on the elementary-tensor basis E_ab (x) E_ce directly, as one
-    matrix-vector product with W and one d x d matmul.
-    """
-    t = x.reshape(d * d, d * d)  # [(a, c), (b, e)] = <a c| X |b e>
-    if side == "right":  # sum_ab E_ab @ S(B_ab): [a, c] = sum_bkl <a k| X |b l> w[b, l] w[c, k]
-        return (t @ w.ravel()).reshape(d, d) @ w.T
-    if side == "left":  # sum_ce S(A_ce) @ E_ce: [p, e] = sum_abc w[p, b] w[c, a] <a c| X |b e>
-        return w @ (w.T.ravel() @ t).reshape(d, d)
-    raise ValueError("side must be 'right' or 'left'")
+
+def _counit_ladder(cop: Coproduct) -> tuple:
+    """(diagonal of Delta'(J3'), superdiagonal of Delta'(J+')) on V (x) V(0) or V(0) (x) V: 1 x 1 blocks, V's basis."""
+    at = np.array([b.indices[0] for b in cop.pr.blocks])  # ascending M: step k lands on the state at[k + 1]
+    w = cop.pr.two_m / 2.0
+    if cop.j3 is not None:
+        w[at] = _flat(cop.j3)
+    u = np.zeros(len(at) - 1)
+    u[at[1:]] = _flat(cop.steps)
+    return w, u
 
 
 def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]] = None,
@@ -395,61 +394,61 @@ def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]
     family builds the family's `structure` map for labels 2J <= top, e.g. partial(polynomial_transfer, alpha)
     or partial(quadratic_transfer, a); it is called here at top = 2 * 2j, the largest label of V (x) V, and
     defaults to the undeformed sl2 map partial(polynomial_transfer, [1]). X' is the map on V, Delta' the map by
-    joint calculus on a product's coupled labels. For each of X' = J3', J+', J-':
+    joint calculus on a product's coupled labels, read from the weight blocks of its `Coproduct`. For each of
+    X' = J3', J+', J-':
     - S(X') realized as (W X' W^T)^T against S(J3') = -J3 + s(C), S(J+') = -h(C, -J3)^(1/2) J+ (h at M < J);
-    - m(id x S)Delta'(X') = 0 and m(S x id)Delta'(X') = 0 on V (x) V, whose J = 0 part gives eps(X') = 0;
-    - the counit: Delta'(X') on V (x) V(0) and on V(0) (x) V equals X'.
-    Coassociativity is inherited from Delta, as Delta' is a function of (Delta(C), Delta(J3)), and V^(x)3 is
-    too large to hold densely at these sizes; `triple_coassociativity_residual` is its witness. Checks are
-    gated at ||X'|| on V and ||Delta'(X')|| on V (x) V, unless tol is given.
+    - m(id x S)Delta'(X') = 0 and m(S x id)Delta'(X') = 0 on V (x) V, whose J = 0 part gives eps(X') = 0; W is a
+      signed permutation, so their norms are ||Delta'(X') vec(W)|| and ||Delta'(X')^T vec(W^T)||, on the M = 0 block;
+    - the counit: Delta'(X') on V (x) V(0) and on V(0) (x) V, whose blocks are 1 x 1, equals X'.
+    Coassociativity is inherited from Delta, as Delta' is a function of (Delta(C), Delta(J3));
+    `triple_coassociativity_residual` is its witness. Checks are gated at ||X'|| on V and ||Delta'(X')|| on
+    V (x) V, unless tol is given.
     """
     t = (family or partial(polynomial_transfer, [1]))(2 * rep.two_j)
     report = VerificationReport()
-    j, d = rep.j, rep.dim
-    w = antipode_realization(j)
+    j, d, w = rep.j, rep.dim, antipode_realization(rep.j)
     weights, u = rep.ladder
     irrep = _transferred_irrep(j, t)
-    trivial = build_sl2(0)
-    coproduct = transferred_coproduct(primitive_coproduct(rep, rep), t).dense()
-    counits = {side: transferred_coproduct(p, t).dense()
-               for side, p in (("id x eps", primitive_coproduct(rep, trivial)),
-                               ("eps x id", primitive_coproduct(trivial, rep)))}
+    pr = primitive_coproduct(rep, rep)
+    cop = transferred_coproduct(pr, t)
+    k0 = next(k for k, b in enumerate(pr.blocks) if b.two_m == 0)
+    v, v_t = _antipode_vectors(w, pr.blocks[k0].indices)
+    # Delta'(J+') and Delta'(J-') = Delta'(J+')^T from the M = 0 block (none at j = 0), and Delta'(J3') there
+    up, down = (cop.steps[k0], cop.steps[k0 - 1].T) if cop.steps else (np.zeros((0, len(v))),) * 2
+    j3 = np.zeros((len(v),) * 2) if cop.j3 is None else cop.j3[k0]
+    j3_scale = np.linalg.norm(pr.two_m / 2.0) if cop.j3 is None else _block_norm(cop.j3)
+    counits = {side: _counit_ladder(transferred_coproduct(primitive_coproduct(*pair), t))
+               for side, pair in (("id x eps", (rep, build_sl2(0))), ("eps x id", (build_sl2(0), rep)))}
     # S(J+') = -h(C, -J3)^(1/2) J+: the rows m = j, ..., -j+1 of J+ take h at 2M = -2m = -2j, ..., 2j-2
     s_plus = np.diag(-np.sqrt(_factors(j, t)[::-1]) * u, 1)
-    gens = (("J3'", irrep.J3, np.diag(irrep.gamma - weights), 2), ("J+'", irrep.Jplus, s_plus, 0),
-            ("J-'", irrep.Jminus, s_plus.T, 1))
-    for name, x, formula, k in gens:
+    gens = (("J3'", irrep.J3, np.diag(irrep.gamma - weights), j3, j3.T, j3_scale, 0),
+            ("J+'", irrep.Jplus, s_plus, up, down, _block_norm(cop.steps), 1),
+            ("J-'", irrep.Jminus, s_plus.T, down, up, _block_norm(cop.steps), 1))
+    for name, x, formula, delta, delta_t, scale, k in gens:
         bound = gate(d, float(np.linalg.norm(x)), tol)
         report.add_numeric(f"S({name}) realization vs formula", float(np.linalg.norm(apply_antipode(x, w) - formula)),
                            bound, context=f"j={j}")
-        delta = coproduct[k]
-        for side, axiom in (("right", "m(id x S)"), ("left", "m(S x id)")):
-            report.add_numeric(f"antipode axiom {axiom}Delta({name}) = 0",
-                               float(np.linalg.norm(multiply_with_antipode(delta, d, w, side))),
-                               gate(d * d, float(np.linalg.norm(delta)), tol), context=f"j={j} (x) j={j}")
-        for side, maps in counits.items():
-            report.add_numeric(f"counit ({side})Delta({name}) = {name}", float(np.linalg.norm(maps[k] - x)), bound,
-                               context=f"j={j} (x) j=0")
+        for axiom, r in (("m(id x S)", delta @ v), ("m(S x id)", delta_t @ v_t)):
+            report.add_numeric(f"antipode axiom {axiom}Delta({name}) = 0", float(np.linalg.norm(r)),
+                               gate(d * d, float(scale), tol), context=f"j={j} (x) j={j}")
+        for side, ladder in counits.items():
+            report.add_numeric(f"counit ({side})Delta({name}) = {name}",
+                               float(np.linalg.norm(ladder[k] - irrep.ladder[k])), bound, context=f"j={j} (x) j=0")
     return report
 
 
 def triple_coassociativity_residual(j, alpha: Sequence) -> float:
     """Numeric coassociativity witness for the deformed coproduct on V^(x)3.
 
-    Builds (V (x) V) (x) V and V (x) (V (x) V) with `primitive_coproduct`,
-    deforms each with `deformed_coproduct`, and returns the largest
-    difference of the primitive and deformed maps between the bracketings.
-    Raises InadmissibleProductError when a component of V^(x)3 is
-    inadmissible.
+    Builds (V (x) V) (x) V and V (x) (V (x) V) with `primitive_coproduct`, deforms each with the polynomial
+    `transferred_coproduct`, and returns the largest difference between the bracketings of Delta(J3), the
+    Delta(C) blocks, the Delta(J+) steps and the deformed steps; equal 2M give both the same weight blocks.
+    Raises InadmissibleProductError when a component of V^(x)3 is inadmissible.
     """
     rep = build_sl2(halfint(j))
     left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
     right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
-    resid = max(
-        float(np.linalg.norm(left.DJ3 - right.DJ3)),
-        float(np.linalg.norm(left.DJp - right.DJp)),
-        float(np.linalg.norm(left.DC - right.DC)),
-    )
-    djp_l = deformed_coproduct(left, alpha)[0]
-    djp_r = deformed_coproduct(right, alpha)[0]
-    return max(resid, float(np.linalg.norm(djp_l - djp_r)))
+    t = polynomial_transfer(alpha, max(left.spins))
+    parts = [([p.two_m / 2.0], [b.C for b in p.blocks], p.steps, transferred_coproduct(p, t).steps)
+             for p in (left, right)]
+    return max(_block_norm(a - b for a, b in zip(x, y)) for x, y in zip(*parts))
