@@ -57,9 +57,9 @@ from .hopf import (
     Coproduct,
     ProductRep,
     cocommutativity_check,
+    cocommutativity_residuals,
     deformed_coproduct,
     hopf_axiom_checks,
-    joint_calculus,
     primitive_coproduct,
     product_casimir_spectrum,
     quadratic_coproduct,
@@ -81,7 +81,7 @@ __all__ = [
     "FamilySolution", "family_count", "higgs_beta_window", "higgs_gamma_roots",
     "quadratic_gamma", "scan",
     "QParam", "q_beta_coeffs", "q_bracket", "qbase_example_commutator", "uq_casimir_relation",
-    "Coproduct", "ProductRep", "cocommutativity_check", "deformed_coproduct",
-    "hopf_axiom_checks", "joint_calculus", "primitive_coproduct", "product_casimir_spectrum",
+    "Coproduct", "ProductRep", "cocommutativity_check", "cocommutativity_residuals", "deformed_coproduct",
+    "hopf_axiom_checks", "primitive_coproduct", "product_casimir_spectrum",
     "quadratic_coproduct", "transferred_coproduct",
 ]

@@ -85,7 +85,7 @@ def quadratic_gamma(j, alpha: float) -> FamilySolution:
     |alpha| below ALPHA_FLOOR and a negative radicand.
     """
     j, a = halfint(j), float(alpha)
-    g = quadratic_transfer(a, j.twice).shift(j.twice)
+    g = float(quadratic_transfer(a, j.twice).shift(j.twice))
     ok, offending = admissible(StructureSpec(QuadraticShifted(a, g), j))
     return FamilySolution(g, SHIFT_MINUS, ok, offending[0] if offending else None)
 

@@ -1,28 +1,23 @@
 """Tensor products, coproducts and Hopf-axiom checks.
 
-`primitive_coproduct` is the one place that labels a product space. Delta(J3)
-is diagonal, with each state's integral 2M read from the factors' ladders,
-and the Clebsch-Gordan series gives the multiset of 2J. One stacked `eigh`
-per block size diagonalizes Delta(C) in every M block; the ascending
-eigenvectors take the ascending exact labels {J >= |M|}, of which deformed
-coproducts are functions.
+`primitive_coproduct` is the one place that labels a product space. Delta(J3) is diagonal, with each state's
+integral 2M read from the factors' ladders, and the Clebsch-Gordan series gives the multiset of 2J; an M block
+of size n holds its n largest entries. A product is stored on its weight blocks only: the Delta(C) block of
+each M and the (M -> M+1) step block of Delta(J+), assembled from the factors' nonzeros with no dense matrix
+and no np.kron. The blocks of one size share one stacked `eigh`, whose ascending eigenvectors take the
+ascending exact labels, and one stacked matmul for each function of the labels; deformed coproducts are such
+functions.
 
-A product is stored on its weight blocks only: the Delta(C) block of each M
-and the (M -> M+1) step block of Delta(J+), both assembled from the factors'
-nonzeros with no dense matrix and no np.kron. Delta(J+) times a function of
-the labels is formed one step block at a time. Every dense output is
-scattered from block entries into zeros at cached flat positions; a
-transpose scatters the same entries at the transposed positions. The
-co-commutativity check reads each swap pair of entries once.
+A deformed coproduct applies its family's `structure` transfer map to all coupled labels (2J, 2M) in one call;
+the map is defined for M < J, and at M = J, where Delta(J+) annihilates the state, the factor is 0.
+`transferred_coproduct` keeps the result on the same weight blocks, as a `Coproduct`: the step blocks of
+Delta'(J+) and, for a shifted family, the Delta'(J3') block of each M. The swap v (x) w -> w (x) v preserves
+M, so `cocommutativity_residuals` reads it on the same blocks. Dense matrices are scattered from block entries
+at flat positions found by index arithmetic, only for the dense API the benchmark calls (`deformed_coproduct`,
+`quadratic_coproduct`, `cocommutativity_check`).
 
-A deformed coproduct applies its family's `structure` transfer map at every
-coupled label (2J, 2M); the map is defined for M < J, and at M = J, where
-Delta(J+) annihilates the state, the factor is 0. `transferred_coproduct`
-keeps the result on the same weight blocks, as a `Coproduct`: the step blocks
-of Delta'(J+) and, for a shifted family, the Delta'(J3') block of each M.
-
-`hopf_axiom_checks` tests one family's transfer map against the counit and antipode axioms, reading
-the coproducts' weight blocks; coassociativity is left to `triple_coassociativity_residual`.
+`hopf_axiom_checks` tests one family's transfer map against the counit and antipode axioms, reading the
+coproducts' weight blocks; coassociativity is left to `triple_coassociativity_residual`.
 """
 
 from __future__ import annotations
@@ -30,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .halfint import HalfInt, halfint
+from .halfint import halfint
 from .repbuilder import MatrixRep, _factors, _transferred_irrep, build_sl2
 from .structure import InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_transfer
 from .verifier import VerificationReport, _block_norm, gate
@@ -76,21 +70,32 @@ class ProductRep:
     spins: tuple  # sorted multiset of 2J over the Clebsch-Gordan series
     blocks: list  # one CoupledBlock per M, ascending
     steps: list  # Delta(J+) from blocks[k] to blocks[k+1]
+    order: np.ndarray  # the state at each coupled position (block column): blocks[0].indices, blocks[1].indices, ...
+    sizes: np.ndarray  # the size of each block
+    rank: np.ndarray  # index into spins of the 2J at each coupled position: ascending M, then ascending J
+    groups: list  # (ks, at, V) per block size n: blocks[ks[i]] has columns at[i] and eigenvectors V[i]
 
     @property
     def dim(self) -> int:
         return self.d1 * self.d2
 
+    def _entries(self, r: np.ndarray, c: np.ndarray) -> tuple:
+        """States (rows, cols) of every entry of the blocks[r[i]] x blocks[c[i]] matrices in turn, row-major."""
+        starts, nc, n = np.cumsum(self.sizes) - self.sizes, self.sizes[c], self.sizes[r] * self.sizes[c]
+        e, nc = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), np.repeat(nc, n)  # entry, row length
+        return self.order[np.repeat(starts[r], n) + e // nc], self.order[np.repeat(starts[c], n) + e % nc]
+
     @cached_property
     def _step_at(self) -> tuple:
         """Flat dense positions of every step-block entry, in `steps` order, and of their transposes."""
-        pairs = [(hi.indices, lo.indices) for lo, hi in zip(self.blocks, self.blocks[1:])]
-        return _positions(pairs, self.dim, 1), _positions(pairs, 1, self.dim)
+        rows, cols = self._entries(np.arange(1, len(self.blocks)), np.arange(len(self.blocks) - 1))
+        return rows * self.dim + cols, cols * self.dim + rows
 
     @cached_property
     def _block_at(self) -> np.ndarray:
         """Flat dense positions of every entry of the M blocks, block by block."""
-        return _positions([(b.indices, b.indices) for b in self.blocks], self.dim, 1)
+        rows, cols = self._entries(*(np.arange(len(self.blocks)),) * 2)
+        return rows * self.dim + cols
 
     @cached_property
     def DJ3(self) -> np.ndarray:
@@ -109,13 +114,8 @@ class ProductRep:
         return _scatter(self.dim, self._block_at, _flat(b.C for b in self.blocks))
 
 
-def _positions(pairs, rs: int, cs: int) -> np.ndarray:
-    """rows[i] * rs + cols[k] * cs for every entry of each (rows, cols) block, block by block, row-major."""
-    return np.concatenate([np.empty(0, dtype=int)] + [np.add.outer(r * rs, c * cs).ravel() for r, c in pairs])
-
-
 def _flat(blocks) -> np.ndarray:
-    """The entries of every block, block by block, row-major: the order of `_positions`."""
+    """The entries of every block, block by block, row-major: the order of `_step_at` and `_block_at`."""
     return np.concatenate([np.empty(0)] + [b.ravel() for b in blocks])
 
 
@@ -177,9 +177,10 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     into one flat buffer holding the Delta(C) blocks and one holding the
     Delta(J+) steps, each block at its own offset, so the values equal those
     of the dense Kronecker sums. The Delta(C) blocks of each size share one
-    stacked `eigh`; a block's k-th eigenvector takes the k-th of the ascending
-    labels {J in spins : J >= |M|}. This is exact because distinct values of
-    J(J+1) lie at least 2 apart.
+    stacked `eigh`, kept in `groups`; a block's k-th eigenvector takes the
+    k-th of the ascending labels {J in spins : J >= |M|}, which for a block of
+    size n are the n largest. This is exact because distinct values of J(J+1)
+    lie at least 2 apart.
     """
     a, b = _factor(rep1), _factor(rep2)
     d1, d2 = len(a.two_m), len(b.two_m)
@@ -211,39 +212,27 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     dc.flags.writeable = dp.flags.writeable = False
 
     spins = tuple(sorted(t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)))
-    blocks = [None] * len(sizes)
-    for n in np.unique(sizes).tolist():  # one stacked eigh per block size
+    blocks, groups = [None] * len(sizes), []
+    for n in np.unique(sizes).tolist():
         ks = np.flatnonzero(sizes == n).tolist()
         cas = [dc[c_off[k]:c_off[k + 1]].reshape(n, n) for k in ks]
-        for k, c, w, vecs in zip(ks, cas, *np.linalg.eigh(np.stack(cas))):
-            blocks[k] = CoupledBlock(int(block_m[k]), order[starts[k]:starts[k + 1]], w, vecs,
-                                     tuple(s for s in spins if s >= abs(block_m[k])), c)
+        w, vecs = np.linalg.eigh(np.stack(cas))
+        groups.append((ks, starts[ks][:, None] + np.arange(n), vecs))
+        for k, c, wk, v in zip(ks, cas, w, vecs):
+            blocks[k] = CoupledBlock(int(block_m[k]), order[starts[k]:starts[k + 1]], wk, v, spins[len(spins) - n:], c)
     steps = [dp[s_off[k]:s_off[k + 1]].reshape(hi, lo)
              for k, (lo, hi) in enumerate(zip(sizes.tolist(), sizes[1:].tolist()))]
-    return ProductRep(d1, d2, two_m, spins, blocks, steps)
+    rank = np.arange(len(two_m)) - np.repeat(starts[1:] - len(spins), sizes)  # a size-n block: the n largest 2J
+    return ProductRep(d1, d2, two_m, spins, blocks, steps, order, sizes, rank, groups)
 
 
-def _block_factors(pr: ProductRep, g: Callable[[int, int], float]) -> list:
-    """V diag(g) V^T of each M block, with g called on every label in order.
-
-    g receives the ints (2J, 2M), block by block in ascending M and
-    ascending J inside a block.
-    """
-    out = []
-    for b in pr.blocks:
-        vals = np.array([g(t, b.two_m) for t in b.two_js], dtype=float)
-        out.append((b.V * vals) @ b.V.T)
+def _label_calculus(pr: ProductRep, vals: np.ndarray) -> list:
+    """V diag(vals) V^T of each M block, vals given at the coupled positions: one stacked matmul per block size."""
+    out = [None] * len(pr.blocks)
+    for ks, at, vecs in pr.groups:
+        for k, x in zip(ks, (vecs * vals[at][:, None, :]) @ vecs.transpose(0, 2, 1)):
+            out[k] = x
     return out
-
-
-def joint_calculus(pr: ProductRep, g: Callable[[Fraction, Fraction], float]) -> np.ndarray:
-    """Apply a scalar function of (c, m) over the joint spectrum of (DC, DJ3).
-
-    g is called with the exact Fractions c = J(J+1) and m = M of each coupled
-    state, and V diag(g) V^T is written into each M block.
-    """
-    factors = _block_factors(pr, lambda two_j, two_m: g(HalfInt(two_j).mm1(), Fraction(two_m, 2)))
-    return _scatter(pr.dim, pr._block_at, _flat(factors))
 
 
 def product_casimir_spectrum(j1, j2) -> list[float]:
@@ -268,17 +257,12 @@ class Coproduct:
     steps: list
     j3: Optional[list] = None
 
-    def dense(self) -> tuple:
-        """(Delta(J+'), Delta(J-'), Delta(J3')) as dense matrices, the blocks scattered into zeros.
 
-        Without a shift Delta(J3') is pr.DJ3 itself.
-        """
-        pr = self.pr
-        vals = _flat(self.steps)
-        djp, djm = (_scatter(pr.dim, at, vals) for at in pr._step_at)
-        if self.j3 is None:
-            return djp, djm, pr.DJ3
-        return djp, djm, _scatter(pr.dim, pr._block_at, _flat(self.j3))
+def _dense(cop: Coproduct) -> tuple:
+    """(Delta(J+'), Delta(J-'), Delta(J3')) of cop scattered into zeros; Delta(J3') is pr.DJ3 without a shift."""
+    pr, vals = cop.pr, _flat(cop.steps)
+    djp, djm = (_scatter(pr.dim, at, vals) for at in pr._step_at)
+    return djp, djm, pr.DJ3 if cop.j3 is None else _scatter(pr.dim, pr._block_at, _flat(cop.j3))
 
 
 def transferred_coproduct(pr: ProductRep, t: Transfer, order: str = "source") -> Coproduct:
@@ -287,54 +271,61 @@ def transferred_coproduct(pr: ProductRep, t: Transfer, order: str = "source") ->
     Delta(J+) maps the M block into the M+1 block only, and the factor F = V diag(h^(1/2)) V^T (h = 0 at
     M = J) is block-diagonal over M, so order='source' gives S_M @ F_M and order='target' gives
     F_{M+1} @ S_M, with S_M the stored step block `pr.steps`. A shift s gives the Delta(J3') blocks
-    V diag(s_J) V^T + M I.
+    V diag(s_J) V^T + M I. t.factor is called once, on the labels with M < J in coupled-position order
+    (ascending M, then ascending J), so it names the first inadmissible one; t.shift once, on pr.spins.
     """
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
-    f = _block_factors(pr, lambda two_j, two_m: 0.0 if two_j == two_m else math.sqrt(t.factor(two_j, two_m)))
+    spins = np.array(pr.spins, dtype=int)
+    two_j, two_m = spins[pr.rank], pr.two_m[pr.order]
+    h, below = np.zeros(pr.dim), two_j != two_m
+    h[below] = t.factor(two_j[below], two_m[below])
+    f = _label_calculus(pr, np.sqrt(h))
     steps = [s @ f[k] if order == "source" else f[k + 1] @ s for k, s in enumerate(pr.steps)]
     if t.shift is None:
         return Coproduct(pr, steps)
-    j3 = _block_factors(pr, lambda two_j, _: t.shift(two_j))
+    j3 = _label_calculus(pr, t.shift(spins)[pr.rank])
     for b, x in zip(pr.blocks, j3):
         x.flat[::len(b.indices) + 1] += b.two_m / 2.0
     return Coproduct(pr, steps, j3)
 
 
 def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):
-    """Coproduct of the polynomial-deformed generators on the product space.
+    """The dense (DJp_hat, DJm_hat, DJ3) of `transferred_coproduct` with `structure.polynomial_transfer`.
 
-    The square root of `structure.polynomial_transfer`, the divided difference
-    (phi(c) - phi(m(m+1)))/(c - m(m+1)) exact at each label (c, m) = (J(J+1), M), is applied by joint
-    calculus; a negative value below the highest weight raises InadmissibleProductError with the exact
-    c and M. order='source' puts the factor right of Delta(J+), at the source state as on one irrep;
-    order='target' puts it left, at the target state, which is not an algebra map in general.
-
-    Returns the dense (DJp_hat, DJm_hat, DJ3) of `transferred_coproduct`.
+    A negative divided difference below the highest weight raises InadmissibleProductError with the exact
+    c and M. order='target' puts the factor at the target state, which is not an algebra map in general.
     """
-    return transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)), order).dense()
+    return _dense(transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)), order))
 
 
 def quadratic_coproduct(pr: ProductRep, alpha: float):
-    """Hopf maps of the quadratic family on the product space, `structure.quadratic_transfer` by joint calculus.
-
-    Returns the dense (DJ3_a, DJp_a, DJm_a) of `transferred_coproduct`, with DJ3_a = diag(M) + V diag(gamma_J) V^T.
-    """
-    djp, djm, dj3 = transferred_coproduct(pr, quadratic_transfer(alpha, max(pr.spins))).dense()
+    """The dense (DJ3_a, DJp_a, DJm_a) of `transferred_coproduct` with `structure.quadratic_transfer`."""
+    djp, djm, dj3 = _dense(transferred_coproduct(pr, quadratic_transfer(alpha, max(pr.spins))))
     return dj3, djp, djm
 
 
-def swap_matrix(d1: int, d2: int) -> np.ndarray:
-    """Permutation realizing v (x) w -> w (x) v."""
-    return np.eye(d1 * d2)[np.arange(d1 * d2).reshape(d1, d2).T.ravel()]
+def cocommutativity_residuals(cop: Coproduct) -> list[float]:
+    """Swap-conjugation residuals ||P X P^T - X|| of (Delta'(J+'), Delta'(J-'), Delta'(J3')) on V (x) V, by block.
+
+    The swap v (x) w -> w (x) v preserves M, so it permutes the states of each M block, by p_k: the residual
+    of Delta'(J+') is ||S_k[p_(k+1)][:, p_k] - S_k|| over its step blocks S_k, that of Delta'(J-') =
+    Delta'(J+')^T the same, and that of Delta'(J3') the same over its M blocks (0 for diag(M)).
+    """
+    pr = cop.pr
+    if pr.d1 != pr.d2:
+        raise ValueError("cocommutativity_residuals requires equal tensor factors")
+    p = [np.searchsorted(b.indices, b.indices % pr.d1 * pr.d1 + b.indices // pr.d1) for b in pr.blocks]
+    plus = _block_norm(s[p[k + 1]][:, p[k]] - s for k, s in enumerate(cop.steps))
+    return [plus, plus, 0.0 if cop.j3 is None else _block_norm(x[p[k]][:, p[k]] - x for k, x in enumerate(cop.j3))]
 
 
 def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]:
-    """Swap-conjugation residuals ||P X P^T - X|| for coproduct matrices on V (x) V.
+    """Swap-conjugation residuals ||P X P^T - X|| for dense coproduct matrices on V (x) V.
 
     With t[a, b] the d x d block <a b| X |. .>, P X P^T holds t[b, a]^T there, so
     the squared residual is sum_a ||t[a, a] - t[a, a]^T||^2 + 2 sum_{a<b}
-    ||t[a, b] - t[b, a]^T||^2, read one slab of b >= a per a.
+    ||t[a, b] - t[b, a]^T||^2, read one slab of b >= a per a. Kept for the benchmark's dense API.
     """
     if any(mat.shape != (d * d, d * d) for mat in matrices):
         raise ValueError("cocommutativity_check requires equal tensor factors")
@@ -378,7 +369,7 @@ def _antipode_vectors(w: np.ndarray, indices: np.ndarray) -> tuple:
 
 def _counit_ladder(cop: Coproduct) -> tuple:
     """(diagonal of Delta'(J3'), superdiagonal of Delta'(J+')) on V (x) V(0) or V(0) (x) V: 1 x 1 blocks, V's basis."""
-    at = np.array([b.indices[0] for b in cop.pr.blocks])  # ascending M: step k lands on the state at[k + 1]
+    at = cop.pr.order  # one state per block, ascending M: step k lands on the state at[k + 1]
     w = cop.pr.two_m / 2.0
     if cop.j3 is not None:
         w[at] = _flat(cop.j3)
@@ -388,7 +379,7 @@ def _counit_ladder(cop: Coproduct) -> tuple:
 
 
 def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]] = None,
-                      tol: Optional[float] = None) -> VerificationReport:
+                      tol: Optional[float] = None, cop: Optional[Coproduct] = None) -> VerificationReport:
     """Counit and antipode identities of one family's transferred generators on the sl2 irrep V = rep.
 
     family builds the family's `structure` map for labels 2J <= top, e.g. partial(polynomial_transfer, alpha)
@@ -402,21 +393,21 @@ def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]
     - the counit: Delta'(X') on V (x) V(0) and on V(0) (x) V, whose blocks are 1 x 1, equals X'.
     Coassociativity is inherited from Delta, as Delta' is a function of (Delta(C), Delta(J3));
     `triple_coassociativity_residual` is its witness. Checks are gated at ||X'|| on V and ||Delta'(X')|| on
-    V (x) V, unless tol is given.
+    V (x) V, unless tol is given. cop is the family's Coproduct on V (x) V, built from the map at top, when the
+    caller has it (`nlsl2 hopf` at j1 == j2); it is built here otherwise.
     """
     t = (family or partial(polynomial_transfer, [1]))(2 * rep.two_j)
     report = VerificationReport()
     j, d, w = rep.j, rep.dim, antipode_realization(rep.j)
     weights, u = rep.ladder
     irrep = _transferred_irrep(j, t)
-    pr = primitive_coproduct(rep, rep)
-    cop = transferred_coproduct(pr, t)
-    k0 = next(k for k, b in enumerate(pr.blocks) if b.two_m == 0)
-    v, v_t = _antipode_vectors(w, pr.blocks[k0].indices)
+    cop = cop or transferred_coproduct(primitive_coproduct(rep, rep), t)
+    k0 = next(k for k, b in enumerate(cop.pr.blocks) if b.two_m == 0)
+    v, v_t = _antipode_vectors(w, cop.pr.blocks[k0].indices)
     # Delta'(J+') and Delta'(J-') = Delta'(J+')^T from the M = 0 block (none at j = 0), and Delta'(J3') there
     up, down = (cop.steps[k0], cop.steps[k0 - 1].T) if cop.steps else (np.zeros((0, len(v))),) * 2
     j3 = np.zeros((len(v),) * 2) if cop.j3 is None else cop.j3[k0]
-    j3_scale = np.linalg.norm(pr.two_m / 2.0) if cop.j3 is None else _block_norm(cop.j3)
+    j3_scale = np.linalg.norm(cop.pr.two_m / 2.0) if cop.j3 is None else _block_norm(cop.j3)
     counits = {side: _counit_ladder(transferred_coproduct(primitive_coproduct(*pair), t))
                for side, pair in (("id x eps", (rep, build_sl2(0))), ("eps x id", (build_sl2(0), rep)))}
     # S(J+') = -h(C, -J3)^(1/2) J+: the rows m = j, ..., -j+1 of J+ take h at 2M = -2m = -2j, ..., 2j-2

@@ -176,7 +176,7 @@ def _factors(j: HalfInt, transfer: Transfer, family=None) -> np.ndarray:
     Given a family, InadmissibleSpecError names the first bad m; without one the InadmissibleLabelError stands.
     """
     try:
-        return np.array([transfer.factor(j.twice, t) for t in range(j.twice - 2, -j.twice - 1, -2)])
+        return transfer.factor(np.full(j.twice, j.twice), np.arange(j.twice - 2, -j.twice - 1, -2))
     except InadmissibleLabelError as exc:
         if family is None:
             raise
@@ -189,7 +189,7 @@ def _transferred_irrep(j: HalfInt, transfer: Transfer, family=None) -> MatrixRep
     family is the `structure` family the map belongs to, naming the rep and, through `_factors`, the
     InadmissibleSpecError; without one the rep is named "transferred".
     """
-    gamma = 0.0 if transfer.shift is None else transfer.shift(j.twice)
+    gamma = 0.0 if transfer.shift is None else float(transfer.shift(j.twice))
     name = "transferred" if family is None else type(family).__name__
     return _assemble(j, sl2_squares(j) * _factors(j, transfer, family), gamma, name)
 
@@ -215,7 +215,7 @@ def build_quadratic_explicit(rep: MatrixRep, alpha: float) -> MatrixRep:
     _sl2_input(rep, "build_quadratic_explicit")
     j = rep.j
     transfer = quadratic_transfer(alpha, j.twice)
-    return _transferred_irrep(j, transfer, QuadraticShifted(float(alpha), transfer.shift(j.twice)))
+    return _transferred_irrep(j, transfer, QuadraticShifted(float(alpha), float(transfer.shift(j.twice))))
 
 
 def _ladder_casimir_diagonal(rep: MatrixRep, fs: np.ndarray) -> np.ndarray:

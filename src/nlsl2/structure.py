@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -224,20 +223,22 @@ def phi_ladder(alpha: Sequence, j) -> list[Fraction]:
     return [Fraction(n, d) for n in ns]
 
 
-def divided_difference(alpha: Sequence, top: int) -> Callable[[int, int], float]:
+def divided_difference(alpha: Sequence, top: int) -> Callable:
     """g(2J, 2M) = (phi(c) - phi(x)) / (c - x) at c = J(J+1), x = M(M+1), |M| <= J <= top/2, M != J.
 
     The polynomial map factor on an irrep (top = 2j) or a product space (top
     its largest 2J); 2J may have either parity. With n_t = D phi(t(t+2)/4) for
     t = -1, 0, ..., top from one `phi_numerators` call (2M and -2M-2 share
     t(t+2)), g = 4 (n_J - n_M) / (D (C - X)), C = 2J(2J+2), X = 2M(2M+2): one
-    correctly rounded int division, with the sign of the exact value.
+    correctly rounded int division, with the sign of the exact value. g takes
+    ints or int arrays of labels, elementwise.
     """
     ns, d = phi_numerators(alpha, [t * (t + 2) for t in range(-1, top + 1)])
+    ns = np.array(ns, dtype=object)
 
-    def g(two_j: int, two_m: int) -> float:
-        num = 4 * (ns[two_j + 1] - ns[max(two_m, -two_m - 2) + 1])
-        return num / (d * (two_j * (two_j + 2) - two_m * (two_m + 2)))
+    def g(two_j, two_m):
+        num = 4 * (ns[two_j + 1] - ns[np.maximum(two_m, -two_m - 2) + 1])
+        return np.asarray(num / (np.asarray(two_j * (two_j + 2) - two_m * (two_m + 2), dtype=object) * d), dtype=float)
 
     return g
 
@@ -267,23 +268,29 @@ class InadmissibleLabelError(ValueError):
 
 
 class Transfer(NamedTuple):
-    """J+' = J+ factor(2J, 2M)^(1/2), M < J, raising InadmissibleLabelError where < 0; J3' = J3 + shift(2J) or J3."""
+    """J+' = J+ factor(2J, 2M)^(1/2), M < J, and J3' = J3 + shift(2J), or J3 without a shift.
 
-    factor: Callable[[int, int], float]
-    shift: Optional[Callable[[int], float]]
+    Both read int arrays of labels; InadmissibleLabelError names the first where factor is < 0 past its clamp.
+    """
+
+    factor: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    shift: Optional[Callable[[np.ndarray], np.ndarray]]
+
+
+def _checked(message: str, val: np.ndarray, floor: float, two_j: np.ndarray, two_m: np.ndarray) -> np.ndarray:
+    """val with values in [floor, 0) taken as 0; below floor at some label, InadmissibleLabelError at the first."""
+    bad = val < floor
+    if bad.any():
+        i = int(np.argmax(bad))
+        two_j, two_m = int(np.ravel(two_j)[i]), int(np.ravel(two_m)[i])
+        raise InadmissibleLabelError(message, HalfInt(two_j).mm1(), Fraction(two_m, 2))
+    return np.maximum(val, 0.0)
 
 
 def polynomial_transfer(alpha: Sequence, top: int) -> Transfer:
     """h = `divided_difference`, exact in sign, at labels 2J <= top; no shift."""
     dd = divided_difference(alpha, top)
-
-    def factor(two_j: int, two_m: int) -> float:
-        val = dd(two_j, two_m)
-        if val < 0:
-            raise InadmissibleLabelError("negative divided difference", HalfInt(two_j).mm1(), Fraction(two_m, 2))
-        return val
-
-    return Transfer(factor, None)
+    return Transfer(lambda tj, tm: _checked("negative divided difference", dd(tj, tm), 0, tj, tm), None)
 
 
 def quadratic_transfer(alpha: float, top: int) -> Transfer:
@@ -298,13 +305,12 @@ def quadratic_transfer(alpha: float, top: int) -> Transfer:
     if rad < 0:
         raise InadmissibleLabelError(f"negative radicand 1 - 16 a^2 j(j+1)/3 = {rad:.6g}; alpha must satisfy "
                                      f"|alpha| <= 3/(2(4j+1)) = {3 / (2 * (2 * top + 1)):.6g}", HalfInt(top).mm1())
-    root = cache(lambda two_j: math.sqrt(quadratic_radicand(a, two_j * (two_j + 2) / 4)))
 
-    def factor(two_j: int, two_m: int) -> float:
-        val = quadratic_ladder_factor(a, root(two_j), two_m / 2)
-        if val < -CLAMP_TOL:
-            raise InadmissibleLabelError("negative ladder factor", HalfInt(two_j).mm1(), Fraction(two_m, 2))
-        return max(val, 0.0)
+    def root(two_j):
+        return np.sqrt(quadratic_radicand(a, two_j * (two_j + 2) / 4))
+
+    def factor(tj, tm):
+        return _checked("negative ladder factor", quadratic_ladder_factor(a, root(tj), tm / 2), -CLAMP_TOL, tj, tm)
 
     return Transfer(factor, lambda two_j: quadratic_shift(a, root(two_j)))
 

@@ -569,3 +569,64 @@ def test_qlimit_series_stays_finite_past_the_float_range_of_its_powers(capsys):
     assert code == EXIT_OK and err == ""
     (series,) = [c for c in json.loads(out)["checks"] if c["name"] == "series identity truncation"]
     assert series["pass"] and 0 < series["residual"] <= series["bound"] < math.inf
+
+
+def test_hopf_cocommutativity_fails_with_one_step_entry_off(capsys, monkeypatch):
+    # one step entry of Delta'(J+') off by 1e-9 relative, in a row whose state a (x) b has a != b, so its
+    # swap partner, another entry, is left as it is
+    real = hopf.transferred_coproduct
+
+    def off(pr, t, order="source"):
+        cop = real(pr, t, order)
+        if pr.d1 != pr.d2 or pr.d1 == 1:
+            return cop
+        steps = [s.copy() for s in cop.steps]
+        k, d = len(steps) // 2, pr.d1
+        r = next(r for r, state in enumerate(pr.blocks[k + 1].indices) if state % d != state // d)
+        steps[k][r, np.argmax(np.abs(steps[k][r]))] *= 1 + 1e-9
+        return hopf.Coproduct(pr, steps, cop.j3)
+
+    argv = ["--format", "json", "hopf", "--j1", "7/2", "--j2", "7/2", "--alpha=1/1,1/10,1/100"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    monkeypatch.setattr(hopf, "transferred_coproduct", off)
+    code, out, _ = _run(capsys, *argv)
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "co-commutativity of deformed coproduct"]
+    assert code == EXIT_CHECK_FAILED and not check["pass"] and check["residual"] > 100 * check["bound"]
+
+
+def test_hopf_at_equal_spins_builds_the_product_and_its_coproduct_once(capsys, monkeypatch):
+    # the polynomial axiom checks read the Coproduct the commutator and co-commutativity checks read
+    products, coproducts, axioms, commutators = [], [], [], []
+    real_pr, real_cop, real_axioms, real_comm = (hopf.primitive_coproduct, hopf.transferred_coproduct,
+                                                 hopf.hopf_axiom_checks, verifier.commutator_residuals)
+    monkeypatch.setattr(hopf, "primitive_coproduct", lambda a, b: products.append(real_pr(a, b)) or products[-1])
+    monkeypatch.setattr(hopf, "transferred_coproduct", lambda *a: coproducts.append(real_cop(*a)) or coproducts[-1])
+    monkeypatch.setattr(hopf, "hopf_axiom_checks", lambda *a: axioms.append(a[-1]) or real_axioms(*a))
+    monkeypatch.setattr(verifier, "commutator_residuals", lambda cop, *a, **k: commutators.append(cop)
+                        or real_comm(cop, *a, **k))
+    code, _, _ = _run(capsys, "hopf", "--j1", "3", "--j2", "3", "--alpha=1/1,1/10,1/100")
+    assert code == EXIT_OK and sum(pr.dim == 49 for pr in products) == 1
+    assert [cop.pr.dim for cop in coproducts] == [49, 7, 7]  # V (x) V, then the counit's V (x) V(0), V(0) (x) V
+    assert axioms == commutators == coproducts[:1]
+
+
+def test_hopf_at_equal_spins_forms_no_dense_product_matrix(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, _ = _run(capsys, "hopf", "--j1", "40", "--j2", "40", "--alpha=1/1,1/10,1/100")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # V(40) (x) V(40) has dimension 6561: the dense co-commutativity check took three 344 MB matrices
+    assert code == EXIT_OK and peak < 200 * 2**20
+
+
+def test_hopf_at_equal_spins_names_the_products_first_bad_label(capsys):
+    # the product's coproduct is built before the axiom checks read it, so an inadmissible map is named at the
+    # product's first bad label in ascending M, then ascending J, as deformed_coproduct names it
+    code, out, err = _run(capsys, "hopf", "--j1", "2", "--j2", "2", "--alpha=1,-1/5")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: negative divided difference at J(J+1) = 20, M = -4\n"

@@ -14,13 +14,12 @@ from nlsl2.hopf import (
     antipode_realization,
     apply_antipode,
     cocommutativity_check,
+    cocommutativity_residuals,
     deformed_coproduct,
     hopf_axiom_checks,
-    joint_calculus,
     primitive_coproduct,
     product_casimir_spectrum,
     quadratic_coproduct,
-    swap_matrix,
     transferred_coproduct,
     triple_coassociativity_residual,
 )
@@ -86,6 +85,21 @@ def _relative(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def _joint_calculus(pr, g):
+    """The dense V diag(g(c, m)) V^T of every M block, g at the exact Fractions c = J(J+1) and m = M."""
+    out = np.zeros((pr.dim, pr.dim))
+    for b in pr.blocks:
+        m = Fraction(b.two_m, 2)
+        vals = np.array([g(HalfInt(t).mm1(), m) for t in b.two_js], dtype=float)
+        out[np.ix_(b.indices, b.indices)] = (b.V * vals) @ b.V.T
+    return out
+
+
+def _swap_matrix(d1, d2):
+    """Permutation realizing v (x) w -> w (x) v."""
+    return np.eye(d1 * d2)[np.arange(d1 * d2).reshape(d1, d2).T.ravel()]
+
+
 @pytest.mark.parametrize("j1,j2", [("1", "1"), ("3", "5/2"), ("7/2", "1")])
 def test_block_coproducts_match_dense_references(j1, j2):
     alpha = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
@@ -95,7 +109,7 @@ def test_block_coproducts_match_dense_references(j1, j2):
         x = m * (m + 1)
         return 0.0 if c == x else math.sqrt((phi_eval(alpha, c) - phi_eval(alpha, x)) / (c - x))
 
-    factor = joint_calculus(pr, dd)
+    factor = _joint_calculus(pr, dd)
     for order, want in (("source", pr.DJp @ factor), ("target", factor @ pr.DJp)):
         djp, djm, _ = deformed_coproduct(pr, alpha, order=order)
         assert _relative(djp, want) < 1e-13
@@ -108,14 +122,14 @@ def test_block_coproducts_match_dense_references(j1, j2):
         return math.sqrt(max(2 * a * (2 * m + 1) / 3 + root, 0.0))
 
     _, djp_a, _ = quadratic_coproduct(pr, a)
-    assert _relative(djp_a, pr.DJp @ joint_calculus(pr, ladder)) < 1e-13
+    assert _relative(djp_a, pr.DJp @ _joint_calculus(pr, ladder)) < 1e-13
 
 
 def test_cocommutativity_check_matches_swap_conjugation():
     d = 3
     rng = np.random.default_rng(5)
     mats = [rng.standard_normal((d * d, d * d)), np.kron(np.arange(d * d).reshape(d, d), np.eye(d))]
-    p = swap_matrix(d, d)
+    p = _swap_matrix(d, d)
     want = [float(np.linalg.norm(p @ mat @ p.T - mat)) for mat in mats]
     assert cocommutativity_check(mats, d) == want
 
@@ -123,7 +137,7 @@ def test_cocommutativity_check_matches_swap_conjugation():
 def test_cocommutativity_check_matches_dense_swap_oracle():
     d = 5
     x = np.random.default_rng(11).standard_normal((d * d, d * d))
-    p = swap_matrix(d, d)
+    p = _swap_matrix(d, d)
     want = np.linalg.norm(p @ x @ p.T - x)
     assert abs(cocommutativity_check([x], d)[0] - want) <= 1e-14 * want
 
@@ -235,7 +249,7 @@ def test_coproduct_dense_bitwise_equals_former_assembly(order):
         for t in (polynomial_transfer(alpha, max(pr.spins)), quadratic_transfer(a, max(pr.spins))):
             cop = transferred_coproduct(pr, t, order)
             assert (cop.j3 is None) == (t.shift is None)
-            got, want = cop.dense(), _former_transferred(pr, t, order)
+            got, want = hopf._dense(cop), _former_transferred(pr, t, order)
             assert all(_same_bits(x, y) for x, y in zip(got, want))
             assert t.shift is not None or got[2] is pr.DJ3
             _assert_transpose_pair(*got[:2])
@@ -255,12 +269,15 @@ def test_product_casimir_spectrum_oracle():
     assert np.allclose(got, product_casimir_spectrum(1, "3/2"), atol=1e-10)
 
 
-def test_joint_calculus_reproduces_casimir():
-    pr = primitive_coproduct(build_sl2("1/2"), build_sl2("1/2"))
-    rebuilt = joint_calculus(pr, lambda c, m: c)
-    assert np.allclose(rebuilt, pr.DC, atol=1e-12)
-    identity = joint_calculus(pr, lambda c, m: 1.0)
-    assert np.allclose(identity, np.eye(pr.dim), atol=1e-12)
+def test_label_calculus_reproduces_casimir():
+    # V diag(J(J+1)) V^T is each block's Delta(C), V diag(1) V^T the identity; the labels run block by block
+    for pr in _products():
+        two_j, two_m = np.array(pr.spins, dtype=int)[pr.rank], pr.two_m[pr.order]
+        assert np.array_equal(two_m, np.concatenate([[b.two_m] * len(b.indices) for b in pr.blocks]))
+        assert np.array_equal(two_j, np.concatenate([b.two_js for b in pr.blocks]))
+        for b, c, one in zip(pr.blocks, hopf._label_calculus(pr, two_j * (two_j + 2) / 4.0),
+                             hopf._label_calculus(pr, np.ones(pr.dim))):
+            assert np.allclose(c, b.C, atol=1e-12) and np.allclose(one, np.eye(len(b.indices)), atol=1e-12)
 
 
 def test_hopf_axioms_primitive():
@@ -380,11 +397,17 @@ def test_cocommutativity_requires_equal_factors():
         cocommutativity_check([pr.DJ3], 2)
 
 
-def test_swap_matrix_is_involution():
-    p = swap_matrix(2, 2)
-    assert np.allclose(p @ p, np.eye(4))
-    p23 = swap_matrix(2, 3)
-    assert np.allclose(p23.T @ p23, np.eye(6))
+def test_swap_permutes_each_weight_block():
+    # the swap v (x) w -> w (x) v keeps M, so it maps each block's states onto themselves, as an involution
+    for j in ("0", "1/2", "3", "7/2"):
+        rep = build_sl2(halfint(j))
+        pr = primitive_coproduct(rep, rep)
+        p = _swap_matrix(rep.dim, rep.dim)
+        assert np.array_equal(p @ p, np.eye(pr.dim)) and np.array_equal(p @ pr.DJ3 @ p.T, pr.DJ3)
+        for b in pr.blocks:
+            swapped = b.indices % rep.dim * rep.dim + b.indices // rep.dim
+            p = np.searchsorted(b.indices, swapped)
+            assert np.array_equal(b.indices[p], swapped) and np.array_equal(p[p], np.arange(len(b.indices)))
 
 
 def test_quadratic_coproduct_closes_algebra():
@@ -618,7 +641,7 @@ def test_antipode_axiom_residuals_equal_the_einsum_form(monkeypatch, family, j, 
     report = hopf_axiom_checks(rep, _families()[family])
     (cop,) = seen
     d, w = rep.dim, antipode_realization(rep.j)
-    djp, djm, dj3 = cop.dense()
+    djp, djm, dj3 = hopf._dense(cop)
     got = {c.name: c for c in report.checks}
     for name, x in (("J3'", dj3), ("J+'", djp), ("J-'", djm)):
         scale = np.linalg.norm(x)
@@ -761,3 +784,122 @@ def test_hopf_axiom_checks_form_no_dense_product_matrix():
         tracemalloc.stop()
     # V(40) (x) V(40) has dimension 6561: one dense matrix on it takes 344 MB
     assert report.all_passed and peak < 100 * 2**20
+
+
+ALPHA = [Fraction(1), Fraction(1, 10), Fraction(1, 100)]
+
+
+def _equal_product_coproduct(j, family):
+    """V(j) (x) V(j) and its Coproduct: the polynomial map at ALPHA, or the quadratic one at half its radicand bound."""
+    rep = build_sl2(halfint(j))
+    pr = primitive_coproduct(rep, rep)
+    top = max(pr.spins)
+    t = (polynomial_transfer(ALPHA, top) if family == "polynomial"
+         else quadratic_transfer(0.5 * math.sqrt(3 / (4 * top * (top + 2))), top))
+    return rep, transferred_coproduct(pr, t)
+
+
+@pytest.mark.parametrize("family", ["polynomial", "quadratic"])
+@pytest.mark.parametrize("j", ["1/2", "1", "7/2", "11"])
+def test_cocommutativity_residuals_equal_the_dense_check(family, j):
+    rep, cop = _equal_product_coproduct(j, family)
+    got, want = cocommutativity_residuals(cop), cocommutativity_check(hopf._dense(cop), rep.dim)
+    assert all(abs(g - w) <= 1e-14 * w for g, w in zip(got, want)), (got, want)
+    assert family != "polynomial" or got[2] == 0.0  # Delta(J3) = diag(M) is swap-invariant
+
+
+@pytest.mark.parametrize("family", ["polynomial", "quadratic"])
+@pytest.mark.parametrize("j", ["1", "7/2"])
+def test_cocommutativity_residuals_fail_with_one_step_entry_off(family, j):
+    # one step entry off by 1e-9 relative, in a row whose state a (x) b has a != b, so its swap partner is
+    # another entry, left as it is: both forms read the same nonzero residual, far above the gate
+    rep, cop = _equal_product_coproduct(j, family)
+    d, steps = rep.dim, [s.copy() for s in cop.steps]
+    k = len(steps) // 2
+    rows = cop.pr.blocks[k + 1].indices
+    s = steps[k]
+    r, c = max(((r, c) for r in range(s.shape[0]) for c in range(s.shape[1]) if rows[r] % d != rows[r] // d),
+               key=lambda rc: abs(s[rc]))
+    s[r, c] *= 1 + 1e-9
+    bad = Coproduct(cop.pr, steps, cop.j3)
+    got, want = cocommutativity_residuals(bad), cocommutativity_check(hopf._dense(bad), d)
+    assert all(abs(g - w) <= 1e-14 * w for g, w in zip(got, want)), (got, want)
+    scale = max(float(np.linalg.norm(x)) for x in hopf._dense(bad))
+    assert got[0] == got[1] > 1e3 * gate(cop.pr.dim, scale)
+
+
+def test_cocommutativity_residuals_require_equal_factors():
+    pr = primitive_coproduct(build_sl2("1/2"), build_sl2(1))
+    with pytest.raises(ValueError):
+        cocommutativity_residuals(transferred_coproduct(pr, polynomial_transfer(ALPHA, max(pr.spins))))
+
+
+def _first_bad_label(pr, h):
+    """(c, m) of the first label with M < J, block by block in ascending M and ascending J, where the scalar h < 0."""
+    for b in pr.blocks:
+        for t in b.two_js:
+            if t != b.two_m and h(t, b.two_m) < 0:
+                return HalfInt(t).mm1(), Fraction(b.two_m, 2)
+    return None
+
+
+def _exact_divided_difference(alpha):
+    def h(two_j, two_m):
+        c, x = Fraction(two_j * (two_j + 2), 4), Fraction(two_m * (two_m + 2), 4)
+        return (phi_eval(alpha, c) - phi_eval(alpha, x)) / (c - x)
+    return h
+
+
+@pytest.mark.parametrize("beta,j1,j2", [
+    ([Fraction(1), Fraction(-1, 10)], "1", "1"),
+    ([Fraction(1), Fraction(-1, 10)], "3", "5/2"),
+    ([Fraction(1), Fraction(-1, 40)], "7/2", "3"),
+    ([Fraction(1), Fraction(0), Fraction(-1, 50)], "5/2", "2"),
+])
+def test_batched_polynomial_transfer_names_the_first_bad_label(beta, j1, j2):
+    # one factor call over all labels names the label the per-label reading, in ascending M, then J, met first
+    alpha = alpha_from_beta(beta)
+    pr = primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2)))
+    want = _first_bad_label(pr, _exact_divided_difference(alpha))
+    assert want is not None
+    with pytest.raises(InadmissibleProductError) as exc:
+        transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)))
+    assert (exc.value.c, exc.value.m) == want
+    assert isinstance(exc.value.c, Fraction) and isinstance(exc.value.m, Fraction)
+
+
+def test_batched_quadratic_transfer_names_the_first_bad_label():
+    # a = -0.17 on 1 (x) 1: the ladder factor 2a(2M+1)/3 + s_J is negative at J = 2, M = 1 only, inside the
+    # radicand bound |a| <= 0.177 at J = 2; a = 0.2 is past it, and the top label is named with no M
+    pr = primitive_coproduct(build_sl2(1), build_sl2(1))
+    a = -0.17
+
+    def h(two_j, two_m):
+        return quadratic_ladder_factor(a, math.sqrt(quadratic_radicand(a, two_j * (two_j + 2) / 4)), two_m / 2) + 1e-12
+
+    assert _first_bad_label(pr, h) == (Fraction(6), Fraction(1))
+    for alpha, want in ((a, (Fraction(6), Fraction(1))), (0.2, (Fraction(6), None))):
+        with pytest.raises(InadmissibleProductError) as exc:
+            quadratic_coproduct(pr, alpha)
+        assert (exc.value.c, exc.value.m) == want
+
+
+@pytest.mark.parametrize("family", list(_families()))
+@pytest.mark.parametrize("j", ["0", "1/2", "7/2"])
+def test_hopf_axiom_checks_on_a_shared_coproduct_are_bitwise_their_own(family, j):
+    rep = build_sl2(halfint(j))
+    t = (_families()[family] or partial(polynomial_transfer, [1]))(2 * rep.two_j)
+    cop = transferred_coproduct(primitive_coproduct(rep, rep), t)
+    own = hopf_axiom_checks(rep, _families()[family])
+    shared = hopf_axiom_checks(rep, _families()[family], cop=cop)
+
+    def bits(report):
+        return [(c.name, float(c.residual).hex(), float(c.bound).hex(), c.passed) for c in report.checks]
+
+    assert bits(own) == bits(shared) and len(own.checks) == 15
+
+
+@pytest.mark.parametrize("j", ["5/2", "5"])
+def test_triple_coassociativity_reads_zero(j):
+    # both bracketings give the same weight blocks, and the same values in them
+    assert triple_coassociativity_residual(j, ALPHA) == 0.0
