@@ -4,17 +4,19 @@
 integral 2M read from the factors' ladders, and the Clebsch-Gordan series gives the multiset of 2J; an M block
 of size n holds its n largest entries. A product is stored on its weight blocks only: the Delta(C) block of
 each M and the (M -> M+1) step block of Delta(J+), assembled from the factors' nonzeros with no dense matrix
-and no np.kron. The blocks of one size share one stacked `eigh`, whose ascending eigenvectors take the
-ascending exact labels, and one stacked matmul for each function of the labels; deformed coproducts are such
-functions.
+and no np.kron. The reflection (m1, m2) -> (-m1, -m2) maps the -M block onto the M block with its states
+reversed (Edmonds, eq. 3.5.17), and the assembly keeps this bit for bit, so only the blocks with 2M >= 0 are
+diagonalized, one stacked `eigh` per run of one size; a -M block takes its mirror's eigenvalues and its
+eigenvectors reversed. Ascending eigenvectors take the ascending exact labels, and each run with its mirrors
+shares one stacked matmul for each function of the labels; deformed coproducts are such functions.
 
 A deformed coproduct applies its family's `structure` transfer map to all coupled labels (2J, 2M) in one call;
 the map is defined for M < J, and at M = J, where Delta(J+) annihilates the state, the factor is 0.
 `transferred_coproduct` keeps the result on the same weight blocks, as a `Coproduct`: the step blocks of
-Delta'(J+) and, for a shifted family, the Delta'(J3') block of each M. The swap v (x) w -> w (x) v preserves
-M, so `cocommutativity_residuals` reads it on the same blocks. Dense matrices are scattered from block entries
-at flat positions found by index arithmetic, only for the dense API the benchmark calls (`deformed_coproduct`,
-`quadratic_coproduct`, `cocommutativity_check`).
+Delta'(J+) and, for a shifted family, the Delta'(J3') block of each M. On V (x) V, V an irrep, the swap
+v (x) w -> w (x) v reverses each block, which `cocommutativity_residuals` reads. Dense matrices are scattered
+from block entries at flat positions found by index arithmetic, only for the dense API the benchmark calls
+(`deformed_coproduct`, `quadratic_coproduct`, `cocommutativity_check`).
 
 `hopf_axiom_checks` tests one family's transfer map against the counit and antipode axioms, reading the
 coproducts' weight blocks; coassociativity is left to `triple_coassociativity_residual`.
@@ -57,23 +59,35 @@ class CoupledBlock(NamedTuple):
 class ProductRep:
     """Primitive coproduct on V1 (x) V2, stored on its weight blocks with exact (J, M) labels.
 
-    Delta(J3) is diag(M), Delta(C) is block-diagonal over M (`CoupledBlock.C`)
+    Delta(J3) is diag(M), Delta(C) is block-diagonal over M (cas[k], read-only)
     and Delta(J+) maps the M block into the M+1 block only: steps[k] is its
-    block from blocks[k] to blocks[k+1], read-only. The dense matrices DJ3,
-    DJp, DJm and DC are built from these on first access; they are writable
-    copies, so editing them leaves the blocks unchanged.
+    block from block k to block k+1, read-only. An entry (ks, at, w, V) of
+    `groups` holds a run of blocks of one size with 2M >= 0 and their -M
+    mirrors: block ks[i] has columns at[i], eigenvalues w[i] and eigenvectors
+    V[i]. `blocks` (one CoupledBlock per M) and the dense DJ3, DJp, DJm and DC
+    are built from these on first read; the dense ones are writable copies.
     """
 
     d1: int
     d2: int
     two_m: np.ndarray  # 2M of each basis state
     spins: tuple  # sorted multiset of 2J over the Clebsch-Gordan series
-    blocks: list  # one CoupledBlock per M, ascending
-    steps: list  # Delta(J+) from blocks[k] to blocks[k+1]
-    order: np.ndarray  # the state at each coupled position (block column): blocks[0].indices, blocks[1].indices, ...
+    block_m: np.ndarray  # 2M of each block, ascending
+    cas: list  # Delta(C) on block k
+    steps: list  # Delta(J+) from block k to block k+1
+    order: np.ndarray  # the state at each coupled position (block column): block 0's states, block 1's, ...
     sizes: np.ndarray  # the size of each block
     rank: np.ndarray  # index into spins of the 2J at each coupled position: ascending M, then ascending J
-    groups: list  # (ks, at, V) per block size n: blocks[ks[i]] has columns at[i] and eigenvectors V[i]
+    groups: list  # (ks, at, w, V) per run of blocks of one size, with their mirrors
+
+    @cached_property
+    def blocks(self) -> list:
+        out, starts = [None] * len(self.sizes), np.cumsum(self.sizes) - self.sizes
+        for ks, _, w, vecs in self.groups:
+            for k, wk, v in zip(ks, w, vecs):
+                out[k] = CoupledBlock(int(self.block_m[k]), self.order[starts[k]:starts[k] + len(wk)], wk, v,
+                                      self.spins[len(self.spins) - len(wk):], self.cas[k])
+        return out
 
     @property
     def dim(self) -> int:
@@ -88,13 +102,13 @@ class ProductRep:
     @cached_property
     def _step_at(self) -> tuple:
         """Flat dense positions of every step-block entry, in `steps` order, and of their transposes."""
-        rows, cols = self._entries(np.arange(1, len(self.blocks)), np.arange(len(self.blocks) - 1))
+        rows, cols = self._entries(np.arange(1, len(self.sizes)), np.arange(len(self.sizes) - 1))
         return rows * self.dim + cols, cols * self.dim + rows
 
     @cached_property
     def _block_at(self) -> np.ndarray:
         """Flat dense positions of every entry of the M blocks, block by block."""
-        rows, cols = self._entries(*(np.arange(len(self.blocks)),) * 2)
+        rows, cols = self._entries(*(np.arange(len(self.sizes)),) * 2)
         return rows * self.dim + cols
 
     @cached_property
@@ -111,7 +125,7 @@ class ProductRep:
 
     @cached_property
     def DC(self) -> np.ndarray:
-        return _scatter(self.dim, self._block_at, _flat(b.C for b in self.blocks))
+        return _scatter(self.dim, self._block_at, _flat(self.cas))
 
 
 def _flat(blocks) -> np.ndarray:
@@ -157,7 +171,7 @@ def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
     if isinstance(x, ProductRep):
         i = np.arange(x.dim)
         return _Factor((i, i, x.two_m / 2.0), _nonzeros(x.dim, x._step_at[0], _flat(x.steps)),
-                       _nonzeros(x.dim, x._block_at, _flat(b.C for b in x.blocks)), x.two_m, x.spins)
+                       _nonzeros(x.dim, x._block_at, _flat(x.cas)), x.two_m, x.spins)
     if x.family != "sl2":
         raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
     w, u = x.ladder
@@ -176,11 +190,14 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     term's products of nonzeros are added, term by term in a fixed order,
     into one flat buffer holding the Delta(C) blocks and one holding the
     Delta(J+) steps, each block at its own offset, so the values equal those
-    of the dense Kronecker sums. The Delta(C) blocks of each size share one
-    stacked `eigh`, kept in `groups`; a block's k-th eigenvector takes the
-    k-th of the ascending labels {J in spins : J >= |M|}, which for a block of
-    size n are the n largest. This is exact because distinct values of J(J+1)
-    lie at least 2 apart.
+    of the dense Kronecker sums. Only the Delta(C) blocks with 2M >= 0 go to
+    `eigh`, one stacked call per run of one size on its slice of the buffer;
+    block -M, whose C is C_M[::-1, ::-1] bit for bit, takes the same
+    eigenvalues and V_M[::-1]. A run and its mirrors make one entry of
+    `groups`, and `blocks` is built from them only when read. A block's k-th
+    eigenvector takes the k-th of the ascending labels {J in spins : J >= |M|},
+    which for a block of size n are the n largest. This is exact because
+    distinct values of J(J+1) lie at least 2 apart.
     """
     a, b = _factor(rep1), _factor(rep2)
     d1, d2 = len(a.two_m), len(b.two_m)
@@ -212,24 +229,26 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     dc.flags.writeable = dp.flags.writeable = False
 
     spins = tuple(sorted(t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)))
-    blocks, groups = [None] * len(sizes), []
-    for n in np.unique(sizes).tolist():
-        ks = np.flatnonzero(sizes == n).tolist()
-        cas = [dc[c_off[k]:c_off[k + 1]].reshape(n, n) for k in ks]
-        w, vecs = np.linalg.eigh(np.stack(cas))
-        groups.append((ks, starts[ks][:, None] + np.arange(n), vecs))
-        for k, c, wk, v in zip(ks, cas, w, vecs):
-            blocks[k] = CoupledBlock(int(block_m[k]), order[starts[k]:starts[k + 1]], wk, v, spins[len(spins) - n:], c)
+    cas = [dc[c_off[k]:c_off[k + 1]].reshape(n, n) for k, n in enumerate(sizes.tolist())]
+    last, half, groups = len(sizes) - 1, len(sizes) // 2, []  # blocks k >= half have 2M >= 0
+    cuts = [half, *(np.flatnonzero(np.diff(sizes[half:])) + half + 1).tolist(), len(sizes)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        n = int(sizes[lo])
+        w, vecs = np.linalg.eigh(dc[c_off[lo]:c_off[hi]].reshape(hi - lo, n, n))
+        own = int(2 * lo == last)  # the M = 0 block is its own mirror
+        ks = [*range(lo, hi), *range(last - lo - own, last - hi, -1)]
+        groups.append((ks, starts[ks][:, None] + np.arange(n), np.concatenate((w, w[own:])),
+                       np.concatenate((vecs, vecs[own:, ::-1]))))
     steps = [dp[s_off[k]:s_off[k + 1]].reshape(hi, lo)
              for k, (lo, hi) in enumerate(zip(sizes.tolist(), sizes[1:].tolist()))]
     rank = np.arange(len(two_m)) - np.repeat(starts[1:] - len(spins), sizes)  # a size-n block: the n largest 2J
-    return ProductRep(d1, d2, two_m, spins, blocks, steps, order, sizes, rank, groups)
+    return ProductRep(d1, d2, two_m, spins, block_m, cas, steps, order, sizes, rank, groups)
 
 
 def _label_calculus(pr: ProductRep, vals: np.ndarray) -> list:
-    """V diag(vals) V^T of each M block, vals given at the coupled positions: one stacked matmul per block size."""
-    out = [None] * len(pr.blocks)
-    for ks, at, vecs in pr.groups:
+    """V diag(vals) V^T of each M block, vals given at the coupled positions: one stacked matmul per group."""
+    out = [None] * len(pr.sizes)
+    for ks, at, _, vecs in pr.groups:
         for k, x in zip(ks, (vecs * vals[at][:, None, :]) @ vecs.transpose(0, 2, 1)):
             out[k] = x
     return out
@@ -248,9 +267,9 @@ def product_casimir_spectrum(j1, j2) -> list[float]:
 class Coproduct:
     """A deformed coproduct on the weight blocks of the primitive product pr.
 
-    steps[k] is Delta'(J+) from pr.blocks[k] to pr.blocks[k+1], and Delta'(J-) is its transpose. j3 is
+    steps[k] is Delta'(J+) from the M block k of pr to block k+1, and Delta'(J-) is its transpose. j3 is
     None when Delta'(J3') = Delta(J3) = diag(M); for a family that shifts the spectrum, j3[k] is the
-    Delta'(J3') block of pr.blocks[k].
+    Delta'(J3') block of block k.
     """
 
     pr: ProductRep
@@ -285,8 +304,8 @@ def transferred_coproduct(pr: ProductRep, t: Transfer, order: str = "source") ->
     if t.shift is None:
         return Coproduct(pr, steps)
     j3 = _label_calculus(pr, t.shift(spins)[pr.rank])
-    for b, x in zip(pr.blocks, j3):
-        x.flat[::len(b.indices) + 1] += b.two_m / 2.0
+    for x, n, m in zip(j3, pr.sizes.tolist(), pr.block_m.tolist()):
+        x.flat[::n + 1] += m / 2.0
     return Coproduct(pr, steps, j3)
 
 
@@ -308,16 +327,16 @@ def quadratic_coproduct(pr: ProductRep, alpha: float):
 def cocommutativity_residuals(cop: Coproduct) -> list[float]:
     """Swap-conjugation residuals ||P X P^T - X|| of (Delta'(J+'), Delta'(J-'), Delta'(J3')) on V (x) V, by block.
 
-    The swap v (x) w -> w (x) v preserves M, so it permutes the states of each M block, by p_k: the residual
-    of Delta'(J+') is ||S_k[p_(k+1)][:, p_k] - S_k|| over its step blocks S_k, that of Delta'(J-') =
-    Delta'(J+')^T the same, and that of Delta'(J3') the same over its M blocks (0 for diag(M)).
+    V is an irrep, so the states i1 (x) i2 of an M block have one i1 + i2 and ascending i1: the swap
+    v (x) w -> w (x) v reverses each block. The residual of Delta'(J+') is ||S_k[::-1, ::-1] - S_k|| over its
+    step blocks S_k, that of Delta'(J-') = Delta'(J+')^T the same, and that of Delta'(J3') the same over its
+    M blocks (0 for diag(M)).
     """
     pr = cop.pr
-    if pr.d1 != pr.d2:
-        raise ValueError("cocommutativity_residuals requires equal tensor factors")
-    p = [np.searchsorted(b.indices, b.indices % pr.d1 * pr.d1 + b.indices // pr.d1) for b in pr.blocks]
-    plus = _block_norm(s[p[k + 1]][:, p[k]] - s for k, s in enumerate(cop.steps))
-    return [plus, plus, 0.0 if cop.j3 is None else _block_norm(x[p[k]][:, p[k]] - x for k, x in enumerate(cop.j3))]
+    if pr.d1 != pr.d2 or len(pr.sizes) != 2 * pr.d1 - 1:
+        raise ValueError("cocommutativity_residuals requires equal irreducible tensor factors")
+    plus = _block_norm(s[::-1, ::-1] - s for s in cop.steps)
+    return [plus, plus, 0.0 if cop.j3 is None else _block_norm(x[::-1, ::-1] - x for x in cop.j3)]
 
 
 def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]:
@@ -402,8 +421,8 @@ def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]
     weights, u = rep.ladder
     irrep = _transferred_irrep(j, t)
     cop = cop or transferred_coproduct(primitive_coproduct(rep, rep), t)
-    k0 = next(k for k, b in enumerate(cop.pr.blocks) if b.two_m == 0)
-    v, v_t = _antipode_vectors(w, cop.pr.blocks[k0].indices)
+    k0 = len(cop.pr.sizes) // 2  # the M = 0 block
+    v, v_t = _antipode_vectors(w, cop.pr.order[cop.pr.sizes[:k0].sum():][:cop.pr.sizes[k0]])
     # Delta'(J+') and Delta'(J-') = Delta'(J+')^T from the M = 0 block (none at j = 0), and Delta'(J3') there
     up, down = (cop.steps[k0], cop.steps[k0 - 1].T) if cop.steps else (np.zeros((0, len(v))),) * 2
     j3 = np.zeros((len(v),) * 2) if cop.j3 is None else cop.j3[k0]
@@ -440,6 +459,6 @@ def triple_coassociativity_residual(j, alpha: Sequence) -> float:
     left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
     right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
     t = polynomial_transfer(alpha, max(left.spins))
-    parts = [([p.two_m / 2.0], [b.C for b in p.blocks], p.steps, transferred_coproduct(p, t).steps)
+    parts = [([p.two_m / 2.0], p.cas, p.steps, transferred_coproduct(p, t).steps)
              for p in (left, right)]
     return max(_block_norm(a - b for a, b in zip(x, y)) for x, y in zip(*parts))

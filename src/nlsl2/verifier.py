@@ -168,7 +168,7 @@ def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Option
         if rep.j3 is not None:
             raise ValueError("commutator_residuals expects a coproduct whose Delta'(J3') is Delta(J3)")
         steps = rep.steps
-        w = np.array([b.two_m for b in rep.pr.blocks]) / 2.0
+        w = rep.pr.block_m / 2.0
         sizes = rep.pr.sizes
         r_plus = r_minus = _block_norm((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps))
         ups = [np.zeros((sizes[0], sizes[0]))] + [b @ b.T for b in steps]

@@ -23,7 +23,7 @@ from nlsl2.hopf import (
     transferred_coproduct,
     triple_coassociativity_residual,
 )
-from nlsl2 import hopf
+from nlsl2 import cli, hopf
 from nlsl2.repbuilder import (MatrixRep, _transferred_irrep, build_deformed, build_quadratic_explicit, build_sl2,
                               deformed_from_undeformed)
 from nlsl2.structure import (Polynomial, StructureSpec, divided_difference, f2_polynomial, polynomial_transfer,
@@ -162,18 +162,44 @@ def _same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def _products():
+def _factor_pairs():
     pairs = [("0", "0"), ("1/2", "1/2"), ("1", "1"), ("3", "5/2"), ("7/2", "1"), ("5", "5"), ("17/2", "5/2")]
-    out = [primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2))) for j1, j2 in pairs]
     rep = build_sl2(1)
-    return out + [primitive_coproduct(primitive_coproduct(rep, rep), rep)]
+    return [(build_sl2(halfint(j1)), build_sl2(halfint(j2))) for j1, j2 in pairs] + [
+        (primitive_coproduct(rep, rep), rep)]
 
 
-def test_batched_eigh_equals_one_eigh_per_block():
-    for pr in _products():
-        for b in pr.blocks:
-            w, vecs = np.linalg.eigh(b.C)
-            assert _same_bits(b.w, w) and _same_bits(b.V, vecs)
+def _products():
+    return [primitive_coproduct(*pair) for pair in _factor_pairs()]
+
+
+def test_eigh_reads_the_nonnegative_m_blocks_and_mirrors_the_rest(monkeypatch):
+    received, eigh = [], np.linalg.eigh
+
+    def counting(a):
+        received.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for pair in _factor_pairs():
+        received.clear()
+        pr = primitive_coproduct(*pair)
+        last = len(pr.blocks) - 1
+        assert sum(received) == sum(b.two_m >= 0 for b in pr.blocks)
+        for k, b in enumerate(pr.blocks):
+            mirror = pr.blocks[last - k]
+            # the reflection (m1, m2) -> (-m1, -m2) maps block k onto block last - k, positions reversed
+            assert mirror.two_m == -b.two_m and _same_bits(mirror.C, b.C[::-1, ::-1])
+            if k < last:
+                assert _same_bits(pr.steps[last - 1 - k], pr.steps[k].T[::-1, ::-1])
+            if b.two_m >= 0:
+                w, vecs = eigh(b.C)
+                assert _same_bits(b.w, w) and _same_bits(b.V, vecs)
+            else:
+                assert _same_bits(b.w, mirror.w) and _same_bits(b.V, mirror.V[::-1])
+            n, top = len(b.w), max(b.w)
+            assert np.linalg.norm(b.C @ b.V - b.V * b.w) <= 1e-13 * top
+            assert np.linalg.norm(b.V.T @ b.V - np.eye(n)) <= 1e-13
             assert b.two_js == tuple(s for s in pr.spins if s >= abs(b.two_m))
 
 
@@ -398,8 +424,9 @@ def test_cocommutativity_requires_equal_factors():
 
 
 def test_swap_permutes_each_weight_block():
-    # the swap v (x) w -> w (x) v keeps M, so it maps each block's states onto themselves, as an involution
-    for j in ("0", "1/2", "3", "7/2"):
+    # the swap v (x) w -> w (x) v keeps M, so it maps each block's states onto themselves, as an involution;
+    # on V (x) V, V an irrep, that permutation reverses the block
+    for j in ("0", "1/2", "3", "7/2", "11"):
         rep = build_sl2(halfint(j))
         pr = primitive_coproduct(rep, rep)
         p = _swap_matrix(rep.dim, rep.dim)
@@ -408,6 +435,7 @@ def test_swap_permutes_each_weight_block():
             swapped = b.indices % rep.dim * rep.dim + b.indices // rep.dim
             p = np.searchsorted(b.indices, swapped)
             assert np.array_equal(b.indices[p], swapped) and np.array_equal(p[p], np.arange(len(b.indices)))
+            assert np.array_equal(p, np.arange(len(b.indices))[::-1])
 
 
 def test_quadratic_coproduct_closes_algebra():
@@ -828,10 +856,59 @@ def test_cocommutativity_residuals_fail_with_one_step_entry_off(family, j):
     assert got[0] == got[1] > 1e3 * gate(cop.pr.dim, scale)
 
 
+def _former_cocommutativity_residuals(cop):
+    """The residuals with the swap read as a permutation p_k of each block's states, by np.searchsorted."""
+    pr, d = cop.pr, cop.pr.d1
+    p = [np.searchsorted(b.indices, b.indices % d * d + b.indices // d) for b in pr.blocks]
+    plus = hopf._block_norm(s[p[k + 1]][:, p[k]] - s for k, s in enumerate(cop.steps))
+    return [plus, plus, 0.0 if cop.j3 is None else hopf._block_norm(x[p[k]][:, p[k]] - x for k, x in enumerate(cop.j3))]
+
+
+@pytest.mark.parametrize("family,j", [("polynomial", "0")] + [(f, j) for f in ("polynomial", "quadratic")
+                                                              for j in ("1/2", "7/2", "11")])
+def test_cocommutativity_by_reversal_bitwise_equals_the_permutation(family, j):
+    rep, cop = _equal_product_coproduct(j, family)
+    got = cocommutativity_residuals(cop)
+    assert got == _former_cocommutativity_residuals(cop)
+    if not cop.steps:
+        return
+    # one step entry off by 1e-9 relative, away from the block's centre, so its swap partner is another entry
+    steps = [s.copy() for s in cop.steps]
+    k = len(steps) // 2
+    s = steps[k]
+    r, c = max(((r, c) for r in range(s.shape[0]) for c in range(s.shape[1]) if (2 * r + 1, 2 * c + 1) != s.shape),
+               key=lambda rc: abs(s[rc]))
+    s[r, c] *= 1 + 1e-9
+    bad = Coproduct(cop.pr, steps, cop.j3)
+    noisy = cocommutativity_residuals(bad)
+    assert noisy == _former_cocommutativity_residuals(bad)
+    scale = max(hopf._block_norm(steps), float(np.linalg.norm(cop.pr.two_m / 2.0)))
+    assert noisy[0] > gate(cop.pr.dim, scale) >= got[0]
+
+
 def test_cocommutativity_residuals_require_equal_factors():
     pr = primitive_coproduct(build_sl2("1/2"), build_sl2(1))
     with pytest.raises(ValueError):
         cocommutativity_residuals(transferred_coproduct(pr, polynomial_transfer(ALPHA, max(pr.spins))))
+    # equal dimensions, but a reducible factor: its blocks are not reversed by the swap
+    pr = primitive_coproduct(primitive_coproduct(build_sl2("1/2"), build_sl2("1/2")), build_sl2("3/2"))
+    assert pr.d1 == pr.d2
+    with pytest.raises(ValueError):
+        cocommutativity_residuals(transferred_coproduct(pr, polynomial_transfer(ALPHA, max(pr.spins))))
+
+
+def test_product_layer_builds_no_coupled_block(monkeypatch, capsys):
+    def refuse(pr):
+        raise AssertionError("a CoupledBlock was built")
+
+    monkeypatch.setattr(hopf.ProductRep, "blocks", property(refuse))
+    code = cli.run(["hopf", "--j1", "11", "--j2", "11", "--alpha=1/1,1/10,1/100", "--quadratic-alpha", "0.01"])
+    assert code == cli.EXIT_OK and "35/35 checks passed" in capsys.readouterr().out
+    pr = primitive_coproduct(build_sl2(3), build_sl2("5/2"))
+    deformed_coproduct(pr, ALPHA)
+    quadratic_coproduct(pr, 0.01)
+    assert pr.DC.shape == (pr.dim, pr.dim)
+    assert triple_coassociativity_residual(1, ALPHA) < 1e-12
 
 
 def _first_bad_label(pr, h):

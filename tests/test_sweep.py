@@ -4,7 +4,7 @@ With warnings as errors, every run either exits 0 or 1 with finite residuals and
 table with no inf or nan for `rep`), or exits 2 with one `error:` line. The grid runs the
 irreps up to 2j = 4000, the U_q and q-base families at the largest 2j that
 `qdeform.check_q_range` accepts and the next one at three deltas, products up to
-j1 = j2 = 11 and V(40) (x) V(81/2), and a negative spin for each command that builds an irrep.
+j1 = j2 = 60 and V(40) (x) V(81/2), and a negative spin for each command that builds an irrep.
 """
 
 import json
@@ -59,9 +59,9 @@ def _runs():
         yield ["qlimit", "--j", str(HalfInt(two_j)), f"--delta={delta}"]
     products = [(j1, j2, q) for j1, j2 in (("0", "0"), ("1/2", "1/2"), ("3", "5/2"), ("1/2", "11"), ("11", "11"))
                 for q in ("0.01", "-0.01")]
-    # the axiom checks read V(40) (x) V(40), where +-0.01 is inadmissible at the top 2J = 160; j1 = j2 = 40 is left
-    # out, as the co-commutativity check there still reads dense 6561 x 6561 matrices, about 1 GB
-    products += [("40", "81/2", "0.001"), ("40", "81/2", "-0.001")]
+    # +-0.01 is inadmissible at the top 2J = 160 of V(40) (x) V(40); +-0.001 is admissible there and at the top
+    # 2J = 240 of V(60) (x) V(60), whose checks, co-commutativity included, read weight blocks only
+    products += [(j1, j2, q) for j1, j2 in (("40", "81/2"), ("40", "40"), ("60", "60")) for q in ("0.001", "-0.001")]
     for j1, j2, quadratic in products:
         yield ["hopf", "--j1", j1, "--j2", j2, ALPHA, f"--quadratic-alpha={quadratic}"]
     yield from NEGATIVE_SPIN
