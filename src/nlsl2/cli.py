@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
         cas = repbuilder._ladder_casimir_diagonal(rep, repbuilder._phi_values(rep, alpha))
         expected = float(phi_eval(alpha, j.mm1()))
-        report.add_numeric("Casimir = phi(j(j+1)) I", float(np.linalg.norm(cas - expected)),
+        report.add_numeric("Casimir = phi(j(j+1)) I", verifier._norm(cas - expected),
                            verifier.gate(rep.dim, abs(expected) * math.sqrt(rep.dim), args.tol))
     elif args.family == "higgs":
         rep = repbuilder.build_deformed(_build_spec(args))
@@ -218,7 +218,7 @@ def cmd_hopf(args) -> int:
             check.name = "deformed coproduct: " + check.name
             report.checks.append(check)
         if j1 == j2:  # Delta'(J3') is diag(M)
-            scale = max(verifier._block_norm(cop.steps), np.linalg.norm(pr.two_m / 2))
+            scale = max(verifier._norm(cop.steps), verifier._norm(pr.two_m / 2))
             report.add_numeric("co-commutativity of deformed coproduct",
                                max(hopf_mod.cocommutativity_residuals(cop)), verifier.gate(pr.dim, scale, args.tol))
     _emit(args, report.to_json_dict, report.render_table)

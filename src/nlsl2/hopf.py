@@ -2,13 +2,15 @@
 
 `primitive_coproduct` is the one place that labels a product space. Delta(J3) is diagonal, with each state's
 integral 2M read from the factors' ladders, and the Clebsch-Gordan series gives the multiset of 2J; an M block
-of size n holds its n largest entries. A product is stored on its weight blocks only: the Delta(C) block of
-each M and the (M -> M+1) step block of Delta(J+), assembled from the factors' nonzeros with no dense matrix
-and no np.kron. The reflection (m1, m2) -> (-m1, -m2) maps the -M block onto the M block with its states
-reversed (Edmonds, eq. 3.5.17), and the assembly keeps this bit for bit, so only the blocks with 2M >= 0 are
-diagonalized, one stacked `eigh` per run of one size; a -M block takes its mirror's eigenvalues and its
-eigenvectors reversed. Ascending eigenvectors take the ascending exact labels, and each run with its mirrors
-shares one stacked matmul for each function of the labels; deformed coproducts are such functions.
+of size n holds its n largest entries. A product is stored on its weight blocks only: the (M -> M+1) step
+block S_M of Delta(J+), assembled from the factors' J+ entries with no dense matrix and no np.kron, and the
+Delta(C) block of each M, read off the steps: Delta is an algebra map, so the Casimir identity
+C = J- J+ + J3(J3 + 1) gives S_M^T S_M + M(M+1) I. The reflection (m1, m2) -> (-m1, -m2) maps the -M block
+onto the M block with its states reversed (Edmonds, eq. 3.5.17), so only the blocks with 2M >= 0 are formed
+and diagonalized, one stacked `eigh` per run of one size; a -M block's Delta(C) is its mirror's reversed, with
+the same eigenvalues and the eigenvectors reversed. Ascending eigenvectors take the ascending exact labels,
+and each run with its mirrors shares one stacked matmul for each function of the labels; deformed coproducts
+are such functions.
 
 A deformed coproduct applies its family's `structure` transfer map to all coupled labels (2J, 2M) in one call;
 the map is defined for M < J, and at M = J, where Delta(J+) annihilates the state, the factor is 0.
@@ -34,7 +36,7 @@ import numpy as np
 from .halfint import halfint
 from .repbuilder import MatrixRep, _factors, _transferred_irrep, build_sl2
 from .structure import InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_transfer
-from .verifier import VerificationReport, _block_norm, gate
+from .verifier import VerificationReport, _norm, gate
 
 
 InadmissibleProductError = InadmissibleLabelError  # a coupled (J, M) label outside a transfer map's domain
@@ -59,13 +61,15 @@ class CoupledBlock(NamedTuple):
 class ProductRep:
     """Primitive coproduct on V1 (x) V2, stored on its weight blocks with exact (J, M) labels.
 
-    Delta(J3) is diag(M), Delta(C) is block-diagonal over M (cas[k], read-only)
-    and Delta(J+) maps the M block into the M+1 block only: steps[k] is its
-    block from block k to block k+1, read-only. An entry (ks, at, w, V) of
-    `groups` holds a run of blocks of one size with 2M >= 0 and their -M
-    mirrors: block ks[i] has columns at[i], eigenvalues w[i] and eigenvectors
-    V[i]. `blocks` (one CoupledBlock per M) and the dense DJ3, DJp, DJm and DC
-    are built from these on first read; the dense ones are writable copies.
+    Delta(J3) is diag(M) and Delta(J+) maps the M block into the M+1 block
+    only: steps[k] is its block from block k to block k+1, read-only.
+    Delta(C) is block-diagonal over M: cas[k] = steps[k]^T steps[k] + M(M+1) I
+    for 2M >= 0, and the reversed view of its mirror's for 2M < 0, read-only.
+    An entry (ks, at, w, V) of `groups` holds a run of blocks of one size with
+    2M >= 0 and their -M mirrors: block ks[i] has columns at[i], eigenvalues
+    w[i] and eigenvectors V[i]. `blocks` (one CoupledBlock per M) and the
+    dense DJ3, DJp, DJm and DC are built from these on first read; the dense
+    ones are writable copies.
     """
 
     d1: int
@@ -140,25 +144,12 @@ def _scatter(dim: int, at: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def _nonzeros(dim: int, at: np.ndarray, vals: np.ndarray) -> tuple:
-    """(rows, cols, values) of the nonzeros of vals placed at the flat positions `at`."""
-    nz = np.flatnonzero(vals)
-    return at[nz] // dim, at[nz] % dim, vals[nz]
-
-
 class _Factor(NamedTuple):
-    """A tensor factor as nonzero lists (rows, cols, values) of J3, J+ and C."""
+    """A tensor factor: the entry list (rows, cols, values) of its J+, with the 2M of each state and its 2J."""
 
-    j3: tuple
     plus: tuple
-    cas: tuple
     two_m: np.ndarray
     spins: tuple
-
-    @property
-    def minus(self) -> tuple:
-        rows, cols, vals = self.plus
-        return cols, rows, vals
 
     @property
     def one(self) -> tuple:
@@ -167,18 +158,14 @@ class _Factor(NamedTuple):
 
 
 def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
-    """An sl2 irrep, read from its ladder, or a product, read from its blocks."""
+    """An sl2 irrep, read from its J+ superdiagonal, or a product, read from its step blocks."""
     if isinstance(x, ProductRep):
-        i = np.arange(x.dim)
-        return _Factor((i, i, x.two_m / 2.0), _nonzeros(x.dim, x._step_at[0], _flat(x.steps)),
-                       _nonzeros(x.dim, x._block_at, _flat(x.cas)), x.two_m, x.spins)
+        n = len(x.sizes)
+        return _Factor((*x._entries(np.arange(1, n), np.arange(n - 1)), _flat(x.steps)), x.two_m, x.spins)
     if x.family != "sl2":
         raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
-    w, u = x.ladder
     i = np.arange(x.dim)
-    c = np.full(x.dim, float(x.j.mm1()))
-    return _Factor((i, i, w), (i[:-1], i[1:], u), (i, i, c),
-                   np.arange(x.two_j, -x.two_j - 1, -2), (x.two_j,))
+    return _Factor((i[:-1], i[1:], x.ladder[1]), np.arange(x.two_j, -x.two_j - 1, -2), (x.two_j,))
 
 
 def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
@@ -186,18 +173,21 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir.
 
     Each factor is an sl2 irrep or a ProductRep, so V (x) V (x) V can be built
-    in either bracketing. Only the weight blocks are formed: every Kronecker
-    term's products of nonzeros are added, term by term in a fixed order,
-    into one flat buffer holding the Delta(C) blocks and one holding the
-    Delta(J+) steps, each block at its own offset, so the values equal those
-    of the dense Kronecker sums. Only the Delta(C) blocks with 2M >= 0 go to
-    `eigh`, one stacked call per run of one size on its slice of the buffer;
-    block -M, whose C is C_M[::-1, ::-1] bit for bit, takes the same
-    eigenvalues and V_M[::-1]. A run and its mirrors make one entry of
-    `groups`, and `blocks` is built from them only when read. A block's k-th
-    eigenvector takes the k-th of the ascending labels {J in spins : J >= |M|},
-    which for a block of size n are the n largest. This is exact because
-    distinct values of J(J+1) lie at least 2 apart.
+    in either bracketing. Only the weight blocks are formed: the two Kronecker
+    terms of Delta(J+) are placed into one flat buffer of step blocks S_k
+    (block k -> k+1), each at its own offset, so the values equal those of the
+    dense Kronecker sum. Delta is an algebra map, so Delta(C) = Delta(J-)
+    Delta(J+) + Delta(J3)(Delta(J3) + 1), which on block k of weight M is
+    S_k^T S_k + M(M+1) I (M(M+1) alone on the top block, which has no step
+    out). Only the blocks with 2M >= 0 are formed, into one flat buffer, and
+    go to `eigh`, one stacked call per run of one size on its slice; block -M
+    is the reflection of block M with its states reversed (Edmonds, eq.
+    3.5.17), so its Delta(C) is the view C_M[::-1, ::-1], with the same
+    eigenvalues and eigenvectors V_M[::-1]. A run and its mirrors make one
+    entry of `groups`, and `blocks` is built from them only when read. A
+    block's k-th eigenvector takes the k-th of the ascending labels {J in
+    spins : J >= |M|}, which for a block of size n are the n largest. This is
+    exact because distinct values of J(J+1) lie at least 2 apart.
     """
     a, b = _factor(rep1), _factor(rep2)
     d1, d2 = len(a.two_m), len(b.two_m)
@@ -208,39 +198,39 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     starts = np.concatenate(([0], np.cumsum(sizes)))
     pos = np.empty(len(two_m), dtype=int)
     pos[order] = np.arange(len(two_m)) - starts[block_of[order]]
-    c_off = np.concatenate(([0], np.cumsum(sizes * sizes)))
     s_off = np.concatenate(([0], np.cumsum(sizes[1:] * sizes[:-1])))
-
-    def kron(x, y):
-        (r1, c1, v1), (r2, c2, v2) = x, y
-        return np.add.outer(r1 * d2, r2).ravel(), np.add.outer(c1 * d2, c2).ravel(), np.outer(v1, v2).ravel()
-
-    dc = np.zeros(c_off[-1])
-    for coef, x, y in ((1.0, a.cas, b.one), (1.0, a.one, b.cas), (1.0, a.plus, b.minus),
-                       (1.0, a.minus, b.plus), (2.0, a.j3, b.j3)):
-        rows, cols, vals = kron(x, y)
-        k = block_of[rows]
-        dc[c_off[k] + pos[rows] * sizes[k] + pos[cols]] += coef * vals
     dp = np.zeros(s_off[-1])
-    for x, y in ((a.plus, b.one), (a.one, b.plus)):
-        rows, cols, vals = kron(x, y)
+    for (r1, c1, v1), (r2, c2, v2) in ((a.plus, b.one), (a.one, b.plus)):  # disjoint entries
+        rows, cols = np.add.outer(r1 * d2, r2).ravel(), np.add.outer(c1 * d2, c2).ravel()
         k = block_of[cols]  # rows lie in block k + 1
-        dp[s_off[k] + pos[rows] * sizes[k] + pos[cols]] += vals
-    dc.flags.writeable = dp.flags.writeable = False
+        dp[s_off[k] + pos[rows] * sizes[k] + pos[cols]] = np.outer(v1, v2).ravel()
+    dp.flags.writeable = False
+    steps = [dp[s_off[k]:s_off[k + 1]].reshape(hi, lo)
+             for k, (lo, hi) in enumerate(zip(sizes.tolist(), sizes[1:].tolist()))]
+
+    last, half = len(sizes) - 1, len(sizes) // 2  # blocks k >= half have 2M >= 0
+    c_off = np.concatenate(([0], np.cumsum(sizes[half:] ** 2)))  # of block half + i at c_off[i]
+    dc = np.empty(c_off[-1])
+    for lo, hi, s, m in zip(c_off.tolist(), c_off[1:].tolist(), [*steps[half:], np.zeros((0, 1))],
+                            block_m[half:].tolist()):
+        n = s.shape[1]
+        np.matmul(s.T, s, out=dc[lo:hi].reshape(n, n))
+        dc[lo:hi:n + 1] += m * (m + 2) / 4  # M(M+1)
+    dc.flags.writeable = False
 
     spins = tuple(sorted(t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)))
-    cas = [dc[c_off[k]:c_off[k + 1]].reshape(n, n) for k, n in enumerate(sizes.tolist())]
-    last, half, groups = len(sizes) - 1, len(sizes) // 2, []  # blocks k >= half have 2M >= 0
+    cas, groups = [None] * len(sizes), []
     cuts = [half, *(np.flatnonzero(np.diff(sizes[half:])) + half + 1).tolist(), len(sizes)]
     for lo, hi in zip(cuts, cuts[1:]):
         n = int(sizes[lo])
-        w, vecs = np.linalg.eigh(dc[c_off[lo]:c_off[hi]].reshape(hi - lo, n, n))
+        c = dc[c_off[lo - half]:c_off[hi - half]].reshape(hi - lo, n, n)
+        w, vecs = np.linalg.eigh(c)
         own = int(2 * lo == last)  # the M = 0 block is its own mirror
         ks = [*range(lo, hi), *range(last - lo - own, last - hi, -1)]
+        for k, x in zip(ks, [*c, *c[own:, ::-1, ::-1]]):
+            cas[k] = x
         groups.append((ks, starts[ks][:, None] + np.arange(n), np.concatenate((w, w[own:])),
                        np.concatenate((vecs, vecs[own:, ::-1]))))
-    steps = [dp[s_off[k]:s_off[k + 1]].reshape(hi, lo)
-             for k, (lo, hi) in enumerate(zip(sizes.tolist(), sizes[1:].tolist()))]
     rank = np.arange(len(two_m)) - np.repeat(starts[1:] - len(spins), sizes)  # a size-n block: the n largest 2J
     return ProductRep(d1, d2, two_m, spins, block_m, cas, steps, order, sizes, rank, groups)
 
@@ -335,8 +325,8 @@ def cocommutativity_residuals(cop: Coproduct) -> list[float]:
     pr = cop.pr
     if pr.d1 != pr.d2 or len(pr.sizes) != 2 * pr.d1 - 1:
         raise ValueError("cocommutativity_residuals requires equal irreducible tensor factors")
-    plus = _block_norm(s[::-1, ::-1] - s for s in cop.steps)
-    return [plus, plus, 0.0 if cop.j3 is None else _block_norm(x[::-1, ::-1] - x for x in cop.j3)]
+    plus = _norm(s[::-1, ::-1] - s for s in cop.steps)
+    return [plus, plus, 0.0 if cop.j3 is None else _norm(x[::-1, ::-1] - x for x in cop.j3)]
 
 
 def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]:
@@ -426,24 +416,25 @@ def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]
     # Delta'(J+') and Delta'(J-') = Delta'(J+')^T from the M = 0 block (none at j = 0), and Delta'(J3') there
     up, down = (cop.steps[k0], cop.steps[k0 - 1].T) if cop.steps else (np.zeros((0, len(v))),) * 2
     j3 = np.zeros((len(v),) * 2) if cop.j3 is None else cop.j3[k0]
-    j3_scale = np.linalg.norm(cop.pr.two_m / 2.0) if cop.j3 is None else _block_norm(cop.j3)
+    j3_scale = _norm(cop.pr.two_m / 2.0) if cop.j3 is None else _norm(cop.j3)
     counits = {side: _counit_ladder(transferred_coproduct(primitive_coproduct(*pair), t))
                for side, pair in (("id x eps", (rep, build_sl2(0))), ("eps x id", (build_sl2(0), rep)))}
     # S(J+') = -h(C, -J3)^(1/2) J+: the rows m = j, ..., -j+1 of J+ take h at 2M = -2m = -2j, ..., 2j-2
     s_plus = np.diag(-np.sqrt(_factors(j, t)[::-1]) * u, 1)
+    plus_scale = _norm(cop.steps)
     gens = (("J3'", irrep.J3, np.diag(irrep.gamma - weights), j3, j3.T, j3_scale, 0),
-            ("J+'", irrep.Jplus, s_plus, up, down, _block_norm(cop.steps), 1),
-            ("J-'", irrep.Jminus, s_plus.T, down, up, _block_norm(cop.steps), 1))
+            ("J+'", irrep.Jplus, s_plus, up, down, plus_scale, 1),
+            ("J-'", irrep.Jminus, s_plus.T, down, up, plus_scale, 1))
     for name, x, formula, delta, delta_t, scale, k in gens:
-        bound = gate(d, float(np.linalg.norm(x)), tol)
-        report.add_numeric(f"S({name}) realization vs formula", float(np.linalg.norm(apply_antipode(x, w) - formula)),
+        bound = gate(d, _norm(x), tol)
+        report.add_numeric(f"S({name}) realization vs formula", _norm(apply_antipode(x, w) - formula),
                            bound, context=f"j={j}")
         for axiom, r in (("m(id x S)", delta @ v), ("m(S x id)", delta_t @ v_t)):
-            report.add_numeric(f"antipode axiom {axiom}Delta({name}) = 0", float(np.linalg.norm(r)),
-                               gate(d * d, float(scale), tol), context=f"j={j} (x) j={j}")
+            report.add_numeric(f"antipode axiom {axiom}Delta({name}) = 0", _norm(r),
+                               gate(d * d, scale, tol), context=f"j={j} (x) j={j}")
         for side, ladder in counits.items():
             report.add_numeric(f"counit ({side})Delta({name}) = {name}",
-                               float(np.linalg.norm(ladder[k] - irrep.ladder[k])), bound, context=f"j={j} (x) j=0")
+                               _norm(ladder[k] - irrep.ladder[k]), bound, context=f"j={j} (x) j=0")
     return report
 
 
@@ -461,4 +452,4 @@ def triple_coassociativity_residual(j, alpha: Sequence) -> float:
     t = polynomial_transfer(alpha, max(left.spins))
     parts = [([p.two_m / 2.0], p.cas, p.steps, transferred_coproduct(p, t).steps)
              for p in (left, right)]
-    return max(_block_norm(a - b for a, b in zip(x, y)) for x, y in zip(*parts))
+    return max(_norm(a - b for a, b in zip(x, y)) for x, y in zip(*parts))

@@ -78,18 +78,6 @@ def _q_bracket_values(j: HalfInt, delta: float) -> np.ndarray:
     return brackets[1:] * brackets[:-1]
 
 
-def q_casimir_matrix(rep, delta: float) -> np.ndarray:
-    """Chat = (1/2)(J+J- + J-J+ + [J3][J3+1] + [J3][J3-1]) on a U_q irrep.
-
-    rep is an unshifted irrep with basis m = j, ..., -j; on an irrep of
-    U_q(sl(2)) the result is a multiple of the identity. Its diagonal comes
-    in O(d) from the ladder, bitwise equal to the dense products.
-    """
-    from .repbuilder import _ladder_casimir_diagonal
-
-    return np.diag(_ladder_casimir_diagonal(rep, _q_bracket_values(rep.j, delta)))
-
-
 def uq_casimir_residuals(j, qp: QParam) -> tuple[float, float, float]:
     """Residuals of the deformed Casimir identities of U_q(sl(2)) on one irrep, each in its own units.
 

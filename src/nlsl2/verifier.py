@@ -136,9 +136,20 @@ def _odd_series(two_j3: np.ndarray, beta: Sequence) -> np.ndarray:
     return target
 
 
-def _block_norm(parts) -> float:
-    """Frobenius norm of a block-diagonal matrix given its blocks (0 for none, as on V(0) (x) V(0))."""
-    return float(np.linalg.norm(np.concatenate([np.empty(0)] + [np.ravel(x) for x in parts])))
+def _norm(x) -> float:
+    """Frobenius norm of an array, or of a block-diagonal matrix given its blocks (0 for none, as on V(0) (x) V(0)).
+
+    The plain norm, as np.linalg.norm takes it, while its sum of squares is a finite float; when that sum
+    overflows, the norm is taken in units of max|x|.
+    """
+    x = x.ravel(order="K") if isinstance(x, np.ndarray) else np.concatenate([np.empty(0)] + [np.ravel(b) for b in x])
+    with np.errstate(over="ignore"):
+        sq = float(x.dot(x))
+    if math.isfinite(sq) or not np.isfinite(x).all():  # in range, or an entry is inf or nan
+        return math.sqrt(sq)
+    top = float(np.abs(x).max())
+    x = x / top
+    return top * math.sqrt(x.dot(x))
 
 
 def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Optional[float] = None) -> VerificationReport:
@@ -151,17 +162,17 @@ def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Option
     w_k < w_(k+1) of its product: [J3, J+-] -+ J+- is (w_(k+1) - w_k - 1) B_k on each step, and on the
     block of w_k [J+, J-] - sum_p beta_p (2 J3)^(2p+1) is B_(k-1) B_(k-1)^T - B_k^T B_k - f(w_k) I.
     A coproduct of a shifted family, whose Delta'(J3') is not Delta(J3), raises ValueError. The `gate`
-    scales are ||J3|| ||J+|| for [J3, J+-] and max(||J+ J-||, ||f(2 J3)||) for [J+, J-].
+    scales are ||J3|| ||J+|| for [J3, J+-] and max(||J+ J-||, ||f(2 J3)||) for [J+, J-], all norms by `_norm`.
     """
     report = VerificationReport()
     # The defining relation is in the (possibly shifted) diagonal generator
     # itself, so the shift gamma stays inside J3 here.
     if isinstance(rep, MatrixRep):
         w, u = rep.ladder
-        r_plus = r_minus = np.linalg.norm((w[:-1] - w[1:] - 1) * u)
+        r_plus = r_minus = _norm((w[:-1] - w[1:] - 1) * u)
         pm, mp = ladder_products(u)
         series = _odd_series(2 * w, beta)
-        r_comm = np.linalg.norm(pm - mp - series)
+        r_comm = _norm(pm - mp - series)
         terms = pm, series, w, u
         dim, where = rep.dim, f"{rep.family} j={rep.j}"
     else:
@@ -170,14 +181,14 @@ def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Option
         steps = rep.steps
         w = rep.pr.block_m / 2.0
         sizes = rep.pr.sizes
-        r_plus = r_minus = _block_norm((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps))
+        r_plus = r_minus = _norm((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps))
         ups = [np.zeros((sizes[0], sizes[0]))] + [b @ b.T for b in steps]
         downs = [b.T @ b for b in steps] + [np.zeros((sizes[-1], sizes[-1]))]
         series = _odd_series(2 * w, beta)
-        r_comm = _block_norm(up - down - f * np.eye(len(up)) for up, down, f in zip(ups, downs, series))
-        terms = _block_norm(ups), series * np.sqrt(sizes), w * np.sqrt(sizes), _block_norm(steps)
+        r_comm = _norm(up - down - f * np.eye(len(up)) for up, down, f in zip(ups, downs, series))
+        terms = ups, series * np.sqrt(sizes), w * np.sqrt(sizes), steps
         dim, where = rep.pr.dim, f"product dim={rep.pr.dim}"
-    n_pm, n_f, n_3, n_p = (math.sqrt(np.vdot(t, t)) for t in terms)
+    n_pm, n_f, n_3, n_p = map(_norm, terms)
     report.add_numeric("[J3,J+] = +J+", r_plus, gate(dim, n_3 * n_p, tol), context=where)
     report.add_numeric("[J3,J-] = -J-", r_minus, gate(dim, n_3 * n_p, tol), context=where)
     report.add_numeric("[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", r_comm, gate(dim, max(n_pm, n_f), tol),

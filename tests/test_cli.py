@@ -183,6 +183,52 @@ def test_former_false_fails_pass_and_fail_when_jplus_is_off(capsys, monkeypatch,
     assert not any(passed[n] for n in flips)
 
 
+def _ones(n):
+    return "--alpha=" + ",".join(["1"] * n)
+
+
+# Terms past 1e154 whose plain sums of squares left the float range: residuals and gates read inf and FAILed
+@pytest.mark.parametrize("argv,module,name,off,flips", [
+    pytest.param(["verify", "--family", "polynomial", "--j", "100", _ones(45)], repbuilder, "build_deformed",
+                 _ladder_off, [COMM, "Casimir = phi(j(j+1)) I"], id="verify_polynomial_j100"),
+    pytest.param(["hopf", "--j1", "20", "--j2", "20", _ones(60)], hopf, "transferred_coproduct", _coproduct_off,
+                 ["deformed coproduct: " + COMM], id="hopf_alpha_j20"),
+])
+def test_residuals_stay_finite_where_the_terms_square_past_a_float(capsys, monkeypatch, argv, module, name, off,
+                                                                   flips):
+    def verdicts():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, "--format", "json", *argv)
+        checks = json.loads(out)["checks"]
+        assert err == "" and code == (EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED)
+        assert all(math.isfinite(c["residual"]) and math.isfinite(c["bound"]) for c in checks if "bound" in c)
+        return {c["name"]: c["pass"] for c in checks}
+
+    assert all(verdicts().values())
+    monkeypatch.setattr(module, name, off(getattr(module, name)))
+    passed = verdicts()
+    assert not any(passed[n] for n in flips)
+
+
+def test_hopf_casimir_spectrum_fails_with_one_factor_jplus_entry_off(capsys, monkeypatch):
+    # Delta(C) is read off the Delta(J+) steps, so the spectrum check sees a factor's J+ that is not an sl2 ladder
+    argv = ["--format", "json", "hopf", "--j1", "11", "--j2", "11"]
+    name = "Delta(C) spectrum = Clebsch-Gordan J(J+1) pattern"
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    build, calls = repbuilder.build_sl2, []
+
+    def first_off(j):  # only the first factor
+        calls.append(j)
+        return (_ladder_off(build) if len(calls) == 1 else build)(j)
+
+    monkeypatch.setattr(repbuilder, "build_sl2", first_off)
+    code, out, _ = _run(capsys, *argv)
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == name]
+    assert code == EXIT_CHECK_FAILED and not check["pass"] and check["residual"] > 100 * check["bound"]
+
+
 def test_qlimit(capsys):
     code, out, _ = _run(capsys, "qlimit", "--j", "1", "--delta", "0.3")
     assert code == EXIT_OK

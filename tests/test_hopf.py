@@ -28,7 +28,7 @@ from nlsl2.repbuilder import (MatrixRep, _transferred_irrep, build_deformed, bui
                               deformed_from_undeformed)
 from nlsl2.structure import (Polynomial, StructureSpec, divided_difference, f2_polynomial, polynomial_transfer,
                              quadratic_ladder_factor, quadratic_radicand, quadratic_transfer)
-from nlsl2.verifier import commutator_residuals, gate
+from nlsl2.verifier import EPS, commutator_residuals, gate
 
 
 def test_primitive_coproduct_realizes_kron_sum():
@@ -55,6 +55,12 @@ def _kron_reference(a, b):
     )
 
 
+def _assert_casimir_close(got, ref):
+    # Delta(C) is read off the Delta(J+) steps by the Casimir identity, so it rounds differently from the Kronecker
+    # sum: off-diagonal entries are the same single products, diagonal ones move by at most 1 eps max|C| (1 (x) 0)
+    assert np.abs(got - ref).max() <= 2 * EPS * np.abs(ref).max()
+
+
 def _generators(rep):
     c = rep.j.mm1()
     return rep.J3, rep.Jplus, rep.Jminus, float(c) * np.eye(rep.dim)
@@ -65,8 +71,9 @@ def test_primitive_coproduct_equals_kron_sums(j1, j2):
     r1, r2 = build_sl2(halfint(j1)), build_sl2(halfint(j2))
     pr = primitive_coproduct(r1, r2)
     want = _kron_reference(_generators(r1), _generators(r2))
-    for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm, pr.DC), want):
+    for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm), want):
         assert np.array_equal(got, ref)
+    _assert_casimir_close(pr.DC, want[3])
 
 
 @pytest.mark.parametrize("j", ["1/2", "1"])
@@ -77,8 +84,9 @@ def test_triple_product_equals_kron_sums_in_both_bracketings(j):
     left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
     right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
     for pr, want in ((left, _kron_reference(pair, gens)), (right, _kron_reference(gens, pair))):
-        for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm, pr.DC), want):
+        for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm), want):
             assert np.array_equal(got, ref)
+        _assert_casimir_close(pr.DC, want[3])
 
 
 def _relative(got, want):
@@ -188,8 +196,11 @@ def test_eigh_reads_the_nonnegative_m_blocks_and_mirrors_the_rest(monkeypatch):
         assert sum(received) == sum(b.two_m >= 0 for b in pr.blocks)
         for k, b in enumerate(pr.blocks):
             mirror = pr.blocks[last - k]
-            # the reflection (m1, m2) -> (-m1, -m2) maps block k onto block last - k, positions reversed
-            assert mirror.two_m == -b.two_m and _same_bits(mirror.C, b.C[::-1, ::-1])
+            # the reflection (m1, m2) -> (-m1, -m2) maps block k onto block last - k, positions reversed; the
+            # M = 0 block is its own mirror, formed directly
+            assert mirror.two_m == -b.two_m
+            if k != last - k:
+                assert _same_bits(mirror.C, b.C[::-1, ::-1])
             if k < last:
                 assert _same_bits(pr.steps[last - 1 - k], pr.steps[k].T[::-1, ::-1])
             if b.two_m >= 0:
@@ -201,6 +212,19 @@ def test_eigh_reads_the_nonnegative_m_blocks_and_mirrors_the_rest(monkeypatch):
             assert np.linalg.norm(b.C @ b.V - b.V * b.w) <= 1e-13 * top
             assert np.linalg.norm(b.V.T @ b.V - np.eye(n)) <= 1e-13
             assert b.two_js == tuple(s for s in pr.spins if s >= abs(b.two_m))
+
+
+def test_casimir_blocks_are_the_casimir_identity_on_the_steps_and_their_mirrors():
+    # Delta(C) = Delta(J-) Delta(J+) + Delta(J3)(Delta(J3) + 1): S_k^T S_k + M(M+1) I on each block with 2M >= 0
+    # (M(M+1) alone on the top block), and a -M block is the reversed view of its mirror
+    for pr in _products():
+        last, top = len(pr.sizes) - 1, max(np.abs(c).max() for c in pr.cas)
+        for k in range(len(pr.sizes) // 2, last + 1):
+            m, s = pr.block_m[k] / 2, pr.steps[k] if k < last else np.zeros((0, 1))
+            assert np.abs(pr.cas[k] - (s.T @ s + m * (m + 1) * np.eye(pr.sizes[k]))).max() <= 2 * EPS * top
+            if k != last - k:
+                assert _same_bits(pr.cas[last - k], pr.cas[k][::-1, ::-1])
+        assert not any(c.flags.writeable for c in pr.cas)
 
 
 def _former_dense(pr, parts):
@@ -860,8 +884,8 @@ def _former_cocommutativity_residuals(cop):
     """The residuals with the swap read as a permutation p_k of each block's states, by np.searchsorted."""
     pr, d = cop.pr, cop.pr.d1
     p = [np.searchsorted(b.indices, b.indices % d * d + b.indices // d) for b in pr.blocks]
-    plus = hopf._block_norm(s[p[k + 1]][:, p[k]] - s for k, s in enumerate(cop.steps))
-    return [plus, plus, 0.0 if cop.j3 is None else hopf._block_norm(x[p[k]][:, p[k]] - x for k, x in enumerate(cop.j3))]
+    plus = hopf._norm(s[p[k + 1]][:, p[k]] - s for k, s in enumerate(cop.steps))
+    return [plus, plus, 0.0 if cop.j3 is None else hopf._norm(x[p[k]][:, p[k]] - x for k, x in enumerate(cop.j3))]
 
 
 @pytest.mark.parametrize("family,j", [("polynomial", "0")] + [(f, j) for f in ("polynomial", "quadratic")
@@ -882,7 +906,7 @@ def test_cocommutativity_by_reversal_bitwise_equals_the_permutation(family, j):
     bad = Coproduct(cop.pr, steps, cop.j3)
     noisy = cocommutativity_residuals(bad)
     assert noisy == _former_cocommutativity_residuals(bad)
-    scale = max(hopf._block_norm(steps), float(np.linalg.norm(cop.pr.two_m / 2.0)))
+    scale = max(hopf._norm(steps), float(np.linalg.norm(cop.pr.two_m / 2.0)))
     assert noisy[0] > gate(cop.pr.dim, scale) >= got[0]
 
 

@@ -292,3 +292,23 @@ def test_a_non_finite_residual_or_bound_fails(residual, bound):
     report.add_numeric("finite", 0.5, 1.0)
     assert [c.passed for c in report.checks] == [False, True]
     assert not report.all_passed
+
+
+def test_norm_is_the_plain_norm_in_range_and_finite_past_it():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((7, 5))
+    blocks = [rng.standard_normal((n, n)) for n in (3, 1, 4)]
+    assert verifier._norm(x) == np.linalg.norm(x) == math.sqrt(np.vdot(x, x))
+    assert verifier._norm(x[::-1, ::-1]) == np.linalg.norm(x[::-1, ::-1])
+    assert verifier._norm(b for b in blocks) == np.linalg.norm(np.concatenate([b.ravel() for b in blocks]))
+    assert verifier._norm([]) == 0.0
+    # max|x|^2 * size past the float maximum: the norm in units of max|x|, where np.linalg.norm reads inf
+    big = x * 1e160
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(big) == math.inf
+    assert verifier._norm(big) == pytest.approx(1e160 * np.linalg.norm(x), rel=4 * verifier.EPS)
+    assert verifier._norm([big, x]) == pytest.approx(verifier._norm(big), rel=4 * verifier.EPS)
+    for bad in (math.inf, math.nan):
+        y = x.copy()
+        y[2, 3] = bad
+        assert not math.isfinite(verifier._norm(y))
