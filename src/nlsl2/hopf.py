@@ -10,7 +10,8 @@ onto the M block with its states reversed (Edmonds, eq. 3.5.17), so only the blo
 and diagonalized, one stacked `eigh` per run of one size; a -M block's Delta(C) is its mirror's reversed, with
 the same eigenvalues and the eigenvectors reversed. Ascending eigenvectors take the ascending exact labels,
 and each run with its mirrors shares one stacked matmul for each function of the labels; deformed coproducts
-are such functions.
+are such functions. So the coupled basis depends on the two factors only: the product of two irreps is built
+once per process, and its read-only arrays are kept for later calls while the kept products hold 64 MiB or less.
 
 A deformed coproduct applies its family's `structure` transfer map to all coupled labels (2J, 2M) in one call;
 the map is defined for M < J, and at M = J, where Delta(J+) annihilates the state, the factor is 0.
@@ -27,7 +28,8 @@ coproducts' weight blocks; coassociativity is left to `triple_coassociativity_re
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -62,14 +64,16 @@ class ProductRep:
     """Primitive coproduct on V1 (x) V2, stored on its weight blocks with exact (J, M) labels.
 
     Delta(J3) is diag(M) and Delta(J+) maps the M block into the M+1 block
-    only: steps[k] is its block from block k to block k+1, read-only.
+    only: steps[k] is its block from block k to block k+1.
     Delta(C) is block-diagonal over M: cas[k] = steps[k]^T steps[k] + M(M+1) I
-    for 2M >= 0, and the reversed view of its mirror's for 2M < 0, read-only.
+    for 2M >= 0, and the reversed view of its mirror's for 2M < 0.
     An entry (ks, at, w, V) of `groups` holds a run of blocks of one size with
     2M >= 0 and their -M mirrors: block ks[i] has columns at[i], eigenvalues
-    w[i] and eigenvectors V[i]. `blocks` (one CoupledBlock per M) and the
-    dense DJ3, DJp, DJm and DC are built from these on first read; the dense
-    ones are writable copies.
+    w[i] and eigenvectors V[i]. Every array here is read-only, and those of a
+    product of two irreps are built once per process and shared by the
+    ProductReps of the same factors (`primitive_coproduct`). `blocks` (one
+    CoupledBlock per M) and the dense DJ3, DJp, DJm and DC are built from them
+    on first read, per ProductRep; the dense ones are writable copies.
     """
 
     d1: int
@@ -151,11 +155,6 @@ class _Factor(NamedTuple):
     two_m: np.ndarray
     spins: tuple
 
-    @property
-    def one(self) -> tuple:
-        i = np.arange(len(self.two_m))
-        return i, i, np.ones(len(i))
-
 
 def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
     """An sl2 irrep, read from its J+ superdiagonal, or a product, read from its step blocks."""
@@ -168,51 +167,71 @@ def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
     return _Factor((i[:-1], i[1:], x.ladder[1]), np.arange(x.two_j, -x.two_j - 1, -2), (x.two_j,))
 
 
+_BUDGET = 64 << 20  # bytes of the products kept for reuse across calls
+_bases: dict = {}  # the two factors' keys -> (ProductRep, its bytes), least recently used first
+_lock = threading.Lock()
+
+
 def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
                         rep2: Union[MatrixRep, ProductRep]) -> ProductRep:
-    """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir.
+    """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir, on its weight blocks.
 
-    Each factor is an sl2 irrep or a ProductRep, so V (x) V (x) V can be built
-    in either bracketing. Only the weight blocks are formed: the two Kronecker
-    terms of Delta(J+) are placed into one flat buffer of step blocks S_k
-    (block k -> k+1), each at its own offset, so the values equal those of the
-    dense Kronecker sum. Delta is an algebra map, so Delta(C) = Delta(J-)
-    Delta(J+) + Delta(J3)(Delta(J3) + 1), which on block k of weight M is
-    S_k^T S_k + M(M+1) I (M(M+1) alone on the top block, which has no step
-    out). Only the blocks with 2M >= 0 are formed, into one flat buffer, and
-    go to `eigh`, one stacked call per run of one size on its slice; block -M
-    is the reflection of block M with its states reversed (Edmonds, eq.
-    3.5.17), so its Delta(C) is the view C_M[::-1, ::-1], with the same
-    eigenvalues and eigenvectors V_M[::-1]. A run and its mirrors make one
-    entry of `groups`, and `blocks` is built from them only when read. A
-    block's k-th eigenvector takes the k-th of the ascending labels {J in
-    spins : J >= |M|}, which for a block of size n are the n largest. This is
-    exact because distinct values of J(J+1) lie at least 2 apart.
+    Each factor is an sl2 irrep or a ProductRep, so V (x) V (x) V can be built in either bracketing. The two
+    Kronecker terms of Delta(J+) are placed into one flat buffer of step blocks S_k (block k -> k+1), so the
+    values equal those of the dense Kronecker sum. The 2M >= 0 blocks of Delta(C), S_k^T S_k + M(M+1) I, go
+    into another and to `eigh`, one stacked call per run of one size on its slice; each -M block is the view of
+    its mirror with the states reversed (Edmonds, eq. 3.5.17). A block's k-th eigenvector takes the k-th of the
+    ascending labels {J in spins : J >= |M|}, the n largest for a block of size n: exactly, as distinct J(J+1)
+    lie at least 2 apart.
+
+    None of this depends on a deformation, so the product of two irreps is built once per process and kept,
+    keyed by what `_factor` reads of each factor, while the kept products hold at most 64 MiB: the least
+    recently used go first, and a larger one is not kept. Each call returns a new ProductRep over the kept
+    read-only arrays, with its own lists and dense views; a product with a ProductRep factor is built anew.
     """
-    a, b = _factor(rep1), _factor(rep2)
+    key = tuple(None if isinstance(x, ProductRep) else (x.family, x.two_j, x.ladder[1].dtype.str, x.ladder[1].tobytes())
+                for x in (rep1, rep2))
+    with _lock:  # one build or update of the kept products at a time
+        entry = _bases.pop(key, None)
+        if entry is None:
+            entry = _coupled(_factor(rep1), _factor(rep2))
+            if None in key or entry[1] > _BUDGET:
+                return entry[0]
+            held = entry[1] + sum(n for _, n in _bases.values())
+            while held > _BUDGET:
+                held -= _bases.pop(next(iter(_bases)))[1]
+        _bases[key] = entry  # the most recently used goes last
+    pr = entry[0]
+    return replace(pr, cas=list(pr.cas), steps=list(pr.steps), groups=list(pr.groups))
+
+
+def _coupled(a: _Factor, b: _Factor) -> tuple:
+    """The ProductRep of a (x) b that `primitive_coproduct` describes, and the bytes of its arrays."""
     d1, d2 = len(a.two_m), len(b.two_m)
     two_m = np.add.outer(a.two_m, b.two_m).ravel()
-    # weight blocks in ascending 2M, states in product-basis order inside each
-    block_m, block_of, sizes = np.unique(two_m, return_inverse=True, return_counts=True)
+    # weight blocks in ascending 2M, states in product-basis order inside each; every 2M between the extremes occurs
+    block_of = (two_m - two_m.min()) // 2
+    sizes = np.bincount(block_of)
+    block_m = two_m.min() + 2 * np.arange(len(sizes))
     order = np.argsort(block_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
     pos = np.empty(len(two_m), dtype=int)
     pos[order] = np.arange(len(two_m)) - starts[block_of[order]]
     s_off = np.concatenate(([0], np.cumsum(sizes[1:] * sizes[:-1])))
     dp = np.zeros(s_off[-1])
-    for (r1, c1, v1), (r2, c2, v2) in ((a.plus, b.one), (a.one, b.plus)):  # disjoint entries
+    i1, i2 = np.arange(d1), np.arange(d2)
+    for (r1, c1, v1), (r2, c2, v2) in ((a.plus, (i2, i2, np.ones(d2))), ((i1, i1, np.ones(d1)), b.plus)):  # disjoint
         rows, cols = np.add.outer(r1 * d2, r2).ravel(), np.add.outer(c1 * d2, c2).ravel()
         k = block_of[cols]  # rows lie in block k + 1
         dp[s_off[k] + pos[rows] * sizes[k] + pos[cols]] = np.outer(v1, v2).ravel()
     dp.flags.writeable = False
-    steps = [dp[s_off[k]:s_off[k + 1]].reshape(hi, lo)
-             for k, (lo, hi) in enumerate(zip(sizes.tolist(), sizes[1:].tolist()))]
+    n_m, s_at = sizes.tolist(), s_off.tolist()
+    steps = [dp[s_at[k]:s_at[k + 1]].reshape(n_m[k + 1], n_m[k]) for k in range(len(n_m) - 1)]
 
     last, half = len(sizes) - 1, len(sizes) // 2  # blocks k >= half have 2M >= 0
-    c_off = np.concatenate(([0], np.cumsum(sizes[half:] ** 2)))  # of block half + i at c_off[i]
+    c_off = [0, *np.cumsum(sizes[half:] ** 2).tolist()]  # of block half + i at c_off[i]
     dc = np.empty(c_off[-1])
-    for lo, hi, s, m in zip(c_off.tolist(), c_off[1:].tolist(), [*steps[half:], np.zeros((0, 1))],
-                            block_m[half:].tolist()):
+    for lo, hi, s, m in zip(c_off, c_off[1:], [*steps[half:], np.zeros((0, 1))], block_m[half:].tolist()):
         n = s.shape[1]
         np.matmul(s.T, s, out=dc[lo:hi].reshape(n, n))
         dc[lo:hi:n + 1] += m * (m + 2) / 4  # M(M+1)
@@ -220,19 +239,23 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
 
     spins = tuple(sorted(t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)))
     cas, groups = [None] * len(sizes), []
-    cuts = [half, *(np.flatnonzero(np.diff(sizes[half:])) + half + 1).tolist(), len(sizes)]
+    cuts = [half, *(k for k in range(half + 1, len(n_m)) if n_m[k] != n_m[k - 1]), len(n_m)]
     for lo, hi in zip(cuts, cuts[1:]):
-        n = int(sizes[lo])
+        n = n_m[lo]
         c = dc[c_off[lo - half]:c_off[hi - half]].reshape(hi - lo, n, n)
         w, vecs = np.linalg.eigh(c)
         own = int(2 * lo == last)  # the M = 0 block is its own mirror
-        ks = [*range(lo, hi), *range(last - lo - own, last - hi, -1)]
+        ks = (*range(lo, hi), *range(last - lo - own, last - hi, -1))
         for k, x in zip(ks, [*c, *c[own:, ::-1, ::-1]]):
             cas[k] = x
-        groups.append((ks, starts[ks][:, None] + np.arange(n), np.concatenate((w, w[own:])),
+        groups.append((ks, starts[list(ks)][:, None] + np.arange(n), np.concatenate((w, w[own:])),
                        np.concatenate((vecs, vecs[own:, ::-1]))))
     rank = np.arange(len(two_m)) - np.repeat(starts[1:] - len(spins), sizes)  # a size-n block: the n largest 2J
-    return ProductRep(d1, d2, two_m, spins, block_m, cas, steps, order, sizes, rank, groups)
+    for x in (two_m, block_m, order, sizes, rank, *(a for g in groups for a in g[1:])):
+        x.setflags(write=False)
+    # `groups` holds a position and an eigenvalue per state and an eigenvector entry per entry of a Delta(C) block
+    held = sum(x.nbytes for x in (two_m, block_m, order, sizes, rank, dp, dc)) + 8 * (2 * len(two_m) + sizes @ sizes)
+    return ProductRep(d1, d2, two_m, spins, block_m, cas, steps, order, sizes, rank, groups), int(held)
 
 
 def _label_calculus(pr: ProductRep, vals: np.ndarray) -> list:

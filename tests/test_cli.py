@@ -657,6 +657,37 @@ def test_hopf_at_equal_spins_builds_the_product_and_its_coproduct_once(capsys, m
     assert axioms == commutators == coproducts[:1]
 
 
+def _eigh_shapes(monkeypatch):
+    """The stacked inputs `eigh` receives from here on, with no product kept before."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    monkeypatch.setattr(hopf, "_bases", {})
+    return shapes
+
+
+def test_hopf_builds_each_factor_pair_once_for_all_families(capsys, monkeypatch):
+    # the coupled basis depends on the two factors only: both families read one V (x) V, V (x) V(0) and V(0) (x) V
+    shapes = _eigh_shapes(monkeypatch)
+    code, _, _ = _run(capsys, "hopf", "--j1", "3", "--j2", "3", "--alpha=1/1,1/10,1/100", "--quadratic-alpha=0.01")
+    assert code == EXIT_OK
+    # V(3) (x) V(3): one call per 2M >= 0 block, of sizes 7, ..., 1; each counit product: one on its four 1 x 1 blocks
+    assert sorted(shapes) == sorted([(1, n, n) for n in range(1, 8)] + [(4, 1, 1)] * 2)
+
+
+def test_triple_coassociativity_builds_its_inner_product_once(monkeypatch):
+    shapes = _eigh_shapes(monkeypatch)
+    rep = repbuilder.build_sl2(1)
+    inner = hopf.primitive_coproduct(rep, rep)
+    builds = [len(shapes)]
+    for pair in ((inner, rep), (rep, inner)):  # a product with a ProductRep factor is built on every call
+        hopf.primitive_coproduct(*pair)
+        builds.append(len(shapes) - sum(builds))
+    hopf._bases.clear()
+    shapes.clear()
+    assert hopf.triple_coassociativity_residual(1, [Fraction(1), Fraction(1, 10)]) == 0.0
+    assert builds[0] > 0 and len(shapes) == sum(builds)
+
+
 def test_hopf_at_equal_spins_forms_no_dense_product_matrix(capsys):
     import tracemalloc
 

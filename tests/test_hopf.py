@@ -190,6 +190,7 @@ def test_eigh_reads_the_nonnegative_m_blocks_and_mirrors_the_rest(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     for pair in _factor_pairs():
+        hopf._bases.clear()  # a kept product would be returned without a build
         received.clear()
         pr = primitive_coproduct(*pair)
         last = len(pr.blocks) - 1
@@ -225,6 +226,68 @@ def test_casimir_blocks_are_the_casimir_identity_on_the_steps_and_their_mirrors(
             if k != last - k:
                 assert _same_bits(pr.cas[last - k], pr.cas[k][::-1, ::-1])
         assert not any(c.flags.writeable for c in pr.cas)
+
+
+def _held_bytes(pr):
+    """The bytes of the buffers pr's arrays view, each buffer once."""
+    arrays = [pr.two_m, pr.block_m, pr.order, pr.sizes, pr.rank, *pr.steps, *pr.cas,
+              *(x for _, at, w, v in pr.groups for x in (at, w, v))]
+    return sum({id(b): b.nbytes for b in (x if x.base is None else x.base for x in arrays)}.values())
+
+
+def _same_product(x, y):
+    """Every field of two ProductReps bitwise equal."""
+    lists = [(x.cas, y.cas), (x.steps, y.steps), *((gx[1:], gy[1:]) for gx, gy in zip(x.groups, y.groups))]
+    return (x.d1, x.d2, x.spins, [g[0] for g in x.groups]) == (y.d1, y.d2, y.spins, [g[0] for g in y.groups]) \
+        and all(_same_bits(getattr(x, f), getattr(y, f)) for f in ("two_m", "block_m", "order", "sizes", "rank")) \
+        and len(x.groups) == len(y.groups) and all(len(a) == len(b) and all(map(_same_bits, a, b)) for a, b in lists)
+
+
+def test_a_kept_product_is_bitwise_a_cold_build_with_its_own_lists_and_views(monkeypatch):
+    monkeypatch.setattr(hopf, "_bases", {})
+    for pair in _factor_pairs():
+        cold = primitive_coproduct(*pair)
+        again = primitive_coproduct(*pair)
+        assert _same_product(again, cold)
+        kept = isinstance(pair[0], MatrixRep)  # a product with a ProductRep factor is built anew
+        assert (again.groups[0][3] is cold.groups[0][3]) == kept and (again.two_m is cold.two_m) == kept
+        assert again.cas is not cold.cas and again.steps is not cold.steps and again.groups is not cold.groups
+        assert again.DJp.flags.writeable and np.array_equal(again.DJp, cold.DJp)
+        again.cas[0] = None  # the lists are the caller's own
+        assert _same_product(primitive_coproduct(*pair), cold)
+    for pr, n in hopf._bases.values():  # a kept product holds no dense view or block list
+        assert n == _held_bytes(pr) and not {"DJ3", "DJp", "DJm", "DC", "blocks"} & set(vars(pr))
+
+
+def test_kept_products_stay_under_the_byte_budget_least_recently_used_first(monkeypatch):
+    reps = [build_sl2(j) for j in range(5)]
+    sizes = {j: hopf._coupled(hopf._factor(r), hopf._factor(r))[1] for j, r in enumerate(reps)}
+    monkeypatch.setattr(hopf, "_bases", {})
+    monkeypatch.setattr(hopf, "_BUDGET", sizes[2] + sizes[3])
+
+    def kept():
+        assert sum(n for _, n in hopf._bases.values()) <= hopf._BUDGET
+        return [(pr.d1 - 1) // 2 for pr, _ in hopf._bases.values()]  # j of each kept V (x) V, least recently used first
+
+    for j in (0, 1, 2):
+        primitive_coproduct(reps[j], reps[j])
+    assert kept() == [0, 1, 2]
+    primitive_coproduct(reps[0], reps[0])  # a hit: now the most recently used
+    assert kept() == [1, 2, 0]
+    primitive_coproduct(reps[3], reps[3])  # V(1) (x) V(1) goes, then V(2) (x) V(2)
+    assert kept() == [0, 3]
+    assert sizes[4] > hopf._BUDGET
+    pr = primitive_coproduct(reps[4], reps[4])  # larger than the budget: built, not kept, and nothing evicted
+    assert kept() == [0, 3] and _same_product(pr, primitive_coproduct(reps[4], reps[4]))
+    assert pr.groups[0][3] is not primitive_coproduct(reps[4], reps[4]).groups[0][3]
+
+
+def test_a_factor_of_another_family_with_an_sl2_ladder_is_still_refused():
+    rep = build_sl2(2)
+    primitive_coproduct(rep, rep)
+    other = MatrixRep(rep.dim, rep.two_j, 0.0, "polynomial", ladder=rep.ladder)
+    with pytest.raises(ValueError, match="sl2 irreps"):
+        primitive_coproduct(other, rep)
 
 
 def _former_dense(pr, parts):
@@ -554,8 +617,9 @@ def test_dense_views_are_contiguous_copies_of_the_blocks():
         view[...] = 7.0
     assert all(np.array_equal(s, t) for s, t in zip(pr.steps, steps))
     assert all(np.array_equal(b.C, c) for b, c in zip(pr.blocks, cas))
-    assert not any(s.flags.writeable for s in pr.steps)
-    assert not any(b.C.flags.writeable for b in pr.blocks)
+    arrays = [pr.two_m, pr.block_m, pr.order, pr.sizes, pr.rank, *pr.steps, *pr.cas,
+              *(x for _, at, w, v in pr.groups for x in (at, w, v)), *(x for b in pr.blocks for x in b[1:4] + b[5:])]
+    assert not any(x.flags.writeable for x in arrays)
 
 
 def test_quadratic_coproduct_with_negative_alpha_leaves_the_top_label_unread():
@@ -626,6 +690,7 @@ def test_coupled_basis_reads_the_family_irrep_in_each_j_block(name, case, j1, j2
     u = u.copy()
     u[len(u) // 2] *= 1 + 1e-9
     bad = primitive_coproduct(MatrixRep(r1.dim, r1.two_j, 0.0, "sl2", ladder=(w, u)), r2)
+    assert not all(_same_bits(x, y) for x, y in zip(bad.steps, pr.steps))  # not the kept product of r1 (x) r2
     djp, dj3, _ = case(bad)
     resid, scale = _coupled_reading(bad, djp, dj3, irrep)
     assert resid > gate(bad.dim, scale)

@@ -308,6 +308,8 @@ def test_norm_is_the_plain_norm_in_range_and_finite_past_it():
         assert np.linalg.norm(big) == math.inf
     assert verifier._norm(big) == pytest.approx(1e160 * np.linalg.norm(x), rel=4 * verifier.EPS)
     assert verifier._norm([big, x]) == pytest.approx(verifier._norm(big), rel=4 * verifier.EPS)
+    # several norms under one np.errstate: each the norm taken alone
+    assert verifier._norms(x, big, (b for b in blocks), []) == [verifier._norm(y) for y in (x, big, blocks, [])]
     for bad in (math.inf, math.nan):
         y = x.copy()
         y[2, 3] = bad
