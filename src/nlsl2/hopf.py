@@ -11,7 +11,7 @@ and diagonalized, one stacked `eigh` per run of one size; a -M block's Delta(C) 
 the same eigenvalues and the eigenvectors reversed. Ascending eigenvectors take the ascending exact labels,
 and each run with its mirrors shares one stacked matmul for each function of the labels; deformed coproducts
 are such functions. So the coupled basis depends on the two factors only: the product of two irreps is built
-once per process, and its read-only arrays are kept for later calls while the kept products hold 64 MiB or less.
+once per process, and its read-only arrays are kept for later calls, for the 16 most recently used factor pairs.
 
 A deformed coproduct applies its family's `structure` transfer map to all coupled labels (2J, 2M) in one call;
 the map is defined for M < J, and at M = J, where Delta(J+) annihilates the state, the factor is 0.
@@ -167,8 +167,8 @@ def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
     return _Factor((i[:-1], i[1:], x.ladder[1]), np.arange(x.two_j, -x.two_j - 1, -2), (x.two_j,))
 
 
-_BUDGET = 64 << 20  # bytes of the products kept for reuse across calls
-_bases: dict = {}  # the two factors' keys -> (ProductRep, its bytes), least recently used first
+_KEPT = 16  # products of two irreps kept for later calls; a benchmark pass cycles through at most 9 pairs
+_kept: dict = {}  # each factor's (2j, J+ superdiagonal) -> ProductRep, least recently used first
 _lock = threading.Lock()
 
 
@@ -185,28 +185,27 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     lie at least 2 apart.
 
     None of this depends on a deformation, so the product of two irreps is built once per process and kept,
-    keyed by what `_factor` reads of each factor, while the kept products hold at most 64 MiB: the least
-    recently used go first, and a larger one is not kept. Each call returns a new ProductRep over the kept
-    read-only arrays, with its own lists and dense views; a product with a ProductRep factor is built anew.
+    keyed by what `_factor` reads of each factor, for the 16 most recently used pairs. Each call returns a new
+    ProductRep over the kept read-only arrays, with its own lists and dense views; a product with a ProductRep
+    factor is built anew.
     """
-    key = tuple(None if isinstance(x, ProductRep) else (x.family, x.two_j, x.ladder[1].dtype.str, x.ladder[1].tobytes())
-                for x in (rep1, rep2))
-    with _lock:  # one build or update of the kept products at a time
-        entry = _bases.pop(key, None)
-        if entry is None:
-            entry = _coupled(_factor(rep1), _factor(rep2))
-            if None in key or entry[1] > _BUDGET:
-                return entry[0]
-            held = entry[1] + sum(n for _, n in _bases.values())
-            while held > _BUDGET:
-                held -= _bases.pop(next(iter(_bases)))[1]
-        _bases[key] = entry  # the most recently used goes last
-    pr = entry[0]
+    a, b = _factor(rep1), _factor(rep2)
+    if isinstance(rep1, ProductRep) or isinstance(rep2, ProductRep):
+        return _coupled(a, b)
+    key = tuple((x.two_j, x.ladder[1].dtype.str, x.ladder[1].tobytes()) for x in (rep1, rep2))
+    with _lock:
+        pr = _kept.pop(key, None)
+    if pr is None:  # built unlocked: two threads building one pair at once make equal read-only arrays
+        pr = _coupled(a, b)
+    with _lock:
+        _kept[key] = pr  # the most recently used goes last
+        while len(_kept) > _KEPT:
+            del _kept[next(iter(_kept))]
     return replace(pr, cas=list(pr.cas), steps=list(pr.steps), groups=list(pr.groups))
 
 
-def _coupled(a: _Factor, b: _Factor) -> tuple:
-    """The ProductRep of a (x) b that `primitive_coproduct` describes, and the bytes of its arrays."""
+def _coupled(a: _Factor, b: _Factor) -> ProductRep:
+    """The ProductRep of a (x) b that `primitive_coproduct` describes."""
     d1, d2 = len(a.two_m), len(b.two_m)
     two_m = np.add.outer(a.two_m, b.two_m).ravel()
     # weight blocks in ascending 2M, states in product-basis order inside each; every 2M between the extremes occurs
@@ -253,9 +252,7 @@ def _coupled(a: _Factor, b: _Factor) -> tuple:
     rank = np.arange(len(two_m)) - np.repeat(starts[1:] - len(spins), sizes)  # a size-n block: the n largest 2J
     for x in (two_m, block_m, order, sizes, rank, *(a for g in groups for a in g[1:])):
         x.setflags(write=False)
-    # `groups` holds a position and an eigenvalue per state and an eigenvector entry per entry of a Delta(C) block
-    held = sum(x.nbytes for x in (two_m, block_m, order, sizes, rank, dp, dc)) + 8 * (2 * len(two_m) + sizes @ sizes)
-    return ProductRep(d1, d2, two_m, spins, block_m, cas, steps, order, sizes, rank, groups), int(held)
+    return ProductRep(d1, d2, two_m, spins, block_m, cas, steps, order, sizes, rank, groups)
 
 
 def _label_calculus(pr: ProductRep, vals: np.ndarray) -> list:
@@ -470,8 +467,8 @@ def triple_coassociativity_residual(j, alpha: Sequence) -> float:
     Raises InadmissibleProductError when a component of V^(x)3 is inadmissible.
     """
     rep = build_sl2(halfint(j))
-    left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
-    right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
+    inner = primitive_coproduct(rep, rep)
+    left, right = primitive_coproduct(inner, rep), primitive_coproduct(rep, inner)
     t = polynomial_transfer(alpha, max(left.spins))
     parts = [([p.two_m / 2.0], p.cas, p.steps, transferred_coproduct(p, t).steps)
              for p in (left, right)]

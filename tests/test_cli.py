@@ -661,7 +661,7 @@ def _eigh_shapes(monkeypatch):
     """The stacked inputs `eigh` receives from here on, with no product kept before."""
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-    monkeypatch.setattr(hopf, "_bases", {})
+    monkeypatch.setattr(hopf, "_kept", {})
     return shapes
 
 
@@ -676,13 +676,13 @@ def test_hopf_builds_each_factor_pair_once_for_all_families(capsys, monkeypatch)
 
 def test_triple_coassociativity_builds_its_inner_product_once(monkeypatch):
     shapes = _eigh_shapes(monkeypatch)
+    monkeypatch.setattr(hopf, "_KEPT", 0)  # no product kept: the witness itself shares its inner V (x) V
     rep = repbuilder.build_sl2(1)
     inner = hopf.primitive_coproduct(rep, rep)
     builds = [len(shapes)]
     for pair in ((inner, rep), (rep, inner)):  # a product with a ProductRep factor is built on every call
         hopf.primitive_coproduct(*pair)
         builds.append(len(shapes) - sum(builds))
-    hopf._bases.clear()
     shapes.clear()
     assert hopf.triple_coassociativity_residual(1, [Fraction(1), Fraction(1, 10)]) == 0.0
     assert builds[0] > 0 and len(shapes) == sum(builds)

@@ -190,7 +190,7 @@ def test_eigh_reads_the_nonnegative_m_blocks_and_mirrors_the_rest(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     for pair in _factor_pairs():
-        hopf._bases.clear()  # a kept product would be returned without a build
+        hopf._kept.clear()  # a kept product would be returned without a build
         received.clear()
         pr = primitive_coproduct(*pair)
         last = len(pr.blocks) - 1
@@ -228,13 +228,6 @@ def test_casimir_blocks_are_the_casimir_identity_on_the_steps_and_their_mirrors(
         assert not any(c.flags.writeable for c in pr.cas)
 
 
-def _held_bytes(pr):
-    """The bytes of the buffers pr's arrays view, each buffer once."""
-    arrays = [pr.two_m, pr.block_m, pr.order, pr.sizes, pr.rank, *pr.steps, *pr.cas,
-              *(x for _, at, w, v in pr.groups for x in (at, w, v))]
-    return sum({id(b): b.nbytes for b in (x if x.base is None else x.base for x in arrays)}.values())
-
-
 def _same_product(x, y):
     """Every field of two ProductReps bitwise equal."""
     lists = [(x.cas, y.cas), (x.steps, y.steps), *((gx[1:], gy[1:]) for gx, gy in zip(x.groups, y.groups))]
@@ -244,7 +237,7 @@ def _same_product(x, y):
 
 
 def test_a_kept_product_is_bitwise_a_cold_build_with_its_own_lists_and_views(monkeypatch):
-    monkeypatch.setattr(hopf, "_bases", {})
+    monkeypatch.setattr(hopf, "_kept", {})
     for pair in _factor_pairs():
         cold = primitive_coproduct(*pair)
         again = primitive_coproduct(*pair)
@@ -255,31 +248,27 @@ def test_a_kept_product_is_bitwise_a_cold_build_with_its_own_lists_and_views(mon
         assert again.DJp.flags.writeable and np.array_equal(again.DJp, cold.DJp)
         again.cas[0] = None  # the lists are the caller's own
         assert _same_product(primitive_coproduct(*pair), cold)
-    for pr, n in hopf._bases.values():  # a kept product holds no dense view or block list
-        assert n == _held_bytes(pr) and not {"DJ3", "DJp", "DJm", "DC", "blocks"} & set(vars(pr))
+    for pr in hopf._kept.values():  # a kept product holds no dense view or block list
+        assert not {"DJ3", "DJp", "DJm", "DC", "blocks"} & set(vars(pr))
 
 
-def test_kept_products_stay_under_the_byte_budget_least_recently_used_first(monkeypatch):
-    reps = [build_sl2(j) for j in range(5)]
-    sizes = {j: hopf._coupled(hopf._factor(r), hopf._factor(r))[1] for j, r in enumerate(reps)}
-    monkeypatch.setattr(hopf, "_bases", {})
-    monkeypatch.setattr(hopf, "_BUDGET", sizes[2] + sizes[3])
+def test_the_most_recently_used_products_are_kept(monkeypatch):
+    reps = [build_sl2(j) for j in range(4)]
+    monkeypatch.setattr(hopf, "_kept", {})
+    monkeypatch.setattr(hopf, "_KEPT", 2)
 
     def kept():
-        assert sum(n for _, n in hopf._bases.values()) <= hopf._BUDGET
-        return [(pr.d1 - 1) // 2 for pr, _ in hopf._bases.values()]  # j of each kept V (x) V, least recently used first
+        return [(pr.d1 - 1) // 2 for pr in hopf._kept.values()]  # j of each kept V (x) V, least recently used first
 
     for j in (0, 1, 2):
         primitive_coproduct(reps[j], reps[j])
-    assert kept() == [0, 1, 2]
-    primitive_coproduct(reps[0], reps[0])  # a hit: now the most recently used
-    assert kept() == [1, 2, 0]
-    primitive_coproduct(reps[3], reps[3])  # V(1) (x) V(1) goes, then V(2) (x) V(2)
-    assert kept() == [0, 3]
-    assert sizes[4] > hopf._BUDGET
-    pr = primitive_coproduct(reps[4], reps[4])  # larger than the budget: built, not kept, and nothing evicted
-    assert kept() == [0, 3] and _same_product(pr, primitive_coproduct(reps[4], reps[4]))
-    assert pr.groups[0][3] is not primitive_coproduct(reps[4], reps[4]).groups[0][3]
+    assert kept() == [1, 2]
+    first = primitive_coproduct(reps[1], reps[1])  # a hit: now the most recently used
+    assert kept() == [2, 1]
+    primitive_coproduct(reps[3], reps[3])  # V(2) (x) V(2) goes
+    assert kept() == [1, 3] and primitive_coproduct(reps[1], reps[1]).groups[0][3] is first.groups[0][3]
+    again = primitive_coproduct(reps[2], reps[2])  # built anew, equal bit for bit
+    assert kept() == [1, 2] and _same_product(again, primitive_coproduct(reps[2], reps[2]))
 
 
 def test_a_factor_of_another_family_with_an_sl2_ladder_is_still_refused():
