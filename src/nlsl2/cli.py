@@ -183,7 +183,7 @@ def cmd_hopf(args) -> int:
     pr = hopf_mod.primitive_coproduct(rep1, rep2)
     report = verifier.VerificationReport()
 
-    spectrum = np.sort(np.concatenate([w.ravel() for _, _, w, _ in pr.groups]))
+    spectrum = np.sort(pr.w)
     oracle = hopf_mod.product_casimir_spectrum(j1, j2)
     report.add_numeric("Delta(C) spectrum = Clebsch-Gordan J(J+1) pattern", np.abs(spectrum - oracle).max(),
                        verifier.gate(pr.dim, oracle[-1], args.tol))

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -347,6 +348,21 @@ def test_q_number_overflow_is_one_error_line_naming_j_delta_and_the_limit(capsys
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("delta", [0.3, 1.0, 2.0])
+def test_qlimit_past_its_term_cap_is_one_error_line(capsys, delta):
+    # |delta|(2j+1) = 400 is inside the q-range (limit about 710), but the series would need 286 exact rows (2.6 s
+    # at delta = 1); the default truncation stays within verifier.MAX_TRUNC = 256 up to |delta|(2j+1) = 351
+    two_j = round(400 / delta) - 1
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "qlimit", "--j", str(HalfInt(two_j)), "--delta", str(delta))
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: the q-series identity at j=")
+    assert f"past the cap of {verifier.MAX_TRUNC}" in err
+    with pytest.raises(ValueError, match="past the cap"):
+        verifier.q_series_identity_residual(2, -2, 0.3, trunc=verifier.MAX_TRUNC + 1)
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])
 def test_unwritable_output_is_one_error_line_naming_the_path(tmp_path, capsys, fmt, where):
@@ -655,6 +671,16 @@ def test_hopf_at_equal_spins_builds_the_product_and_its_coproduct_once(capsys, m
     assert code == EXIT_OK and sum(pr.dim == 49 for pr in products) == 1
     assert [cop.pr.dim for cop in coproducts] == [49, 7, 7]  # V (x) V, then the counit's V (x) V(0), V(0) (x) V
     assert axioms == commutators == coproducts[:1]
+
+
+@pytest.mark.parametrize("j1,j2", [("3", "3"), ("40", "81/2")])
+def test_hopf_builds_no_dense_positions(capsys, monkeypatch, j1, j2):
+    # every check reads weight blocks: no kept product gets the dense positions `ProductRep._at` builds
+    monkeypatch.setattr(hopf, "_kept", {})
+    code, _, _ = _run(capsys, "hopf", "--j1", j1, "--j2", j2, "--alpha=1/1,1/10,1/100", "--quadratic-alpha=0.001")
+    # V(j1) (x) V(j2), V (x) V for V = V(min(j1, j2)) (the same product at j1 == j2), V (x) V(0), V(0) (x) V
+    assert code == EXIT_OK and len(hopf._kept) == 3 + (j1 != j2)
+    assert all(pr.at == {} for pr in hopf._kept.values())
 
 
 def _eigh_shapes(monkeypatch):

@@ -3,7 +3,7 @@
 With warnings as errors, every run either exits 0 or 1 with finite residuals and bounds (a
 table with no inf or nan for `rep`), or exits 2 with one `error:` line. The grid runs the
 irreps up to 2j = 4000, the U_q and q-base families at the largest 2j that
-`qdeform.check_q_range` accepts and the next one at three deltas, products up to
+`qdeform.check_q_range` accepts and the next one at three deltas, `qlimit` at that edge, products up to
 j1 = j2 = 60 and V(40) (x) V(81/2), and a negative spin for each command that builds an irrep.
 """
 
@@ -54,6 +54,8 @@ def _runs():
             yield ["rep", "--family", "qbase", "--alpha=1,0.1", *j]
             yield ["verify", "--family", "uq", *j]
         yield ["qlimit", "--j", str(HalfInt(edge + 1)), f"--delta={delta}"]
+    for delta in (0.3, 1.0, 2.0):  # at the edge the series needs more terms than `verifier.MAX_TRUNC`
+        yield ["qlimit", "--j", str(HalfInt(_q_edge(delta))), f"--delta={delta}"]
     # the series needs exact eps_r(k) rows to k of about |delta|(2j+1), whose cost grows as k^3
     for two_j, delta in ((1, 0.3), (7, 1.0), (40, 1.0), (7, -3.0), (300, 0.3)):
         yield ["qlimit", "--j", str(HalfInt(two_j)), f"--delta={delta}"]
