@@ -1,5 +1,7 @@
 """Nonlinear sl(2) algebras: unitary irreps, family enumeration, Hopf checks."""
 
+import importlib
+
 from .halfint import HalfInt, halfint, ladder, ladder_desc
 from .coefficients import (
     alpha_from_beta,
@@ -53,17 +55,11 @@ from .families import (
     scan,
 )
 from .qdeform import QParam, q_beta_coeffs, q_bracket, qbase_example_commutator, uq_casimir_relation
-from .hopf import (
-    Coproduct,
-    ProductRep,
-    cocommutativity_check,
-    cocommutativity_residuals,
-    deformed_coproduct,
-    hopf_axiom_checks,
-    primitive_coproduct,
-    product_casimir_spectrum,
-    quadratic_coproduct,
-    transferred_coproduct,
+
+_HOPF_NAMES = (
+    "Coproduct", "ProductRep", "cocommutativity_check", "cocommutativity_residuals", "deformed_coproduct",
+    "hopf_axiom_checks", "primitive_coproduct", "product_casimir_spectrum",
+    "quadratic_coproduct", "transferred_coproduct",
 )
 
 __all__ = [
@@ -81,7 +77,19 @@ __all__ = [
     "FamilySolution", "family_count", "higgs_beta_window", "higgs_gamma_roots",
     "quadratic_gamma", "scan",
     "QParam", "q_beta_coeffs", "q_bracket", "qbase_example_commutator", "uq_casimir_relation",
-    "Coproduct", "ProductRep", "cocommutativity_check", "cocommutativity_residuals", "deformed_coproduct",
-    "hopf_axiom_checks", "primitive_coproduct", "product_casimir_spectrum",
-    "quadratic_coproduct", "transferred_coproduct",
+    *_HOPF_NAMES,
 ]
+
+
+def __getattr__(name):
+    """`hopf` and its names, imported on the first read of one (PEP 562), so a run that forms no product never
+    loads the product layer; they are then bound here, and later reads are plain lookups."""
+    if name != "hopf" and name not in _HOPF_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    hopf = importlib.import_module(".hopf", __name__)  # `from . import hopf` here would come back to this function
+    globals().update((n, getattr(hopf, n)) for n in _HOPF_NAMES)
+    return hopf if name == "hopf" else globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_HOPF_NAMES, "hopf"})

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import families as fam_mod
-from . import hopf as hopf_mod
 from . import qdeform
 from . import repbuilder, verifier
 from .coefficients import alpha_from_beta, beta_from_alpha, format_rational, parse_rational, phi_eval
@@ -178,6 +177,8 @@ def cmd_families(args) -> int:
 
 
 def cmd_hopf(args) -> int:
+    from . import hopf as hopf_mod  # the product layer, loaded by the first hopf command only
+
     j1, j2 = halfint(args.j1), halfint(args.j2)
     rep1, rep2 = repbuilder.build_sl2(j1), repbuilder.build_sl2(j2)
     pr = hopf_mod.primitive_coproduct(rep1, rep2)
@@ -192,7 +193,7 @@ def cmd_hopf(args) -> int:
     # the product asked for; at j1 != j2 its labels are not the product's, so a family inadmissible at one of
     # them is left out with a note instead of failing a product it deforms
     families, cop = {}, None
-    if args.alpha:
+    if args.alpha is not None:
         alpha = _rational_list(args.alpha)
         families["polynomial"] = functools.partial(polynomial_transfer, alpha)
         if j1 == j2:  # the product is the axiom checks' V (x) V: its coproduct is built once, for both
@@ -212,7 +213,7 @@ def cmd_hopf(args) -> int:
             check.name = f"{name}: {check.name}"
             report.checks.append(check)
 
-    if args.alpha:
+    if args.alpha is not None:
         cop = cop or hopf_mod.transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)))
         for check in verifier.commutator_residuals(cop, beta_from_alpha(alpha), tol=args.tol).checks:
             check.name = "deformed coproduct: " + check.name

@@ -15,6 +15,9 @@ irrep, the swap v (x) w -> w (x) v reverses each block, which `cocommutativity_r
 are scattered from the padded stacks, only for the dense API the benchmark calls (`deformed_coproduct`,
 `quadratic_coproduct`, `cocommutativity_check`). `hopf_axiom_checks` tests one family's transfer map against
 the counit and antipode axioms on weight blocks; `triple_coassociativity_residual` witnesses coassociativity.
+
+The package imports this module when one of its names is first read, and the CLI only in `nlsl2 hopf`, so a
+run that forms no product never loads it.
 """
 
 from __future__ import annotations

@@ -279,9 +279,9 @@ class Transfer(NamedTuple):
 
 def _checked(message: str, val: np.ndarray, floor: float, two_j: np.ndarray, two_m: np.ndarray) -> np.ndarray:
     """val with values in [floor, 0) taken as 0; below floor at some label, InadmissibleLabelError at the first."""
-    bad = val < floor
-    if bad.any():
-        i = int(np.argmax(bad))
+    ok = val >= floor  # False for NaN too
+    if not ok.all():
+        i = int(np.argmin(ok))
         two_j, two_m = int(np.ravel(two_j)[i]), int(np.ravel(two_m)[i])
         raise InadmissibleLabelError(message, HalfInt(two_j).mm1(), Fraction(two_m, 2))
     return np.maximum(val, 0.0)
@@ -299,10 +299,11 @@ def quadratic_transfer(alpha: float, top: int) -> Transfer:
     The radicand falls with J, so it is checked at top alone. An h within CLAMP_TOL below 0 is taken as 0.
     """
     a = float(alpha)
-    if abs(a) < ALPHA_FLOOR:
-        raise ValueError("alpha too close to 0 (singular 1/(4 alpha) prefactor); use the undeformed rep")
+    if not abs(a) >= ALPHA_FLOOR:  # NaN included
+        raise ValueError(f"alpha must satisfy |alpha| >= {ALPHA_FLOOR:g} (singular 1/(4 alpha) prefactor), got {a!r}; "
+                         "use the undeformed rep")
     rad = quadratic_radicand(a, top * (top + 2) / 4)
-    if rad < 0:
+    if not rad >= 0:
         raise InadmissibleLabelError(f"negative radicand 1 - 16 a^2 j(j+1)/3 = {rad:.6g}; alpha must satisfy "
                                      f"|alpha| <= 3/(2(4j+1)) = {3 / (2 * (2 * top + 1)):.6g}", HalfInt(top).mm1())
 
@@ -354,11 +355,11 @@ def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
     if j.twice == 0:
         return []
     tol = 0 if isinstance(spec.family, Polynomial) else ADMISSIBILITY_TOL
-    # reversed(values) runs over m = -j, ..., j-1
-    offending = [HalfInt(2 * i - j.twice) for i, val in enumerate(reversed(values)) if val < -tol]
+    # reversed(values) runs over m = -j, ..., j-1; each test is written so that NaN fails it
+    offending = [HalfInt(2 * i - j.twice) for i, val in enumerate(reversed(values)) if not val >= -tol]
 
     if (isinstance(spec.family, (HiggsShifted, QuadraticShifted))
-            and abs(f2_down(spec, -j)) > BOUNDARY_TOL and -j not in offending):
+            and not abs(f2_down(spec, -j)) <= BOUNDARY_TOL and -j not in offending):
         offending.append(-j)
     return offending
 

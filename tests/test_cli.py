@@ -265,9 +265,11 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     ["coeffs", "--beta-from-alpha=1,2/0"],
     ["verify", "--family", "polynomial", "--j", "1", "--alpha=1/0"],
     ["verify", "--family", "polynomial", "--j", "1", "--alpha=,"],
+    ["verify", "--family", "polynomial", "--j", "1", "--alpha="],
     ["verify", "--family", "polynomial", "--j", "1"],
     ["hopf", "--j1", "1/2", "--j2", "1/2", "--alpha=1/0"],
     ["hopf", "--j1", "1/2", "--j2", "1/2", "--alpha=,"],
+    ["hopf", "--j1", "1", "--j2", "1", "--alpha="],
     ["rep", "--family", "qbase", "--j", "1", "--alpha=,"],
     ["families", "--family", "higgs", "--j", "1", "--beta-grid=,"],
     ["families", "--family", "quadratic", "--j", "1", "--alpha=1/0"],
@@ -733,3 +735,67 @@ def test_hopf_at_equal_spins_names_the_products_first_bad_label(capsys):
     code, out, err = _run(capsys, "hopf", "--j1", "2", "--j2", "2", "--alpha=1,-1/5")
     assert code == EXIT_USAGE and out == ""
     assert err == "error: negative divided difference at J(J+1) = 20, M = -4\n"
+
+
+@pytest.mark.parametrize("argv,control", [
+    (["rep", "--family", "higgs", "--j", "1", "--beta=-0.1", "--gamma=nan"], "--gamma=0"),
+    (["verify", "--family", "higgs", "--j", "1", "--beta=-0.1", "--gamma=nan"], "--gamma=0"),
+    (["rep", "--family", "qbase", "--j", "1", "--alpha=nan"], "--alpha=1"),
+    (["hopf", "--j1", "1", "--j2", "1", "--quadratic-alpha=nan"], "--quadratic-alpha=0.05"),
+    (["hopf", "--j1", "1", "--j2", "2", "--quadratic-alpha=nan"], "--quadratic-alpha=0.05"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_a_nan_parameter_is_one_error_line_and_its_finite_control_passes(capsys, argv, control):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = _run(capsys, *argv[:-1], control)
+    assert code == EXIT_OK and out and err == ""
+
+
+@pytest.mark.parametrize("family,name,value,count", [
+    ("higgs", "beta", "nan", 0), ("quadratic", "alpha", "nan", 0), ("higgs", "beta", "-0.1", 1),
+    ("quadratic", "alpha", "0.05", 1),
+])
+def test_families_counts_no_admissible_solution_at_a_nan_parameter(capsys, family, name, value, count):
+    code, out, _ = _run(capsys, "--format", "json", "families", "--family", family, "--j", "1",
+                        f"--{name}-grid={value}")
+    (row,) = json.loads(out)["rows"]
+    assert code == EXIT_OK and row["count"] == count and sum(row["admissible"]) == count
+
+
+_LAZY_PRODUCT_LAYER = """
+import contextlib, io, json, sys
+import nlsl2, nlsl2.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [nlsl2.cli.run(argv) for argv in (
+        ["coeffs", "--alpha-from-beta", "1,1/10"], ["rep", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
+        ["verify", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
+        ["families", "--family", "higgs", "--j", "1", "--beta-grid=-0.1,-0.01"], ["qlimit", "--j", "1"])]
+    loaded = "nlsl2.hopf" in sys.modules
+    undir = sorted({*nlsl2.__all__, "hopf"} - set(dir(nlsl2)))
+    star = {}
+    exec("from nlsl2 import *", star)
+    unresolved = [name for name in nlsl2.__all__ if getattr(nlsl2, name, None) is None]
+    shared = nlsl2.primitive_coproduct is nlsl2.hopf.primitive_coproduct
+    hopf_code = nlsl2.cli.run(["hopf", "--j1", "1", "--j2", "1", "--alpha=1,1/10", "--quadratic-alpha=0.05"])
+print(json.dumps({"codes": codes, "loaded": loaded, "undir": undir, "unbound": sorted(set(nlsl2.__all__) - set(star)),
+                  "unresolved": unresolved, "shared": shared, "hopf_code": hopf_code}))
+"""
+
+
+def test_commands_that_form_no_product_do_not_load_the_product_layer():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PRODUCT_LAYER], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [EXIT_OK] * 5 and got["loaded"] is False and got["undir"] == []
+    assert got["unbound"] == [] and got["unresolved"] == [] and got["shared"] is True
+    assert got["hopf_code"] == EXIT_OK
+
+
+def test_an_unknown_package_attribute_names_the_module_and_the_attribute():
+    import nlsl2
+
+    with pytest.raises(AttributeError, match="^module 'nlsl2' has no attribute 'no_such_name'$"):
+        nlsl2.no_such_name

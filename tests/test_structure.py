@@ -1,12 +1,16 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlsl2 import structure
 from nlsl2.halfint import HalfInt, halfint, ladder
 from nlsl2.structure import (
     HiggsShifted,
+    InadmissibleLabelError,
     Polynomial,
     QBase,
     QuadraticShifted,
@@ -20,6 +24,8 @@ from nlsl2.structure import (
     f2_quadratic_down,
     f2_quadratic_up,
     f2_up,
+    quadratic_transfer,
+    screen,
 )
 
 
@@ -140,6 +146,32 @@ def test_admissible_higgs_requires_boundary_annihilation():
     assert ok
     ok, offending = admissible(StructureSpec(HiggsShifted(-0.3, 0.2), j))
     assert not ok and offending
+
+
+@pytest.mark.parametrize("family,ok", [
+    (HiggsShifted(-0.1, math.nan), False), (HiggsShifted(math.nan, 0.0), False),
+    (QuadraticShifted(0.05, math.nan), False), (QBase([math.nan], 0.3), False),
+    (HiggsShifted(-0.1, 0.0), True), (QuadraticShifted(0.05, float(quadratic_transfer(0.05, 2).shift(2))), True),
+    (QBase([1.0], 0.3), True),
+], ids=repr)
+def test_nan_parameters_fail_the_screen_at_every_m(family, ok):
+    got, offending = admissible(StructureSpec(family, halfint(1)))
+    assert got is ok and offending == ([] if ok else [halfint(-1), halfint(0)])
+
+
+def test_a_nan_lowering_value_at_the_bottom_breaks_the_boundary_annihilation(monkeypatch):
+    spec = StructureSpec(HiggsShifted(-0.1, 0.0), halfint(1))
+    values = structure.ladder_values(spec)
+    assert screen(spec, values) == []
+    monkeypatch.setattr(structure, "f2_down", lambda spec, m: math.nan)
+    assert screen(spec, values) == [halfint(-1)]
+
+
+def test_checked_takes_nan_as_the_first_offending_label():
+    two_j, two_m = np.array([2, 2, 2]), np.array([0, -2, -4])
+    assert structure._checked("x", np.array([1.0, -0.5, 2.0]), -1.0, two_j, two_m).tolist() == [1.0, 0.0, 2.0]
+    with pytest.raises(InadmissibleLabelError, match=r"M = -1$"):
+        structure._checked("x", np.array([1.0, math.nan, 2.0]), -1.0, two_j, two_m)
 
 
 def test_admissible_j_zero_trivial():
