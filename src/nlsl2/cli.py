@@ -46,6 +46,13 @@ def _scalar(args, name: str) -> Fraction:
     return parse_rational(text)
 
 
+def _finite(name: str, value: float) -> float:
+    """value, or a ValueError naming --name unless it is finite, before a float family's closed form reads it."""
+    if not math.isfinite(value):
+        raise ValueError(f"--{name} must be a finite number, not {value}")
+    return value
+
+
 def _emit(args, payload, table, rows=None):
     """Print payload() as JSON, table() as text or rows() = (header, rows) as CSV (default: a JSON "value" column).
 
@@ -79,11 +86,11 @@ def _build_spec(args) -> StructureSpec:
     if args.family == "polynomial":
         return StructureSpec(Polynomial(_rational_list(args.alpha)), j)
     if args.family == "higgs":
-        return StructureSpec(HiggsShifted(float(_scalar(args, "beta")), args.gamma), j)
+        return StructureSpec(HiggsShifted(float(_scalar(args, "beta")), _finite("gamma", args.gamma)), j)
     if args.family == "quadratic":
-        return StructureSpec(QuadraticShifted(float(_scalar(args, "alpha")), args.gamma), j)
+        return StructureSpec(QuadraticShifted(float(_scalar(args, "alpha")), _finite("gamma", args.gamma)), j)
     if args.family == "qbase":
-        return StructureSpec(QBase(_float_list(args.alpha), args.delta), j)
+        return StructureSpec(QBase([_finite("alpha", a) for a in _float_list(args.alpha)], args.delta), j)
     raise ValueError(f"unknown family {args.family!r}")
 
 

@@ -14,7 +14,10 @@ per process and kept, for the 16 most recently used factor pairs.
 irrep, the swap v (x) w -> w (x) v reverses each block, which `cocommutativity_residuals` reads. Dense matrices
 are scattered from the padded stacks, only for the dense API the benchmark calls (`deformed_coproduct`,
 `quadratic_coproduct`, `cocommutativity_check`). `hopf_axiom_checks` tests one family's transfer map against
-the counit and antipode axioms on weight blocks; `triple_coassociativity_residual` witnesses coassociativity.
+the counit and antipode axioms on weight blocks.
+
+Tensor factors are sl2 irreps. Coassociativity is not checked: a deformed Delta'(X) is written through Delta(C),
+Delta(J3) and Delta(J+-), so it is coassociative because the primitive Delta is.
 
 The package imports this module when one of its names is first read, and the CLI only in `nlsl2 hopf`, so a
 run that forms no product never loads it.
@@ -26,7 +29,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +69,7 @@ class ProductRep:
     A block of size n is kept zero-padded to p x p, p = 8 ceil(n / 8), in the stack of its size class p, as slot
     i of stack c, (c, i) = where[k]: its eigenvectors are the columns of vecs[c][i], and plus[c][i] holds its
     step, which steps[k] views. slot maps each coupled position to its place in the stacks' (blocks, p) label
-    rows, laid end to end. Every array is read-only and, for a product of two irreps, shared by its ProductReps
+    rows, laid end to end. Every array is read-only and shared by the ProductReps of one factor pair
     (`primitive_coproduct`) with `at`, the dense positions (`_at`); `blocks` and the dense, writable DJ3, DJp,
     DJm and DC are built on first read, per ProductRep.
     """
@@ -74,7 +77,7 @@ class ProductRep:
     d1: int
     d2: int
     two_m: np.ndarray  # 2M of each basis state
-    spins: tuple  # sorted multiset of 2J over the Clebsch-Gordan series
+    spins: tuple  # 2J over the Clebsch-Gordan series, ascending
     block_m: np.ndarray  # 2M of each block, ascending
     cas: list  # Delta(C) on block k
     steps: list  # Delta(J+) from block k to block k+1
@@ -146,51 +149,29 @@ def _scatter(pr: ProductRep, name: str, stacks: Sequence[np.ndarray]) -> np.ndar
     return out[:-1].reshape(pr.dim, pr.dim)
 
 
-class _Factor(NamedTuple):
-    """A tensor factor: the entry list (rows, cols, values) of its J+, with the 2M of each state and its 2J."""
-
-    plus: tuple
-    two_m: np.ndarray
-    spins: tuple
-
-
-def _factor(x: Union[MatrixRep, ProductRep]) -> _Factor:
-    """An sl2 irrep, read from its J+ superdiagonal, or a product, read from its step blocks."""
-    if isinstance(x, ProductRep):
-        at, vals = x._at("plus"), np.concatenate([s.ravel() for s in x.plus])
-        real = at < x.dim * x.dim
-        return _Factor((*np.divmod(at[real], x.dim), vals[real]), x.two_m, x.spins)
-    if x.family != "sl2":
-        raise ValueError(f"tensor factors must be sl2 irreps or products, not {x.family!r}")
-    i = np.arange(x.dim)
-    return _Factor((i[:-1], i[1:], x.ladder[1]), np.arange(x.two_j, -x.two_j - 1, -2), (x.two_j,))
-
-
-_KEPT = 16  # products of two irreps kept for later calls; a benchmark pass cycles through at most 9 pairs
+_KEPT = 16  # products kept for later calls; a benchmark pass cycles through at most 9 pairs
 _kept: dict = {}  # each factor's (2j, J+ superdiagonal) -> ProductRep, least recently used first
 _lock = threading.Lock()
 
 
-def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
-                        rep2: Union[MatrixRep, ProductRep]) -> ProductRep:
+def primitive_coproduct(rep1: MatrixRep, rep2: MatrixRep) -> ProductRep:
     """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir, on its weight blocks.
 
-    Each factor is an sl2 irrep or a ProductRep (either bracketing of V (x) V (x) V). Delta(J+) holds the
-    entries of the dense Kronecker sum. The 2M >= 0 blocks of Delta(C), S_k^T S_k + M(M+1) I, go to `eigh`, one
-    stacked call per run of one size; each -M block is its mirror's with the states reversed (Edmonds, eq.
-    3.5.17). A block's k-th eigenvector takes the k-th of the ascending labels {J in spins : J >= |M|}, exactly,
-    as distinct J(J+1) lie at least 2 apart. The product of two irreps is kept, keyed by what `_factor` reads,
-    for the 16 most recently used pairs, and each call returns a new ProductRep over its read-only arrays; a
-    product with a ProductRep factor is built anew.
+    Each factor is an sl2 irrep. Delta(J+) holds the entries of the dense Kronecker sum. The 2M >= 0 blocks of
+    Delta(C), S_k^T S_k + M(M+1) I, go to `eigh`, one stacked call per run of one size; each -M block is its
+    mirror's with the states reversed (Edmonds, eq. 3.5.17). A block's k-th eigenvector takes the k-th of the
+    ascending labels {J in spins : J >= |M|}, exactly, as distinct J(J+1) lie at least 2 apart. The product is
+    kept, keyed by each factor's 2j and J+ superdiagonal, for the 16 most recently used pairs, and each call
+    returns a new ProductRep over its read-only arrays.
     """
-    a, b = _factor(rep1), _factor(rep2)
-    if isinstance(rep1, ProductRep) or isinstance(rep2, ProductRep):
-        return _coupled(a, b)
+    for x in (rep1, rep2):
+        if (kind := x.family if isinstance(x, MatrixRep) else type(x).__name__) != "sl2":
+            raise ValueError(f"tensor factors must be sl2 irreps, not {kind!r}")
     key = tuple((x.two_j, x.ladder[1].dtype.str, x.ladder[1].tobytes()) for x in (rep1, rep2))
     with _lock:
         pr = _kept.pop(key, None)
     if pr is None:  # built unlocked: two threads building one pair at once make equal read-only arrays
-        pr = _coupled(a, b)
+        pr = _coupled(rep1.two_j, rep1.ladder[1], rep2.two_j, rep2.ladder[1])
     with _lock:
         _kept[key] = pr  # the most recently used goes last
         while len(_kept) > _KEPT:
@@ -198,10 +179,10 @@ def primitive_coproduct(rep1: Union[MatrixRep, ProductRep],
     return replace(pr, cas=list(pr.cas), steps=list(pr.steps))
 
 
-def _coupled(a: _Factor, b: _Factor) -> ProductRep:
-    """The ProductRep of a (x) b that `primitive_coproduct` describes."""
-    d1, d2 = len(a.two_m), len(b.two_m)
-    two_m = np.add.outer(a.two_m, b.two_m).ravel()
+def _coupled(two_j1: int, u1: np.ndarray, two_j2: int, u2: np.ndarray) -> ProductRep:
+    """The ProductRep of V(j1) (x) V(j2), with J+ superdiagonals u1 and u2, that `primitive_coproduct` describes."""
+    d1, d2 = two_j1 + 1, two_j2 + 1
+    two_m = np.add.outer(np.arange(two_j1, -d1, -2), np.arange(two_j2, -d2, -2)).ravel()
     # weight blocks in ascending 2M, states in product-basis order inside each; every 2M between the extremes occurs
     block_of = (two_m - two_m.min()) // 2
     sizes = np.bincount(block_of)
@@ -213,7 +194,6 @@ def _coupled(a: _Factor, b: _Factor) -> ProductRep:
     n_m, last, half = sizes.tolist(), len(sizes) - 1, len(sizes) // 2  # blocks k >= half have 2M >= 0
 
     # one stack per padded size p, in ascending k; steps have r rows, the largest next-block size in the stack
-    # (a reducible factor's blocks grow by more than one)
     ps, rows, count, where = [], [], [], []
     for n, n1 in zip(n_m, [*n_m[1:], 0]):
         if (p := -(-n // _PAD) * _PAD) not in ps:
@@ -226,7 +206,8 @@ def _coupled(a: _Factor, b: _Factor) -> ProductRep:
     s_off = np.cumsum([0, *(m * r * p for m, r, p in zip(count, rows, ps))])
     dp, first = np.zeros(s_off[-1]), s_off[cls] + idx * np.array(rows)[cls] * width  # of each block's step slot
     i1, i2 = np.arange(d1), np.arange(d2)
-    for (r1, c1, v1), (r2, c2, v2) in ((a.plus, (i2, i2, np.ones(d2))), ((i1, i1, np.ones(d1)), b.plus)):  # disjoint
+    for (r1, c1, v1), (r2, c2, v2) in (((i1[:-1], i1[1:], u1), (i2, i2, np.ones(d2))),  # J+ (x) 1 and 1 (x) J+,
+                                       ((i1, i1, np.ones(d1)), (i2[:-1], i2[1:], u2))):  # disjoint
         r, c = np.add.outer(r1 * d2, r2).ravel(), np.add.outer(c1 * d2, c2).ravel()
         k = block_of[c]  # rows lie in block k + 1
         dp[first[k] + pos[r] * width[k] + pos[c]] = np.outer(v1, v2).ravel()
@@ -240,7 +221,7 @@ def _coupled(a: _Factor, b: _Factor) -> ProductRep:
         np.matmul(s.T, s, out=dc[lo:hi].reshape(n, n))
         dc[lo:hi:n + 1] += m * (m + 2) / 4  # M(M+1)
 
-    spins = tuple(sorted(t for s1 in a.spins for s2 in b.spins for t in range(abs(s1 - s2), s1 + s2 + 1, 2)))
+    spins = tuple(range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2))
     cas, w, vecs = [None] * len(n_m), [None] * len(n_m), tuple(np.zeros((m, p, p)) for m, p in zip(count, ps))
     cuts = [half, *(k for k in range(half + 1, len(n_m)) if n_m[k] != n_m[k - 1]), len(n_m)]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -355,8 +336,8 @@ def cocommutativity_residuals(cop: Coproduct) -> list[float]:
     Delta'(J-') = Delta'(J+')^T, and the same over the M blocks of Delta'(J3') (0 for diag(M)).
     """
     pr = cop.pr
-    if pr.d1 != pr.d2 or len(pr.sizes) != 2 * pr.d1 - 1:
-        raise ValueError("cocommutativity_residuals requires equal irreducible tensor factors")
+    if pr.d1 != pr.d2:
+        raise ValueError("cocommutativity_residuals requires equal tensor factors")
     plus = _norm(s[::-1, ::-1] - s for s in cop.steps)
     return [plus, plus, 0.0 if cop.j3 is None else _norm(x[::-1, ::-1] - x for x in cop.j3)]
 
@@ -422,9 +403,9 @@ def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]
     - m(id x S)Delta'(X') = 0 and m(S x id)Delta'(X') = 0 on V (x) V, whose J = 0 part gives eps(X') = 0: with W
       a signed permutation, ||Delta'(X') vec(W)|| and ||Delta'(X')^T vec(W^T)|| on the M = 0 block;
     - the counit: Delta'(X') on V (x) V(0) and on V(0) (x) V, whose blocks are 1 x 1, equals X'.
-    Coassociativity is inherited from Delta (`triple_coassociativity_residual`). Checks are gated at ||X'|| on V
-    and ||Delta'(X')|| on V (x) V unless tol is given. cop is the family's Coproduct on V (x) V, when the caller
-    has it (`nlsl2 hopf` at j1 == j2); it is built here otherwise.
+    Coassociativity is inherited from Delta, through which Delta' is written, and is not checked. Checks are gated
+    at ||X'|| on V and ||Delta'(X')|| on V (x) V unless tol is given. cop is the family's Coproduct on V (x) V,
+    when the caller has it (`nlsl2 hopf` at j1 == j2); it is built here otherwise.
     """
     t = (family or partial(polynomial_transfer, [1]))(2 * rep.two_j)
     report = VerificationReport()
@@ -458,17 +439,3 @@ def hopf_axiom_checks(rep: MatrixRep, family: Optional[Callable[[int], Transfer]
                                _norm(ladder[k] - irrep.ladder[k]), bound, context=f"j={j} (x) j=0")
     return report
 
-
-def triple_coassociativity_residual(j, alpha: Sequence) -> float:
-    """Numeric coassociativity witness for the deformed coproduct on V^(x)3.
-
-    The largest difference between (V (x) V) (x) V and V (x) (V (x) V), each deformed with the polynomial
-    `transferred_coproduct`, in Delta(J3), the Delta(C) blocks, the Delta(J+) steps and the deformed steps;
-    equal 2M give both the same weight blocks. Raises InadmissibleProductError on an inadmissible component.
-    """
-    rep = build_sl2(halfint(j))
-    inner = primitive_coproduct(rep, rep)
-    left, right = primitive_coproduct(inner, rep), primitive_coproduct(rep, inner)
-    t = polynomial_transfer(alpha, max(left.spins))
-    parts = [([p.two_m / 2.0], p.cas, p.steps, transferred_coproduct(p, t).steps) for p in (left, right)]
-    return max(_norm(a - b for a, b in zip(x, y)) for x, y in zip(*parts))

@@ -49,6 +49,8 @@ def check_q_range(j: HalfInt, delta: float):
     |a| + |b| <= 2j + 1, each at most [j+1/2]^2 as log sinh is concave. Both stay below the float maximum e^L
     while x <= min(L + log 2, 2 asinh(e^k)), k = (L - log 4)/2 + log sinh|delta|.
     """
+    if math.isnan(delta):
+        raise ValueError(f"q-numbers at j={j}: delta = {delta} is not a finite number")
     if delta == 0:
         raise ValueError("q-numbers require delta != 0")
     d = abs(delta)

@@ -702,20 +702,6 @@ def test_hopf_builds_each_factor_pair_once_for_all_families(capsys, monkeypatch)
     assert sorted(shapes) == sorted([(1, n, n) for n in range(1, 8)] + [(4, 1, 1)] * 2)
 
 
-def test_triple_coassociativity_builds_its_inner_product_once(monkeypatch):
-    shapes = _eigh_shapes(monkeypatch)
-    monkeypatch.setattr(hopf, "_KEPT", 0)  # no product kept: the witness itself shares its inner V (x) V
-    rep = repbuilder.build_sl2(1)
-    inner = hopf.primitive_coproduct(rep, rep)
-    builds = [len(shapes)]
-    for pair in ((inner, rep), (rep, inner)):  # a product with a ProductRep factor is built on every call
-        hopf.primitive_coproduct(*pair)
-        builds.append(len(shapes) - sum(builds))
-    shapes.clear()
-    assert hopf.triple_coassociativity_residual(1, [Fraction(1), Fraction(1, 10)]) == 0.0
-    assert builds[0] > 0 and len(shapes) == sum(builds)
-
-
 def test_hopf_at_equal_spins_forms_no_dense_product_matrix(capsys):
     import tracemalloc
 
@@ -760,6 +746,43 @@ def test_families_counts_no_admissible_solution_at_a_nan_parameter(capsys, famil
                         f"--{name}-grid={value}")
     (row,) = json.loads(out)["rows"]
     assert code == EXIT_OK and row["count"] == count and sum(row["admissible"]) == count
+
+
+_QUADRATIC_GAMMA = "--gamma=-0.0671171376837526"  # quadratic_gamma(1, 0.05), the admissible shift
+
+
+@pytest.mark.parametrize("argv,control", [
+    (["rep", "--family", "quadratic", "--j", "1", "--alpha=0.05", "--gamma=inf"], _QUADRATIC_GAMMA),
+    (["rep", "--family", "quadratic", "--j", "1", "--alpha=0.05", "--gamma=-inf"], _QUADRATIC_GAMMA),
+    (["rep", "--family", "quadratic", "--j", "1", "--alpha=0.05", "--gamma=nan"], _QUADRATIC_GAMMA),
+    (["rep", "--family", "higgs", "--j", "1", "--beta=-0.1", "--gamma=inf"], "--gamma=0"),
+    (["verify", "--family", "higgs", "--j", "1", "--beta=-0.1", "--gamma=inf"], "--gamma=0"),
+    (["rep", "--family", "qbase", "--j", "1", "--alpha=1,inf"], "--alpha=1,0"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_a_non_finite_float_family_parameter_is_refused_before_its_closed_form(capsys, argv, control):
+    # no closed form runs on it: the only line on stderr is the error naming the option
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    name, value = argv[-1][2:].split("=")
+    assert code == EXIT_USAGE and out == "" and not caught
+    assert err == f"error: --{name} must be a finite number, not {float(value.split(',')[-1])}\n"
+    code, out, err = _run(capsys, *argv[:-1], control)
+    assert code == EXIT_OK and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "--family", "uq", "--j", "1"], ["qlimit", "--j", "1"], ["verify", "--family", "uq", "--j", "1"],
+], ids=" ".join)
+def test_a_nan_delta_is_named_not_finite_and_an_infinite_one_still_overflows(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--delta=nan")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: q-numbers at j=1: delta = nan is not a finite number\n"
+    code, out, err = _run(capsys, *argv, "--delta=inf")
+    assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
+    assert err.startswith("error: q-numbers at j=1, delta=inf overflow a float: |delta|(2j+1) = inf exceeds the limit")
+    code, out, err = _run(capsys, *argv, "--delta=0.3")
+    assert code == EXIT_OK and out and err == ""
 
 
 _LAZY_PRODUCT_LAYER = """

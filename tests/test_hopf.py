@@ -21,7 +21,6 @@ from nlsl2.hopf import (
     product_casimir_spectrum,
     quadratic_coproduct,
     transferred_coproduct,
-    triple_coassociativity_residual,
 )
 from nlsl2 import cli, hopf
 from nlsl2.repbuilder import (MatrixRep, _transferred_irrep, build_deformed, build_quadratic_explicit, build_sl2,
@@ -74,19 +73,6 @@ def test_primitive_coproduct_equals_kron_sums(j1, j2):
     for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm), want):
         assert np.array_equal(got, ref)
     _assert_casimir_close(pr.DC, want[3])
-
-
-@pytest.mark.parametrize("j", ["1/2", "1"])
-def test_triple_product_equals_kron_sums_in_both_bracketings(j):
-    rep = build_sl2(halfint(j))
-    gens = _generators(rep)
-    pair = _kron_reference(gens, gens)
-    left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
-    right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
-    for pr, want in ((left, _kron_reference(pair, gens)), (right, _kron_reference(gens, pair))):
-        for got, ref in zip((pr.DJ3, pr.DJp, pr.DJm), want):
-            assert np.array_equal(got, ref)
-        _assert_casimir_close(pr.DC, want[3])
 
 
 def _relative(got, want):
@@ -172,9 +158,7 @@ def _same_bits(x, y):
 
 def _factor_pairs():
     pairs = [("0", "0"), ("1/2", "1/2"), ("1", "1"), ("3", "5/2"), ("7/2", "1"), ("5", "5"), ("17/2", "5/2")]
-    rep = build_sl2(1)
-    return [(build_sl2(halfint(j1)), build_sl2(halfint(j2))) for j1, j2 in pairs] + [
-        (primitive_coproduct(rep, rep), rep)]
+    return [(build_sl2(halfint(j1)), build_sl2(halfint(j2))) for j1, j2 in pairs]
 
 
 def _products():
@@ -242,8 +226,7 @@ def test_a_kept_product_is_bitwise_a_cold_build_with_its_own_lists_and_views(mon
         cold = primitive_coproduct(*pair)
         again = primitive_coproduct(*pair)
         assert _same_product(again, cold)
-        kept = isinstance(pair[0], MatrixRep)  # a product with a ProductRep factor is built anew
-        assert all((getattr(again, f) is getattr(cold, f)) == kept for f in ("vecs", "plus", "two_m", "at"))
+        assert all(getattr(again, f) is getattr(cold, f) for f in ("vecs", "plus", "two_m", "at"))
         assert again.cas is not cold.cas and again.steps is not cold.steps
         assert again.DJp.flags.writeable and np.array_equal(again.DJp, cold.DJp)
         again.cas[0] = None  # the lists are the caller's own
@@ -649,24 +632,6 @@ def test_quadratic_antipode_checks_pass():
     assert "S(J+') realization vs formula" in names and "antipode axiom m(id x S)Delta(J+') = 0" in names
 
 
-def test_triple_coassociativity():
-    assert triple_coassociativity_residual("1/2", [Fraction(1), Fraction(-1, 10)]) < 1e-10
-
-
-@pytest.mark.parametrize("j", ["1", "3/2"])
-def test_triple_coassociativity_with_repeated_labels(j):
-    # V^(x)3 holds each J below the top one more than once
-    alpha = alpha_from_beta([Fraction(1), Fraction(-1, 100)])
-    assert triple_coassociativity_residual(j, alpha) < 1e-10
-
-
-def test_triple_coassociativity_rejects_inadmissible_component():
-    # the J = 9/2 component of (3/2)^(x)3 needs beta >= -1/81
-    with pytest.raises(InadmissibleProductError) as exc:
-        triple_coassociativity_residual("3/2", alpha_from_beta([Fraction(1), Fraction(-1, 40)]))
-    assert exc.value.c == Fraction(99, 4)
-
-
 def test_primitive_coproduct_forms_no_dense_matrix():
     import tracemalloc
 
@@ -937,39 +902,6 @@ def test_s_formula_check_fails_with_one_ladder_entry_off(monkeypatch, family, j)
     assert "S(J3') realization vs formula" not in failed and not failed & set(ANTIPODE)
 
 
-def test_triple_coassociativity_fails_with_one_step_entry_off(monkeypatch):
-    alpha = [Fraction(1), Fraction(-1, 10)]
-    rep = build_sl2(halfint("1/2"))
-    left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
-    bound = gate(left.dim, float(np.linalg.norm(deformed_coproduct(left, alpha)[0])))
-    assert triple_coassociativity_residual("1/2", alpha) <= bound
-    real, calls = hopf.transferred_coproduct, []
-
-    def off(pr, t, order="source"):
-        cop = real(pr, t, order)
-        if not calls:  # the first bracketing, (V (x) V) (x) V
-            steps = [s.copy() for s in cop.steps]
-            k = len(steps) // 2
-            steps[k][np.unravel_index(np.argmax(steps[k]), steps[k].shape)] *= 1 + 1e-9
-            cop = Coproduct(pr, steps, cop.j3)
-        calls.append(pr)
-        return cop
-
-    monkeypatch.setattr(hopf, "transferred_coproduct", off)
-    assert triple_coassociativity_residual("1/2", alpha) > bound and len(calls) == 2
-
-
-@pytest.mark.parametrize("j", ["1/2", "1", "3/2", "2", "5/2"])
-def test_triple_bracketings_share_the_weight_blocks(j):
-    # the block-by-block comparison of triple_coassociativity_residual needs the same states in each block
-    rep = build_sl2(halfint(j))
-    left = primitive_coproduct(primitive_coproduct(rep, rep), rep)
-    right = primitive_coproduct(rep, primitive_coproduct(rep, rep))
-    assert len(left.blocks) == len(right.blocks)
-    assert all(np.array_equal(a.indices, b.indices) for a, b in zip(left.blocks, right.blocks))
-    assert triple_coassociativity_residual(j, alpha_from_beta([Fraction(1), Fraction(-1, 1000)])) < 1e-10
-
-
 def test_hopf_axiom_checks_form_no_dense_product_matrix():
     import tracemalloc
 
@@ -1060,11 +992,13 @@ def test_cocommutativity_residuals_require_equal_factors():
     pr = primitive_coproduct(build_sl2("1/2"), build_sl2(1))
     with pytest.raises(ValueError):
         cocommutativity_residuals(transferred_coproduct(pr, polynomial_transfer(ALPHA, max(pr.spins))))
-    # equal dimensions, but a reducible factor: its blocks are not reversed by the swap
-    pr = primitive_coproduct(primitive_coproduct(build_sl2("1/2"), build_sl2("1/2")), build_sl2("3/2"))
-    assert pr.d1 == pr.d2
-    with pytest.raises(ValueError):
-        cocommutativity_residuals(transferred_coproduct(pr, polynomial_transfer(ALPHA, max(pr.spins))))
+    # every factor is an sl2 irrep, so no product has a reducible factor: a product or another family is refused
+    rep, spec = build_sl2("1/2"), StructureSpec(Polynomial(ALPHA), halfint("1/2"))
+    for factor, kind in ((primitive_coproduct(rep, rep), "ProductRep"), (build_deformed(spec), "Polynomial")):
+        for pair in ((factor, rep), (rep, factor)):
+            with pytest.raises(ValueError) as exc:
+                primitive_coproduct(*pair)
+            assert str(exc.value) == f"tensor factors must be sl2 irreps, not {kind!r}"
 
 
 def test_product_layer_builds_no_coupled_block(monkeypatch, capsys):
@@ -1078,7 +1012,6 @@ def test_product_layer_builds_no_coupled_block(monkeypatch, capsys):
     deformed_coproduct(pr, ALPHA)
     quadratic_coproduct(pr, 0.01)
     assert pr.DC.shape == (pr.dim, pr.dim)
-    assert triple_coassociativity_residual(1, ALPHA) < 1e-12
 
 
 def _first_bad_label(pr, h):
@@ -1144,9 +1077,3 @@ def test_hopf_axiom_checks_on_a_shared_coproduct_are_bitwise_their_own(family, j
         return [(c.name, float(c.residual).hex(), float(c.bound).hex(), c.passed) for c in report.checks]
 
     assert bits(own) == bits(shared) and len(own.checks) == 15
-
-
-@pytest.mark.parametrize("j", ["5/2", "5"])
-def test_triple_coassociativity_reads_zero(j):
-    # both bracketings give the same weight blocks, and the same values in them
-    assert triple_coassociativity_residual(j, ALPHA) == 0.0

@@ -217,7 +217,6 @@ def _products():
         primitive_coproduct(half, one),
         primitive_coproduct(build_sl2(3), build_sl2("5/2")),
         primitive_coproduct(build_sl2("7/2"), one),
-        primitive_coproduct(primitive_coproduct(one, half), one),
     ]
 
 
