@@ -771,6 +771,26 @@ def test_a_non_finite_float_family_parameter_is_refused_before_its_closed_form(c
     assert code == EXIT_OK and out and err == ""
 
 
+@pytest.mark.parametrize("argv,control", [
+    (["rep", "--family", "higgs", "--j", "1", "--gamma=0", "--beta=inf"], "--beta=-0.1"),
+    (["rep", "--family", "higgs", "--j", "1", "--gamma=0", "--beta=nan"], "--beta=-0.1"),
+    (["verify", "--family", "higgs", "--j", "1", "--gamma=0", "--beta=-inf"], "--beta=-0.1"),
+    (["rep", "--family", "quadratic", "--j", "1", _QUADRATIC_GAMMA, "--alpha=inf"], "--alpha=0.05"),
+    (["rep", "--family", "quadratic", "--j", "1", _QUADRATIC_GAMMA, "--alpha=nan"], "--alpha=0.05"),
+    (["hopf", "--j1", "1", "--j2", "1", "--alpha=1,inf"], "--alpha=1,1/10"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_a_non_finite_rational_parameter_is_one_error_line(capsys, argv, control):
+    # --beta, the quadratic --alpha and the hopf --alpha list are exact rationals, which inf and nan are not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    value = argv[-1].split("=")[1].split(",")[-1]
+    assert code == EXIT_USAGE and out == "" and not caught
+    assert err == f"error: Invalid literal for Fraction: {value!r}\n"
+    code, out, err = _run(capsys, *argv[:-1], control)
+    assert code == EXIT_OK and out and err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["rep", "--family", "uq", "--j", "1"], ["qlimit", "--j", "1"], ["verify", "--family", "uq", "--j", "1"],
 ], ids=" ".join)

@@ -24,9 +24,9 @@ from nlsl2.hopf import (
 )
 from nlsl2 import cli, hopf
 from nlsl2.repbuilder import (MatrixRep, _transferred_irrep, build_deformed, build_quadratic_explicit, build_sl2,
-                              deformed_from_undeformed)
-from nlsl2.structure import (Polynomial, StructureSpec, divided_difference, f2_polynomial, polynomial_transfer,
-                             quadratic_ladder_factor, quadratic_radicand, quadratic_transfer)
+                              build_uq, deformed_from_undeformed, inverse_map_uq)
+from nlsl2.structure import (HiggsShifted, Polynomial, StructureSpec, divided_difference, f2_polynomial,
+                             polynomial_transfer, quadratic_ladder_factor, quadratic_radicand, quadratic_transfer)
 from nlsl2.verifier import EPS, commutator_residuals, gate
 
 
@@ -999,6 +999,45 @@ def test_cocommutativity_residuals_require_equal_factors():
             with pytest.raises(ValueError) as exc:
                 primitive_coproduct(*pair)
             assert str(exc.value) == f"tensor factors must be sl2 irreps, not {kind!r}"
+
+
+def _not_an_sl2_irrep(kind):
+    rep = build_sl2(1)
+    return {"ProductRep": lambda: primitive_coproduct(rep, rep),
+            "Polynomial": lambda: deformed_from_undeformed(rep, ALPHA),
+            "HiggsShifted": lambda: build_deformed(StructureSpec(HiggsShifted(-0.1, 0.0), halfint(1))),
+            "QuadraticShifted": lambda: build_quadratic_explicit(rep, 0.05),
+            "Uq": lambda: build_uq(1, 0.3)}[kind]()
+
+
+@pytest.mark.parametrize("kind", ["ProductRep", "Polynomial", "HiggsShifted", "QuadraticShifted", "Uq"])
+def test_primitive_coproduct_refuses_a_factor_that_is_not_an_sl2_irrep_before_building(monkeypatch, kind):
+    factor, rep = _not_an_sl2_irrep(kind), build_sl2(1)
+    built, real = [], hopf._coupled
+    monkeypatch.setattr(hopf, "_coupled", lambda *a: built.append(a[::2]) or real(*a))
+    monkeypatch.setattr(hopf, "_kept", {})
+    for pair in ((factor, rep), (rep, factor), (factor, factor)):
+        with pytest.raises(ValueError) as exc:
+            primitive_coproduct(*pair)
+        assert str(exc.value) == f"tensor factors must be sl2 irreps, not {kind!r}"
+    assert built == [] and hopf._kept == {}
+    # the sl2 irrep the Uq one maps back to is a factor like any other
+    back = inverse_map_uq(build_uq(1, 0.3), 0.3) if kind == "Uq" else rep
+    assert primitive_coproduct(back, rep).dim == 9 and built == [(2, 2)] and len(hopf._kept) == 1
+
+
+@pytest.mark.parametrize("j1,j2", [("0", "0"), ("1/2", "1/2"), ("0", "3/2"), ("3", "5/2"), ("5/2", "3"),
+                                   ("7/2", "1"), ("1", "7/2"), ("17/2", "5/2")])
+def test_product_spins_are_the_clebsch_gordan_series_each_label_once(j1, j2):
+    # V(j1) (x) V(j2) holds each J from |j1 - j2| to j1 + j2 once, so the block at M holds one state per J >= |M|
+    a, b = halfint(j1).twice, halfint(j2).twice
+    pr = primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2)))
+    assert pr.spins == tuple(range(abs(a - b), a + b + 1, 2)) and all(type(s) is int for s in pr.spins)
+    assert sum(s + 1 for s in pr.spins) == pr.dim == (a + 1) * (b + 1)
+    assert pr.sizes.tolist() == [sum(s >= abs(m) for s in pr.spins) for m in pr.block_m.tolist()]
+    starts = (np.cumsum(pr.sizes) - pr.sizes).tolist()
+    for s, n in zip(starts, pr.sizes.tolist()):
+        assert np.array(pr.spins)[pr.rank[s:s + n]].tolist() == list(pr.spins[len(pr.spins) - n:])
 
 
 def test_product_layer_builds_no_coupled_block(monkeypatch, capsys):
