@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import families as fam_mod
+from . import families as fam_mod, hopf as hopf_mod  # both load on the first read of one of their names
 from . import qdeform
 from . import repbuilder, verifier
 from .coefficients import alpha_from_beta, beta_from_alpha, format_rational, parse_rational, phi_eval
@@ -26,6 +26,7 @@ from .structure import (HiggsShifted, InadmissibleLabelError, Polynomial, QBase,
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader has gone
 
 
 def _rational_list(text: str, parse=parse_rational) -> list:
@@ -184,8 +185,6 @@ def cmd_families(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    from . import hopf as hopf_mod  # the product layer, loaded by the first hopf command only
-
     j1, j2 = halfint(args.j1), halfint(args.j2)
     rep1, rep2 = repbuilder.build_sl2(j1), repbuilder.build_sl2(j2)
     pr = hopf_mod.primitive_coproduct(rep1, rep2)
@@ -319,7 +318,13 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: what is left goes to devnull, so exit writes no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

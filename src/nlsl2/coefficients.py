@@ -1,7 +1,8 @@
 """Exact rational calculus for the coefficient systems of nonlinear sl(2).
 
-Bernoulli numbers (all-positive convention B_1 = 1/6, B_2 = 1/30, ...), odd power sums,
-the triangular epsilon recursion, and the two maps between the commutator coefficients
+Bernoulli numbers (all-positive convention B_1 = 1/6, B_2 = 1/30, ...), odd power sums, their
+coefficients eps_r(k) as polynomials in n(n+1), built row by row by a recurrence in k that needs no
+Bernoulli number, and the two maps between the commutator coefficients
 beta_p (of (2 J3)^(2p+1)) and the structure-function coefficients alpha_k (of x^k in the
 deformation polynomial phi). Values are exact Fractions at the API. Inside, the two maps
 run on scaled integers over one common denominator, and so does the ladder arithmetic:
@@ -51,27 +52,36 @@ def power_sum_oracle(p: int, n: int) -> Fraction:
     return Fraction(sum(r ** (2 * p + 1) for r in range(1, n + 1)))
 
 
-@functools.cache
-def _epsilon_row(k: int) -> tuple[tuple[int, ...], int]:
-    """(e, L) with eps_r(k) = e[r-1] / L for r = 1..k.
+_epsilon_rows: list[tuple[tuple[int, ...], int]] = [((), 1)]  # (e, L) of `_epsilon_row` k at index k
+_epsilon_lock = threading.Lock()
 
-    Each relation (index jj = 1..k-1) determines eps_{k-jj}(k):
-      (-1)^(jj+1) * (k+1)/jj * C(2k+1, 2jj-1) * B_jj = sum_{i=0}^{jj} eps_{k-i}(k) * C(k+1-i, 2jj-2i),
-    an integer combination of earlier entries and the left side, so with L the lcm of the left sides'
-    denominators every L eps_r(k) is an integer and the row is solved on ints.
+
+def _epsilon_row(k: int) -> tuple[tuple[int, ...], int]:
+    """(e, L) with eps_r(k) = e[r-1] / L for r = 1..k, L the lcm of the row's denominators.
+
+    The odd power sums are S_(2k+1)(n) = F_k(N) = sum_r eps_r(k) N^(r+1) / (2(k+1)), N = n(n+1) (Faulhaber).
+    d^2/dn^2 takes S_(2k+1) to 2k(2k+1) S_(2k-1) + const and F_k(N) to (4N+1) F_k'' + 2 F_k', so the N^r
+    coefficients, r >= 1, give row k from row k-1 in k steps on ints, from eps_k(k) = 1 down (eps_0 = 0):
+      2(r+1)(2r+1) eps_r(k) = 2(k+1)(2k+1) eps_(r-1)(k-1) - (r+1)(r+2) eps_(r+1)(k).
+    Rows are built in order, once per process, each entry in lowest terms until the row is put over L.
     """
-    lhs = [(-1) ** (jj + 1) * Fraction(k + 1, jj) * comb(2 * k + 1, 2 * jj - 1) * bernoulli(jj) for jj in range(1, k)]
-    big = lcm(*(f.denominator for f in lhs))
-    eps = [0] * k
-    eps[k - 1] = big  # eps_k(k) = 1
-    for jj, f in enumerate(lhs, 1):
-        known = sum(eps[k - i - 1] * comb(k + 1 - i, 2 * jj - 2 * i) for i in range(jj))
-        eps[k - jj - 1] = f.numerator * (big // f.denominator) - known
-    return tuple(eps), big
+    with _epsilon_lock:
+        while len(_epsilon_rows) <= k:
+            n, (prev, prev_den) = len(_epsilon_rows), _epsilon_rows[-1]
+            row = [(1, 1)]  # (numerator, denominator) of eps_r(n) for r = n, n-1, ...
+            for r in range(n - 1, 0, -1):
+                (x, d), c = row[-1], lcm(prev_den, row[-1][1])
+                t = (2 * (n + 1) * (2 * n + 1) * (prev[r - 2] * (c // prev_den) if r > 1 else 0)
+                     - (r + 1) * (r + 2) * x * (c // d))
+                g = gcd(t, q := 2 * (r + 1) * (2 * r + 1) * c)
+                row.append((t // g, q // g))
+            big = lcm(*(d for _, d in row))
+            _epsilon_rows.append((tuple(x * (big // d) for x, d in reversed(row)), big))
+        return _epsilon_rows[k]
 
 
 def epsilon(r: int, k: int) -> Fraction:
-    """eps_r(k) from the triangular system; defined for 1 <= r <= k."""
+    """eps_r(k), the coefficients of the odd power sums in n(n+1) (`_epsilon_row`); defined for 1 <= r <= k."""
     if not 1 <= r <= k:
         raise ValueError(f"epsilon(r, k) requires 1 <= r <= k, got r={r}, k={k}")
     e, big = _epsilon_row(k)

@@ -19,8 +19,8 @@ the counit and antipode axioms on weight blocks.
 Tensor factors are sl2 irreps. Coassociativity is not checked: a deformed Delta'(X) is written through Delta(C),
 Delta(J3) and Delta(J+-), so it is coassociative because the primitive Delta is.
 
-The package imports this module when one of its names is first read, and the CLI only in `nlsl2 hopf`, so a
-run that forms no product never loads it.
+The package puts this module in sys.modules unloaded, and its body runs on the first read of one of its names
+(in the CLI, only in `nlsl2 hopf`), so a run that forms no product never loads it.
 """
 
 from __future__ import annotations

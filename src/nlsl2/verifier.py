@@ -19,7 +19,7 @@ if TYPE_CHECKING:
     from .hopf import Coproduct
 
 EPS = float(np.finfo(float).eps)
-MAX_TRUNC = 256  # terms of the q-series identity: the exact rows eps_r(k) to k = 256 take 1.7 s (2-core x86 host)
+MAX_TRUNC = 512  # terms of the q-series identity: above the default's 467 at the q-range edge; rows to 512 hold 40 MB
 
 
 def gate(dim: int, scale: float, tol: Optional[float] = None) -> float:
@@ -211,7 +211,8 @@ def q_series_identity_residual(j, m, delta: float, trunc: Optional[int] = None) 
     Each T_k is exact on integers (d read exactly) and rounded once, and fsum adds them, so no power of
     j(j+1) or eps_r(k) overflows where the series does not. Term k is of order x^(2k+2)/(2k+2)!,
     x = |d| (2j+1), so the default trunc, n/2 for the first even n >= x with x^n/n! <= eps e^x, leaves
-    a tail below the LHS's rounding. A trunc past MAX_TRUNC (the default's from x of about 350) raises ValueError.
+    a tail below the LHS's rounding: at most 467 terms inside `qdeform.check_q_range`. A trunc past MAX_TRUNC
+    raises ValueError.
     """
     j, m = halfint(j), halfint(m)
     if j == m:

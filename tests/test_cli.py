@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import stat
 import subprocess
 import sys
@@ -351,18 +352,29 @@ def test_q_number_overflow_is_one_error_line_naming_j_delta_and_the_limit(capsys
 
 
 @pytest.mark.parametrize("delta", [0.3, 1.0, 2.0])
-def test_qlimit_past_its_term_cap_is_one_error_line(capsys, delta):
-    # |delta|(2j+1) = 400 is inside the q-range (limit about 710), but the series would need 286 exact rows (2.6 s
-    # at delta = 1); the default truncation stays within verifier.MAX_TRUNC = 256 up to |delta|(2j+1) = 351
+def test_qlimit_inside_the_q_range_stays_under_its_term_cap(capsys, delta):
+    # |delta|(2j+1) = 400 needs 286 exact rows eps_r(k), past the 256 terms the series was once capped at; inside the
+    # q-range (|delta|(2j+1) up to about 710) the default truncation stays under verifier.MAX_TRUNC
     two_j = round(400 / delta) - 1
     start = time.perf_counter()
     code, out, err = _run(capsys, "qlimit", "--j", str(HalfInt(two_j)), "--delta", str(delta))
     assert time.perf_counter() - start < 5
-    assert code == EXIT_USAGE and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: the q-series identity at j=")
-    assert f"past the cap of {verifier.MAX_TRUNC}" in err
-    with pytest.raises(ValueError, match="past the cap"):
+    assert code == EXIT_OK and err == "" and out.endswith("5/5 checks passed\n")
+    with pytest.raises(ValueError, match=f"needs {verifier.MAX_TRUNC + 1} terms, past the cap"):
         verifier.q_series_identity_residual(2, -2, 0.3, trunc=verifier.MAX_TRUNC + 1)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_exits_141_without_a_traceback(buffered):
+    # the reader is gone before the first write: the error comes from the final flush (buffered) or from print
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PYTHONUNBUFFERED": "" if buffered else "1"}  # an empty value leaves stdout buffered
+    proc = subprocess.Popen([sys.executable, "-m", "nlsl2", "rep", "--family", "sl2", "--j", "200"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 128 + signal.SIGPIPE
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -805,36 +817,52 @@ def test_a_nan_delta_is_named_not_finite_and_an_infinite_one_still_overflows(cap
     assert code == EXIT_OK and out and err == ""
 
 
-_LAZY_PRODUCT_LAYER = """
+_LAZY_LAYERS = """
 import contextlib, io, json, sys
+ran = set()  # the files whose module body has run
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(getattr(args[0], "co_filename", "")))
+
+
+def loaded():
+    return [name for name in ("families", "hopf") if nlsl2.__file__.replace("__init__", name) in ran]
+
+
 import nlsl2, nlsl2.cli
+layers = ("coefficients", "structure", "repbuilder", "verifier", "hopf", "families", "qdeform", "cli")
+seen = {"import": loaded(), "missing": [m for m in layers if f"nlsl2.{m}" not in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [nlsl2.cli.run(argv) for argv in (
         ["coeffs", "--alpha-from-beta", "1,1/10"], ["rep", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
-        ["verify", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
-        ["families", "--family", "higgs", "--j", "1", "--beta-grid=-0.1,-0.01"], ["qlimit", "--j", "1"])]
-    loaded = "nlsl2.hopf" in sys.modules
-    undir = sorted({*nlsl2.__all__, "hopf"} - set(dir(nlsl2)))
+        ["verify", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"], ["qlimit", "--j", "1"])]
+    seen["commands"] = loaded()
+    undir = sorted({*nlsl2.__all__, "families", "hopf"} - set(dir(nlsl2)))
+    codes.append(nlsl2.cli.run(["families", "--family", "higgs", "--j", "1", "--beta-grid=-0.1,-0.01"]))
+    seen["families"] = loaded()
+    from nlsl2 import scan
+    scanned = len(scan(1, [-0.1], "higgs")) == 1 and scan is nlsl2.families.scan
+    seen["scan"] = loaded()
     star = {}
     exec("from nlsl2 import *", star)
     unresolved = [name for name in nlsl2.__all__ if getattr(nlsl2, name, None) is None]
     shared = nlsl2.primitive_coproduct is nlsl2.hopf.primitive_coproduct
-    hopf_code = nlsl2.cli.run(["hopf", "--j1", "1", "--j2", "1", "--alpha=1,1/10", "--quadratic-alpha=0.05"])
-print(json.dumps({"codes": codes, "loaded": loaded, "undir": undir, "unbound": sorted(set(nlsl2.__all__) - set(star)),
-                  "unresolved": unresolved, "shared": shared, "hopf_code": hopf_code}))
+    codes.append(nlsl2.cli.run(["hopf", "--j1", "1", "--j2", "1", "--alpha=1,1/10", "--quadratic-alpha=0.05"]))
+print(json.dumps({"codes": codes, "seen": seen, "undir": undir, "unbound": sorted(set(nlsl2.__all__) - set(star)),
+                  "unresolved": unresolved, "shared": shared, "scanned": scanned}))
 """
 
 
-def test_commands_that_form_no_product_do_not_load_the_product_layer():
+def test_commands_load_the_family_scan_and_the_product_layer_only_when_they_use_them():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", _LAZY_PRODUCT_LAYER], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_LAYERS], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["codes"] == [EXIT_OK] * 5 and got["loaded"] is False and got["undir"] == []
-    assert got["unbound"] == [] and got["unresolved"] == [] and got["shared"] is True
-    assert got["hopf_code"] == EXIT_OK
+    assert got["codes"] == [EXIT_OK] * 6
+    # each layer module is in sys.modules from the start, as a tracer that reads every layer there needs
+    assert got["seen"] == {"import": [], "missing": [], "commands": [], "families": ["families"],
+                           "scan": ["families"]}
+    assert got["undir"] == [] and got["unbound"] == [] and got["unresolved"] == [] and got["shared"] is True
+    assert got["scanned"] is True
 
 
 def test_an_unknown_package_attribute_names_the_module_and_the_attribute():

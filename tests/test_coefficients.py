@@ -1,10 +1,13 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlsl2 import coefficients
 from nlsl2.coefficients import (
     alpha_from_beta,
     bernoulli,
@@ -19,6 +22,7 @@ from nlsl2.coefficients import (
     scaled_phi,
 )
 from nlsl2.structure import divided_difference
+from nlsl2.verifier import q_series_identity_residual
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=30)
 # mixed signs, denominators up to 1e6, and floats (exact binary fractions)
@@ -50,6 +54,62 @@ def test_epsilon_base_cases():
         epsilon(0, 3)
     with pytest.raises(ValueError):
         epsilon(4, 3)
+
+
+def _triangular_row(k):
+    """(e, L) of row k by the triangular system over Bernoulli numbers that the recurrence replaced: relation
+    jj = 1..k-1 fixes eps_(k-jj)(k) from the entries above it,
+      (-1)^(jj+1) (k+1)/jj C(2k+1, 2jj-1) B_jj = sum_(i=0..jj) eps_(k-i)(k) C(k+1-i, 2jj-2i),
+    on ints over L, the lcm of the left sides' denominators."""
+    lhs = [(-1) ** (jj + 1) * Fraction(k + 1, jj) * comb(2 * k + 1, 2 * jj - 1) * bernoulli(jj) for jj in range(1, k)]
+    big = lcm(*(f.denominator for f in lhs))
+    eps = [0] * k
+    eps[k - 1] = big
+    for jj, f in enumerate(lhs, 1):
+        known = sum(eps[k - i - 1] * comb(k + 1 - i, 2 * jj - 2 * i) for i in range(jj))
+        eps[k - jj - 1] = f.numerator * (big // f.denominator) - known
+    return tuple(eps), big
+
+
+def test_epsilon_rows_equal_the_triangular_solve():
+    for k in range(1, 61):
+        assert coefficients._epsilon_row(k) == _triangular_row(k), k
+
+
+@pytest.mark.parametrize("k", [100, 300])
+def test_epsilon_rows_give_faulhabers_odd_power_sums(k):
+    # S_(2k+1)(n) = sum_r eps_r(k) (n(n+1))^(r+1) / (2(k+1)), exactly, past where the triangular solve could reach
+    for n in range(7):
+        faulhaber = sum(epsilon(r, k) * (n * (n + 1)) ** (r + 1) for r in range(1, k + 1)) / (2 * (k + 1))
+        assert faulhaber == power_sum_oracle(k, n), n
+
+
+def test_epsilon_rows_need_no_bernoulli_number(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"B_{m} computed")
+
+    monkeypatch.setattr(coefficients, "_epsilon_rows", [((), 1)])
+    monkeypatch.setattr(coefficients, "_bernoulli_standard", refuse)
+    coefficients._alpha_column.cache_clear()
+    assert alpha_from_beta([1] * 25) == _alpha_from_beta_reference([1] * 25)
+    assert len(coefficients._epsilon_rows) == 25
+    q_series_identity_residual(10, -10, 1.0)
+    assert len(coefficients._epsilon_rows) == 36  # its 35 terms
+
+
+def test_two_threads_growing_the_rows_get_the_same_rows(monkeypatch):
+    want = [coefficients._epsilon_row(k) for k in range(161)]
+    monkeypatch.setattr(coefficients, "_epsilon_rows", [((), 1)])
+    start = threading.Barrier(2)
+
+    def grow(top):
+        start.wait()
+        return [coefficients._epsilon_row(k) for k in range(top, 0, -1)][::-1]
+
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(grow, (160, 120)))
+    assert got == [want[1:161], want[1:121]]
+    assert coefficients._epsilon_rows == want
 
 
 @given(st.integers(0, 6), st.integers(0, 30))

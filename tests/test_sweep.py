@@ -54,9 +54,9 @@ def _runs():
             yield ["rep", "--family", "qbase", "--alpha=1,0.1", *j]
             yield ["verify", "--family", "uq", *j]
         yield ["qlimit", "--j", str(HalfInt(edge + 1)), f"--delta={delta}"]
-    for delta in (0.3, 1.0, 2.0):  # at the edge the series needs more terms than `verifier.MAX_TRUNC`
+    for delta in (0.3, 1.0, 2.0):  # at the edge the series needs its most terms, about 467 exact rows eps_r(k)
         yield ["qlimit", "--j", str(HalfInt(_q_edge(delta))), f"--delta={delta}"]
-    # the series needs exact eps_r(k) rows to k of about |delta|(2j+1), whose cost grows as k^3
+    # the series needs exact eps_r(k) rows to k of about 0.7 |delta|(2j+1), each built from the one before
     for two_j, delta in ((1, 0.3), (7, 1.0), (40, 1.0), (7, -3.0), (300, 0.3)):
         yield ["qlimit", "--j", str(HalfInt(two_j)), f"--delta={delta}"]
     products = [(j1, j2, q) for j1, j2 in (("0", "0"), ("1/2", "1/2"), ("3", "5/2"), ("1/2", "11"), ("11", "11"))
