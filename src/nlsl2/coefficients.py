@@ -1,8 +1,8 @@
 """Exact rational calculus for the coefficient systems of nonlinear sl(2).
 
-Bernoulli numbers (all-positive convention B_1 = 1/6, B_2 = 1/30, ...), odd power sums, their
-coefficients eps_r(k) as polynomials in n(n+1), built row by row by a recurrence in k that needs no
-Bernoulli number, and the two maps between the commutator coefficients
+Odd power sums, their coefficients eps_r(k) as polynomials in n(n+1), built row by row by a
+recurrence in k that needs no Bernoulli number, the Bernoulli numbers (all-positive convention
+B_1 = 1/6, B_2 = 1/30, ...) read off those rows, and the two maps between the commutator coefficients
 beta_p (of (2 J3)^(2p+1)) and the structure-function coefficients alpha_k (of x^k in the
 deformation polynomial phi). Values are exact Fractions at the API. Inside, the two maps
 run on scaled integers over one common denominator, and so does the ladder arithmetic:
@@ -19,32 +19,19 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]  # standard-convention B_0, B_1, ...
-_bernoulli_lock = threading.Lock()
-
-
-def _bernoulli_standard(m: int) -> Fraction:
-    """Standard Bernoulli number B_m (B_1 = -1/2 convention), cached."""
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= m:
-            n = len(_bernoulli_cache)
-            # sum_{k=0}^{n} C(n+1, k) B_k = 0  for n >= 1
-            acc = Fraction(0)
-            for k in range(n):
-                acc += comb(n + 1, k) * _bernoulli_cache[k]
-            _bernoulli_cache.append(-acc / (n + 1))
-        return _bernoulli_cache[m]
-
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number in the all-positive convention: B_1=1/6, B_2=1/30, ...
 
-    This is |B_{2n}| of the standard even-index sequence, the convention used
-    throughout the power-sum expansions here.
+    This is |B_{2n}| of the standard even-index sequence, the convention used throughout the power-sum
+    expansions here. It is read off row n of the epsilon coefficients: in S_(2n+1)(x) = sum_r eps_r(n)
+    (x(x+1))^(r+1) / (2(n+1)) only r = 1 has an x^2 term, and Faulhaber's formula gives that term as
+    (2n+1) B_(2n) / 2, so |eps_1(n)| = (n+1)(2n+1) bernoulli(n).
     """
     if n < 1:
         raise ValueError(f"bernoulli(n) requires n >= 1, got {n}")
-    return abs(_bernoulli_standard(2 * n))
+    e, big = _epsilon_row(n)
+    return Fraction(abs(e[0]), big * (n + 1) * (2 * n + 1))
 
 
 def power_sum_oracle(p: int, n: int) -> Fraction:

@@ -2,15 +2,17 @@
 
 `primitive_coproduct` is the one place that labels a product space: Delta(J3) is diagonal, with each state's
 integral 2M read from the factors' ladders, and an M block of size n holds the n largest 2J of the
-Clebsch-Gordan series. A product is stored on its weight blocks only: the (M -> M+1) step blocks S_M of
-Delta(J+), assembled from the factors' J+ entries with no dense matrix, and the Delta(C) blocks read off them;
-only the blocks with 2M >= 0 go to `eigh`, the others being their mirrors (Edmonds, eq. 3.5.17). Eigenvectors
-and steps are kept zero-padded, stacked by size rounded up to a multiple of 8, so a function of the exact
-labels, as a deformed coproduct is, costs a stacked matmul per stack. The product of two irreps is built once
-per process and kept, for the 16 most recently used factor pairs.
+Clebsch-Gordan series. A product is stored as its coupled basis: the eigenvectors V_M of each M block of
+Delta(C), and the (M -> M+1) step S_M of Delta(J+) lifted onto them, S_M V_M. Both are built with no dense
+matrix: S_M from the factors' J+ entries, the Delta(C) blocks read off it, and only the blocks with 2M >= 0 go to
+`eigh`, the others being their mirrors (Edmonds, eq. 3.5.17); S_M and Delta(C) are dropped once lifted. V and
+S V are kept zero-padded, stacked by size rounded up to a multiple of 8, so a function of the exact labels, as a
+deformed coproduct is, costs a stacked matmul per stack. The product of two irreps is built once per process and
+kept, for the 16 most recently used factor pairs.
 
-`transferred_coproduct` applies a family's `structure` transfer map to all coupled labels (2J, 2M) in one call
-(the factor is 0 at M = J) and keeps the result on the same weight blocks, as a `Coproduct`. On V (x) V, V an
+`transferred_coproduct` applies a family's `structure` transfer map to the coupled labels (2J, 2M) in one call
+(the factor is 0 at M = J) and keeps the result on the same weight blocks, as a `Coproduct`: Delta'(J+) is
+S_M V_M diag(h^(1/2)) V_M^T in either order, the factor taken at (J, M) or (J, M+1). On V (x) V, V an
 irrep, the swap v (x) w -> w (x) v reverses each block, which `cocommutativity_residuals` reads. Dense matrices
 are scattered from the padded stacks, only for the dense API the benchmark calls (`deformed_coproduct`,
 `quadratic_coproduct`, `cocommutativity_check`). `hopf_axiom_checks` tests one family's transfer map against
@@ -29,7 +31,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,75 +48,60 @@ InadmissibleProductError = InadmissibleLabelError  # a coupled (J, M) label outs
 # product representations
 
 
-class CoupledBlock(NamedTuple):
-    """The Delta(J3) = M block of a product space in its coupled basis."""
-
-    two_m: int
-    indices: np.ndarray  # product-basis states with this M, ascending
-    w: np.ndarray  # numeric eigenvalues of the Delta(C) block, ascending
-    V: np.ndarray  # the matching eigenvectors, as columns
-    two_js: tuple  # exact label 2J of each column, ascending
-    C: np.ndarray  # the Delta(C) block on `indices`, read-only
-
-
 _PAD = 8  # a block of size n is stacked padded to p x p, p = 8 ceil(n / 8)
 
 
 @dataclass
 class ProductRep:
-    """Primitive coproduct on V1 (x) V2, stored on its weight blocks with exact (J, M) labels.
+    """Primitive coproduct on V1 (x) V2, stored as its coupled basis with exact (J, M) labels.
 
-    Delta(J3) is diag(M), and steps[k] is the block of Delta(J+) from block k to block k+1. Delta(C) is
-    block-diagonal: cas[k] = steps[k]^T steps[k] + M(M+1) I for 2M >= 0, its mirror's reversed for 2M < 0.
-    A block of size n is kept zero-padded to p x p, p = 8 ceil(n / 8), in the stack of its size class p, as slot
-    i of stack c, (c, i) = where[k]: its eigenvectors are the columns of vecs[c][i], and plus[c][i] holds its
-    step, which steps[k] views. slot maps each coupled position to its place in the stacks' (blocks, p) label
-    rows, laid end to end. Every array is read-only and shared by the ProductReps of one factor pair
-    (`primitive_coproduct`) with `at`, the dense positions (`_at`); `blocks` and the dense, writable DJ3, DJp,
-    DJm and DC are built on first read, per ProductRep.
+    Delta(J3) is diag(M), and Delta(C) is block-diagonal over M with eigenvalue J(J+1) on label (J, M). A block of
+    size n is kept zero-padded to p x p, p = 8 ceil(n / 8), in the stack of its size class p, as slot i of stack
+    c, (c, i) = where[k]: its eigenvectors V_k are the columns of vecs[c][i], and lift[c][i] holds S_k V_k, S_k the
+    block of Delta(J+) from block k to block k+1. slot maps each coupled position to its place in the stacks'
+    (blocks, p) label rows, laid end to end. Every array is read-only and shared by the ProductReps of one factor
+    pair (`primitive_coproduct`) with `at`, the dense positions (`_at`); the dense, writable DJ3, DJp, DJm and DC
+    are built on first read, per ProductRep, from the factors' J+ superdiagonals `ladders`.
     """
 
     d1: int
     d2: int
+    ladders: tuple  # (u1, u2): each factor's J+ superdiagonal
     two_m: np.ndarray  # 2M of each basis state
     spins: tuple  # 2J over the Clebsch-Gordan series, ascending
     block_m: np.ndarray  # 2M of each block, ascending
-    cas: list  # Delta(C) on block k
-    steps: list  # Delta(J+) from block k to block k+1
     order: np.ndarray  # the state at each coupled position (block column): block 0's states, block 1's, ...
     sizes: np.ndarray  # the size of each block
     rank: np.ndarray  # index into spins of the 2J at each coupled position: ascending M, then ascending J
     w: np.ndarray  # the Delta(C) eigenvalue at each coupled position
     vecs: tuple  # per stack, the eigenvectors of its blocks: (blocks, p, p)
-    plus: tuple  # per stack, the Delta(J+) step from each of its blocks: (blocks, r, p)
+    lift: tuple  # per stack, the Delta(J+) step times the eigenvectors of each of its blocks: (blocks, r, p)
     where: tuple  # (stack, slot) of each block
     slot: np.ndarray  # each coupled position's label slot
     at: dict  # 'plus', 'minus', 'block': see `_at`
-
-    @cached_property
-    def blocks(self) -> list:
-        n_m, starts = self.sizes.tolist(), (np.cumsum(self.sizes) - self.sizes).tolist()
-        return [CoupledBlock(int(m), self.order[s:s + n], self.w[s:s + n], v, self.spins[len(self.spins) - n:], c)
-                for m, s, n, v, c in zip(self.block_m, starts, n_m, self._views(self.vecs, n_m), self.cas)]
 
     @property
     def dim(self) -> int:
         return self.d1 * self.d2
 
     def _views(self, stacks: list, rows: list) -> list:
-        """The rows[k] x sizes[k] corner of block k's slot in stacks laid out as vecs or plus, for k < len(rows)."""
+        """The rows[k] x sizes[k] corner of block k's slot in stacks laid out as vecs or lift, for k < len(rows)."""
         return [stacks[c][i, :r, :n] for (c, i), r, n in zip(self.where, rows, self.sizes.tolist())]
 
     def _at(self, name: str) -> np.ndarray:
-        """Flat dense positions of the padded entries (dim * dim on the padding) of `plus` as Delta(J+) ('plus') or
-        its transpose ('minus'), or of `vecs` ('block'); all three built on the first read, into the shared `at`."""
+        """Flat dense positions of the padded entries (dim * dim on the padding) of stacks laid out as `lift`, as
+        Delta(J+) ('plus') or its transpose ('minus'), or as `vecs` ('block'); all three built on the first read,
+        into the shared `at`."""
         if name not in self.at:
             dim, states = self.dim, np.split(self.order, np.cumsum(self.sizes)[:-1])
-            pos = (("plus", self.plus, [r[:, None] * dim + c for c, r in zip(states, states[1:])]),
-                   ("minus", self.plus, [r[:, None] + c * dim for c, r in zip(states, states[1:])]),
+            pos = (("plus", self.lift, [r[:, None] * dim + c for c, r in zip(states, states[1:])]),
+                   ("minus", self.lift, [r[:, None] + c * dim for c, r in zip(states, states[1:])]),
                    ("block", self.vecs, [c[:, None] * dim + c for c in states]))
-            self.at.update({key: np.concatenate([x.ravel() for x in _stacked(self, blocks, like, dim * dim)])
-                            for key, like, blocks in pos})
+            for key, like, blocks in pos:
+                out = [np.full(x.shape, dim * dim) for x in like]
+                for view, b in zip(self._views(out, [len(b) for b in blocks]), blocks):
+                    view[...] = b
+                self.at[key] = np.concatenate([x.ravel() for x in out])
         return self.at[name]
 
     @cached_property
@@ -123,23 +110,38 @@ class ProductRep:
 
     @cached_property
     def DJp(self) -> np.ndarray:
-        return _scatter(self, "plus", self.plus)
+        out, (r, c, v) = np.zeros((self.dim, self.dim)), _kron_sum(*self.ladders)
+        out[r, c] = v
+        return out
 
     @cached_property
     def DJm(self) -> np.ndarray:
-        return _scatter(self, "minus", self.plus)
+        out, (r, c, v) = np.zeros((self.dim, self.dim)), _kron_sum(*self.ladders)
+        out[c, r] = v
+        return out
 
     @cached_property
     def DC(self) -> np.ndarray:
-        return _scatter(self, "block", _stacked(self, self.cas, self.vecs))
+        """S_k^T S_k + M(M+1) I on each block k, S_k the step of DJp from block k (none from the top block)."""
+        out, djp = np.zeros((self.dim, self.dim)), self.DJp
+        states = np.split(self.order, np.cumsum(self.sizes)[:-1])
+        for lo, hi, m in zip(states, [*states[1:], states[0][:0]], self.block_m.tolist()):
+            s = djp[np.ix_(hi, lo)]
+            c = s.T @ s
+            c.flat[::len(lo) + 1] += m * (m + 2) / 4  # M(M+1)
+            out[np.ix_(lo, lo)] = c
+        return out
 
 
-def _stacked(pr: ProductRep, blocks: list, like: Sequence[np.ndarray], pad=0.0) -> list:
-    """blocks (block k's, for k < len(blocks)) copied into stacks of pad laid out as like (pr.vecs or pr.plus)."""
-    out = [np.full(x.shape, pad) for x in like]
-    for (c, i), b in zip(pr.where, blocks):
-        out[c][i, :len(b), :b.shape[1]] = b
-    return out
+def _kron_sum(u1: np.ndarray, u2: np.ndarray) -> tuple:
+    """(rows, cols, values) of the entries of J+ (x) 1 + 1 (x) J+ on V1 (x) V2, the factors' J+ superdiagonals u1
+    and u2: the two terms' entries are disjoint."""
+    d1, d2 = len(u1) + 1, len(u2) + 1
+    i1, i2 = np.arange(d1), np.arange(d2)
+    parts = [(np.add.outer(r1 * d2, r2).ravel(), np.add.outer(c1 * d2, c2).ravel(), np.outer(v1, v2).ravel())
+             for (r1, c1, v1), (r2, c2, v2) in (((i1[:-1], i1[1:], u1), (i2, i2, np.ones(d2))),
+                                                ((i1, i1, np.ones(d1)), (i2[:-1], i2[1:], u2)))]
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _scatter(pr: ProductRep, name: str, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -155,14 +157,15 @@ _lock = threading.Lock()
 
 
 def primitive_coproduct(rep1: MatrixRep, rep2: MatrixRep) -> ProductRep:
-    """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir, on its weight blocks.
+    """Delta(X) = X (x) 1 + 1 (x) X for the generators, with the product Casimir, in its coupled basis.
 
-    Each factor is an sl2 irrep. Delta(J+) holds the entries of the dense Kronecker sum. The 2M >= 0 blocks of
-    Delta(C), S_k^T S_k + M(M+1) I, go to `eigh`, one stacked call per run of one size; each -M block is its
-    mirror's with the states reversed (Edmonds, eq. 3.5.17). A block's k-th eigenvector takes the k-th of the
-    ascending labels {J in spins : J >= |M|}, exactly, as distinct J(J+1) lie at least 2 apart. The product is
-    kept, keyed by each factor's 2j and J+ superdiagonal, for the 16 most recently used pairs, and each call
-    returns a new ProductRep over its read-only arrays.
+    Each factor is an sl2 irrep. The step S_k of Delta(J+) from block k to k+1 holds the entries of the dense
+    Kronecker sum. The 2M >= 0 blocks of Delta(C), S_k^T S_k + M(M+1) I, go to `eigh`, one stacked call per run
+    of one size; each -M block's eigenvectors are its mirror's with the states reversed (Edmonds, eq. 3.5.17). A
+    block's k-th eigenvector takes the k-th of the ascending labels {J in spins : J >= |M|}, exactly, as distinct
+    J(J+1) lie at least 2 apart. The steps are then lifted to S_k V_k, one stacked matmul per size class, and they
+    and Delta(C) are dropped. The product is kept, keyed by each factor's 2j and J+ superdiagonal, for the 16 most
+    recently used pairs, and each call returns a new ProductRep over its read-only arrays.
     """
     for x in (rep1, rep2):
         if (kind := x.family if isinstance(x, MatrixRep) else type(x).__name__) != "sl2":
@@ -176,7 +179,7 @@ def primitive_coproduct(rep1: MatrixRep, rep2: MatrixRep) -> ProductRep:
         _kept[key] = pr  # the most recently used goes last
         while len(_kept) > _KEPT:
             del _kept[next(iter(_kept))]
-    return replace(pr, cas=list(pr.cas), steps=list(pr.steps))
+    return replace(pr)
 
 
 def _coupled(two_j1: int, u1: np.ndarray, two_j2: int, u2: np.ndarray) -> ProductRep:
@@ -205,13 +208,10 @@ def _coupled(two_j1: int, u1: np.ndarray, two_j2: int, u2: np.ndarray) -> Produc
     width = np.array(ps)[cls]
     s_off = np.cumsum([0, *(m * r * p for m, r, p in zip(count, rows, ps))])
     dp, first = np.zeros(s_off[-1]), s_off[cls] + idx * np.array(rows)[cls] * width  # of each block's step slot
-    i1, i2 = np.arange(d1), np.arange(d2)
-    for (r1, c1, v1), (r2, c2, v2) in (((i1[:-1], i1[1:], u1), (i2, i2, np.ones(d2))),  # J+ (x) 1 and 1 (x) J+,
-                                       ((i1, i1, np.ones(d1)), (i2[:-1], i2[1:], u2))):  # disjoint
-        r, c = np.add.outer(r1 * d2, r2).ravel(), np.add.outer(c1 * d2, c2).ravel()
-        k = block_of[c]  # rows lie in block k + 1
-        dp[first[k] + pos[r] * width[k] + pos[c]] = np.outer(v1, v2).ravel()
-    plus = tuple(dp[lo:hi].reshape(m, r, p) for lo, hi, m, r, p in zip(s_off, s_off[1:], count, rows, ps))
+    r, c, v = _kron_sum(u1, u2)
+    k = block_of[c]  # rows lie in block k + 1
+    dp[first[k] + pos[r] * width[k] + pos[c]] = v
+    plus = [dp[lo:hi].reshape(m, r, p) for lo, hi, m, r, p in zip(s_off, s_off[1:], count, rows, ps)]
     steps = [plus[c][i, :n1, :n0] for (c, i), n0, n1 in zip(where, n_m, n_m[1:])]
 
     c_off = [0, *np.cumsum(sizes[half:] ** 2).tolist()]  # of block half + i at c_off[i]
@@ -222,38 +222,44 @@ def _coupled(two_j1: int, u1: np.ndarray, two_j2: int, u2: np.ndarray) -> Produc
         dc[lo:hi:n + 1] += m * (m + 2) / 4  # M(M+1)
 
     spins = tuple(range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2))
-    cas, w, vecs = [None] * len(n_m), [None] * len(n_m), tuple(np.zeros((m, p, p)) for m, p in zip(count, ps))
+    w, vecs = [None] * len(n_m), tuple(np.zeros((m, p, p)) for m, p in zip(count, ps))
     cuts = [half, *(k for k in range(half + 1, len(n_m)) if n_m[k] != n_m[k - 1]), len(n_m)]
     for lo, hi in zip(cuts, cuts[1:]):
         n = n_m[lo]
-        c = dc[c_off[lo - half]:c_off[hi - half]].reshape(hi - lo, n, n)
-        wk, vk = np.linalg.eigh(c)
+        wk, vk = np.linalg.eigh(dc[c_off[lo - half]:c_off[hi - half]].reshape(hi - lo, n, n))
         own = int(2 * lo == last)  # the M = 0 block is its own mirror
         ks = (*range(lo, hi), *range(last - lo - own, last - hi, -1))
-        for k, x, y, v in zip(ks, [*c, *c[own:, ::-1, ::-1]], [*wk, *wk[own:]], [*vk, *vk[own:, ::-1]]):
-            (st, i), cas[k], w[k] = where[k], x, y
+        for k, y, v in zip(ks, [*wk, *wk[own:]], [*vk, *vk[own:, ::-1]]):
+            (st, i), w[k] = where[k], y
             vecs[st][i, :n, :n] = v
+    lift = tuple(s @ x for s, x in zip(plus, vecs))  # S_k V_k, exactly 0 on the padding
     w = np.concatenate(w)
     rank = np.arange(len(two_m)) - np.repeat(starts[1:] - len(spins), sizes)  # a size-n block: the n largest 2J
     slot = np.repeat(np.cumsum([0, *(m * p for m, p in zip(count, ps))])[cls] + idx * width, sizes) + pos[order]
-    for x in (two_m, block_m, order, sizes, rank, w, slot, *vecs, *plus, *steps, *cas):
+    ladders = (u1.copy(), u2.copy())
+    for x in (two_m, block_m, order, sizes, rank, w, slot, *ladders, *vecs, *lift):
         x.setflags(write=False)
-    return ProductRep(d1, d2, two_m, spins, block_m, cas, steps, order, sizes, rank, w, vecs, plus, tuple(where),
-                      slot, {})
+    return ProductRep(d1, d2, ladders, two_m, spins, block_m, order, sizes, rank, w, vecs, lift, tuple(where), slot,
+                      {})
 
 
-def _label_calculus(pr: ProductRep, vals: np.ndarray, add: Optional[np.ndarray] = None) -> list:
-    """V diag(vals) V^T + diag(add) of every M block, vals and add (if given) at the coupled positions: one stacked
-    matmul per stack of pr.vecs, the result zero on the padding."""
+def _label_calculus(pr: ProductRep, left: Sequence[np.ndarray], vals: np.ndarray,
+                    add: Optional[np.ndarray] = None) -> list:
+    """L diag(vals) V^T + diag(add) of every M block, L the block's slot in left (pr.vecs or pr.lift), vals and add
+    (if given, with left pr.vecs) at the coupled positions: one stacked matmul per stack, zero on the padding. The
+    stacks are views of one buffer: the allocator hands one large block out again on the next call, where it
+    returns many separate ones to the system, to be faulted in again."""
     lab, out, lo = np.zeros((1 if add is None else 2, sum(len(v) * v.shape[1] for v in pr.vecs))), [], 0
     lab[:, pr.slot] = vals if add is None else (vals, add)
-    for v in pr.vecs:
+    buf = np.empty(sum(x.size for x in left))
+    for x, v in zip(left, pr.vecs):
         m, p = v.shape[:2]
-        x = (v * lab[0, lo:lo + m * p].reshape(m, 1, p)) @ v.transpose(0, 2, 1)
+        y = buf[:x.size].reshape(x.shape)
+        np.matmul(x * lab[0, lo:lo + m * p].reshape(m, 1, p), v.transpose(0, 2, 1), out=y)
         if add is not None:
-            x.reshape(m, p * p)[:, ::p + 1] += lab[1, lo:lo + m * p].reshape(m, p)
-        out.append(x)
-        lo += m * p
+            y.reshape(m, p * p)[:, ::p + 1] += lab[1, lo:lo + m * p].reshape(m, p)
+        out.append(y)
+        buf, lo = buf[x.size:], lo + m * p
     return out
 
 
@@ -270,47 +276,52 @@ def product_casimir_spectrum(j1, j2) -> list[float]:
 class Coproduct:
     """A deformed coproduct on the weight blocks of the primitive product pr.
 
-    steps[k] is Delta'(J+) from the M block k of pr to block k+1; Delta'(J-) is its transpose. j3 is None when
-    Delta'(J3') = Delta(J3) = diag(M), else j3[k] is the Delta'(J3') block of block k. stacks, if set, holds
-    (Delta'(J+), j3) in pr's padded layouts, which steps and j3 view; `_dense` reads it instead of padding again.
+    stacks is (plus, j3) in pr's padded layouts: plus laid out as pr.lift, holding Delta'(J+) from each M block to
+    the next, and j3 as pr.vecs, holding the Delta'(J3') block of each M, or None when Delta'(J3') = Delta(J3) =
+    diag(M). steps[k] and j3[k] view them: Delta'(J+) from block k to block k+1, whose transpose is Delta'(J-), and
+    the Delta'(J3') block of block k.
     """
 
     pr: ProductRep
-    steps: list
-    j3: Optional[list] = None
-    stacks: Optional[tuple] = None
+    stacks: tuple
+
+    @cached_property
+    def steps(self) -> list:
+        return self.pr._views(self.stacks[0], self.pr.sizes[1:].tolist())
+
+    @cached_property
+    def j3(self) -> Optional[list]:
+        return None if self.stacks[1] is None else self.pr._views(self.stacks[1], self.pr.sizes.tolist())
 
 
 def _dense(cop: Coproduct) -> tuple:
     """(Delta(J+'), Delta(J-'), Delta(J3')) of cop scattered into zeros; Delta(J3') is pr.DJ3 without a shift."""
-    pr = cop.pr
-    plus, j3 = cop.stacks or (_stacked(pr, cop.steps, pr.plus), cop.j3 and _stacked(pr, cop.j3, pr.vecs))
-    djp, djm = _scatter(pr, "plus", plus), _scatter(pr, "minus", plus)
-    return djp, djm, pr.DJ3 if j3 is None else _scatter(pr, "block", j3)
+    pr, (plus, j3) = cop.pr, cop.stacks
+    return (_scatter(pr, "plus", plus), _scatter(pr, "minus", plus),
+            pr.DJ3 if j3 is None else _scatter(pr, "block", j3))
 
 
 def transferred_coproduct(pr: ProductRep, t: Transfer, order: str = "source") -> Coproduct:
     """The Coproduct of the transfer map t by joint calculus on pr's coupled labels.
 
-    The factor F = V diag(h^(1/2)) V^T (h = 0 at M = J) is block-diagonal over M, so order='source' gives
-    S_M @ F_M and order='target' F_{M+1} @ S_M, S_M the step block `pr.steps`: F and 'source' are a stacked
-    matmul per stack of pr, 'target' (not an algebra map in general) a matmul per block. A shift s gives the
-    Delta(J3') blocks V diag(s_J) V^T + M I, one more stacked matmul. t.factor is called once, on the labels
-    with M < J in coupled-position order (ascending M, then J), so it names the first inadmissible one.
+    The factor F = V diag(h^(1/2)) V^T (h = 0 at M = J) is block-diagonal over M, and Delta(J+) lifts block M to
+    S_M V_M, which S_M maps label by label: V_(M+1)^T S_M V_M is diagonal in J. So order='source', S_M F_M, and
+    order='target', F_(M+1) S_M (not an algebra map in general), are both S_M V_M diag(g) V_M^T, with g the
+    h^(1/2) of each label (J, M) at (J, M) or at (J, M+1): one stacked matmul per stack of pr, and no eigenvector
+    sign enters. A shift s gives the Delta(J3') blocks V diag(s_J) V^T + M I, one more stacked matmul. t.factor
+    is called once, on the labels (J, M') it reads, those with M' < J in coupled-position order (ascending M, then
+    J), so it names the first inadmissible one.
     """
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
     spins = np.array(pr.spins, dtype=int)
     two_j, two_m = spins[pr.rank], pr.two_m[pr.order]
-    h, below = np.zeros(pr.dim), two_j != two_m
-    h[below] = t.factor(two_j[below], two_m[below])
-    f, n_m = _label_calculus(pr, np.sqrt(h)), pr.sizes.tolist()
-    plus = [s @ x for s, x in zip(pr.plus, f)] if order == "source" else None
-    steps = pr._views(plus, n_m[1:]) if plus else [x @ s for x, s in zip(pr._views(f, n_m)[1:], pr.steps)]
-    if t.shift is None:
-        return Coproduct(pr, steps, None, plus and (plus, None))
-    j3 = _label_calculus(pr, t.shift(spins)[pr.rank], two_m / 2.0)
-    return Coproduct(pr, steps, pr._views(j3, n_m), plus and (plus, j3))
+    at = two_m + 2 * (order == "target")
+    h, below = np.zeros(pr.dim), two_j > at
+    h[below] = t.factor(two_j[below], at[below])
+    plus = _label_calculus(pr, pr.lift, np.sqrt(h))
+    return Coproduct(pr, (plus, None if t.shift is None else
+                          _label_calculus(pr, pr.vecs, t.shift(spins)[pr.rank], two_m / 2.0)))
 
 
 def deformed_coproduct(pr: ProductRep, alpha: Sequence, order: str = "source"):

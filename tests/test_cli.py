@@ -147,10 +147,11 @@ def _coproduct_off(build):
     """build, with the largest step entry of Delta(J+) (and so of Delta(J-)) off by 1e-9 relative."""
     def off(*args, **kwargs):
         cop = build(*args, **kwargs)
-        steps = [s.copy() for s in cop.steps]
+        cop = hopf.Coproduct(cop.pr, tuple(x and [y.copy() for y in x] for x in cop.stacks))
+        steps = cop.steps  # views into the copied stacks
         k = max(range(len(steps)), key=lambda i: steps[i].max())
         steps[k][np.unravel_index(np.argmax(steps[k]), steps[k].shape)] *= 1 + 1e-9
-        return hopf.Coproduct(cop.pr, steps, cop.j3)
+        return cop
     return off
 
 
@@ -656,11 +657,13 @@ def test_hopf_cocommutativity_fails_with_one_step_entry_off(capsys, monkeypatch)
         cop = real(pr, t, order)
         if pr.d1 != pr.d2 or pr.d1 == 1:
             return cop
-        steps = [s.copy() for s in cop.steps]
+        cop = hopf.Coproduct(pr, tuple(x and [y.copy() for y in x] for x in cop.stacks))
+        steps = cop.steps  # views into the copied stacks
         k, d = len(steps) // 2, pr.d1
-        r = next(r for r, state in enumerate(pr.blocks[k + 1].indices) if state % d != state // d)
+        rows = pr.order[pr.sizes[:k + 1].sum():][:pr.sizes[k + 1]]  # the states of block k + 1
+        r = next(r for r, state in enumerate(rows) if state % d != state // d)
         steps[k][r, np.argmax(np.abs(steps[k][r]))] *= 1 + 1e-9
-        return hopf.Coproduct(pr, steps, cop.j3)
+        return cop
 
     argv = ["--format", "json", "hopf", "--j1", "7/2", "--j2", "7/2", "--alpha=1/1,1/10,1/100"]
     code, out, _ = _run(capsys, *argv)

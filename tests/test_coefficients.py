@@ -34,6 +34,15 @@ kernel_alphas = st.lists(
 scaled_xs = st.lists(st.integers(-(10**6), 10**6), max_size=8)
 
 
+def _bernoulli_standard(top):
+    """Standard Bernoulli numbers B_0..B_top (B_1 = -1/2) by the classical recurrence
+    sum_(k=0..n) C(n+1, k) B_k = 0 for n >= 1: the oracle for `bernoulli`, which reads them off the epsilon rows."""
+    b = [Fraction(1)]
+    for n in range(1, top + 1):
+        b.append(-sum(comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return b
+
+
 def test_bernoulli_known_values():
     assert bernoulli(1) == Fraction(1, 6)
     assert bernoulli(2) == Fraction(1, 30)
@@ -42,6 +51,11 @@ def test_bernoulli_known_values():
     assert bernoulli(5) == Fraction(5, 66)
     with pytest.raises(ValueError):
         bernoulli(0)
+
+
+def test_bernoulli_numbers_from_the_epsilon_rows_equal_the_classical_recurrence():
+    b = _bernoulli_standard(240)
+    assert [bernoulli(n) for n in range(1, 121)] == [abs(b[2 * n]) for n in range(1, 121)]
 
 
 def test_epsilon_base_cases():
@@ -56,12 +70,14 @@ def test_epsilon_base_cases():
         epsilon(4, 3)
 
 
-def _triangular_row(k):
-    """(e, L) of row k by the triangular system over Bernoulli numbers that the recurrence replaced: relation
+def _triangular_row(k, b):
+    """(e, L) of row k by the triangular system over Bernoulli numbers that the recurrence replaced, B_jj = |b[2jj]|
+    from the classical recurrence, not from the rows themselves: relation
     jj = 1..k-1 fixes eps_(k-jj)(k) from the entries above it,
       (-1)^(jj+1) (k+1)/jj C(2k+1, 2jj-1) B_jj = sum_(i=0..jj) eps_(k-i)(k) C(k+1-i, 2jj-2i),
     on ints over L, the lcm of the left sides' denominators."""
-    lhs = [(-1) ** (jj + 1) * Fraction(k + 1, jj) * comb(2 * k + 1, 2 * jj - 1) * bernoulli(jj) for jj in range(1, k)]
+    lhs = [(-1) ** (jj + 1) * Fraction(k + 1, jj) * comb(2 * k + 1, 2 * jj - 1) * abs(b[2 * jj])
+           for jj in range(1, k)]
     big = lcm(*(f.denominator for f in lhs))
     eps = [0] * k
     eps[k - 1] = big
@@ -72,8 +88,9 @@ def _triangular_row(k):
 
 
 def test_epsilon_rows_equal_the_triangular_solve():
+    b = _bernoulli_standard(120)
     for k in range(1, 61):
-        assert coefficients._epsilon_row(k) == _triangular_row(k), k
+        assert coefficients._epsilon_row(k) == _triangular_row(k, b), k
 
 
 @pytest.mark.parametrize("k", [100, 300])
@@ -84,12 +101,8 @@ def test_epsilon_rows_give_faulhabers_odd_power_sums(k):
         assert faulhaber == power_sum_oracle(k, n), n
 
 
-def test_epsilon_rows_need_no_bernoulli_number(monkeypatch):
-    def refuse(m):
-        raise AssertionError(f"B_{m} computed")
-
+def test_epsilon_rows_are_built_only_as_far_as_asked(monkeypatch):
     monkeypatch.setattr(coefficients, "_epsilon_rows", [((), 1)])
-    monkeypatch.setattr(coefficients, "_bernoulli_standard", refuse)
     coefficients._alpha_column.cache_clear()
     assert alpha_from_beta([1] * 25) == _alpha_from_beta_reference([1] * 25)
     assert len(coefficients._epsilon_rows) == 25

@@ -230,10 +230,11 @@ def _one_step_off(cop):
     """cop with its largest step entry of Delta(J+), and so of Delta(J-), off by 1e-9 relative."""
     from nlsl2.hopf import Coproduct
 
-    steps = [s.copy() for s in cop.steps]
+    cop = Coproduct(cop.pr, tuple(x and [y.copy() for y in x] for x in cop.stacks))
+    steps = cop.steps  # views into the copied stacks
     k = max(range(len(steps)), key=lambda i: steps[i].max())
     steps[k][np.unravel_index(np.argmax(steps[k]), steps[k].shape)] *= 1 + 1e-9
-    return Coproduct(cop.pr, steps, cop.j3)
+    return cop
 
 
 def _dense_residuals(mats, beta):
