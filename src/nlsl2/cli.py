@@ -13,15 +13,8 @@ import stat
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import families as fam_mod, hopf as hopf_mod  # both load on the first read of one of their names
-from . import qdeform
-from . import repbuilder, verifier
-from .coefficients import alpha_from_beta, beta_from_alpha, format_rational, parse_rational, phi_eval
-from .halfint import halfint
-from .structure import (HiggsShifted, InadmissibleLabelError, Polynomial, QBase, QuadraticShifted, StructureSpec,
-                        polynomial_transfer, quadratic_transfer)
+from . import coefficients, repbuilder, structure, verifier  # each layer loads on first use
+from . import families as fam_mod, hopf as hopf_mod
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -29,8 +22,8 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader has gone
 
 
-def _rational_list(text: str, parse=parse_rational) -> list:
-    values = [parse(tok) for tok in (text or "").split(",") if tok.strip()]
+def _rational_list(text: str, parse=None) -> list:
+    values = [(parse or coefficients.parse_rational)(tok) for tok in (text or "").split(",") if tok.strip()]
     if not values:
         raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
     return values
@@ -40,11 +33,15 @@ def _float_list(text: str) -> list[float]:
     return _rational_list(text, float)
 
 
-def _scalar(args, name: str) -> Fraction:
-    text = getattr(args, name)
-    if text is None:
-        raise ValueError(f"--{name} is required for the {args.family} family")
-    return parse_rational(text)
+def _flag(args, name: str, *others: str) -> str:
+    """The text of --name, or a ValueError naming it and any flag that stands in for it when neither is given."""
+    if (text := getattr(args, name)) is None:
+        raise ValueError(f"{' or '.join(f'--{n}' for n in (name, *others))} is required for the {args.family} family")
+    return text
+
+
+def _scalar(args, name: str, *others: str) -> Fraction:
+    return coefficients.parse_rational(_flag(args, name, *others))
 
 
 def _finite(name: str, value: float) -> float:
@@ -82,34 +79,42 @@ def _emit(args, payload, table, rows=None):
             fh.truncate()
 
 
-def _build_spec(args) -> StructureSpec:
-    j = halfint(args.j)
+def _spin(text: str):
+    """--j (--j1, --j2) as a HalfInt; `halfint` loads on the first command that reads a spin."""
+    from .halfint import halfint
+    return halfint(text)
+
+
+def _build_spec(args) -> structure.StructureSpec:
+    j = _spin(args.j)
     if args.family == "polynomial":
-        return StructureSpec(Polynomial(_rational_list(args.alpha)), j)
-    if args.family == "higgs":
-        return StructureSpec(HiggsShifted(float(_scalar(args, "beta")), _finite("gamma", args.gamma)), j)
-    if args.family == "quadratic":
-        return StructureSpec(QuadraticShifted(float(_scalar(args, "alpha")), _finite("gamma", args.gamma)), j)
-    if args.family == "qbase":
-        return StructureSpec(QBase([_finite("alpha", a) for a in _float_list(args.alpha)], args.delta), j)
-    raise ValueError(f"unknown family {args.family!r}")
+        shape = structure.Polynomial(_rational_list(_flag(args, "alpha")))
+    elif args.family == "higgs":
+        shape = structure.HiggsShifted(float(_scalar(args, "beta")), _finite("gamma", args.gamma))
+    elif args.family == "quadratic":
+        shape = structure.QuadraticShifted(float(_scalar(args, "alpha")), _finite("gamma", args.gamma))
+    elif args.family == "qbase":
+        shape = structure.QBase([_finite("alpha", a) for a in _float_list(_flag(args, "alpha"))], args.delta)
+    else:
+        raise ValueError(f"unknown family {args.family!r}")
+    return structure.StructureSpec(shape, j)
 
 
 def cmd_coeffs(args) -> int:
     if args.alpha_from_beta:
-        out, label = alpha_from_beta(_rational_list(args.alpha_from_beta)), "alpha"
+        out, label = coefficients.alpha_from_beta(_rational_list(args.alpha_from_beta)), "alpha"
     elif args.beta_from_alpha:
-        out, label = beta_from_alpha(_rational_list(args.beta_from_alpha)), "beta"
+        out, label = coefficients.beta_from_alpha(_rational_list(args.beta_from_alpha)), "beta"
     else:
         print("coeffs: one of --alpha-from-beta / --beta-from-alpha is required", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, lambda: {label: list(map(format_rational, out))}, lambda: ", ".join(map(str, out)),
-          lambda: ([label], [[format_rational(v)] for v in out]))
+    _emit(args, lambda: {label: list(map(coefficients.format_rational, out))}, lambda: ", ".join(map(str, out)),
+          lambda: ([label], [[coefficients.format_rational(v)] for v in out]))
     return EXIT_OK
 
 
 def cmd_rep(args) -> int:
-    j = halfint(args.j)
+    j = _spin(args.j)
     if args.family == "sl2":
         rep = repbuilder.build_sl2(j)
     elif args.family == "uq":
@@ -126,26 +131,17 @@ def cmd_rep(args) -> int:
     return EXIT_OK
 
 
-def _add_q_casimir_checks(report, j, delta: float, tol):
-    """The three q-Casimir residuals of `qdeform.uq_casimir_residuals`, each gated at its own term's scale."""
-    spread, root, inversion = qdeform.uq_casimir_residuals(j, qdeform.QParam(delta))
-    bracket = qdeform.q_bracket(j.value + 0.5, delta)
-    report.add_numeric("q-Casimir diagonal constant", spread, verifier.gate(j.twice + 1, bracket ** 2, tol))
-    report.add_numeric("sqrt(Chat + [1/2]^2) = [j+1/2]", root, verifier.gate(j.twice + 1, bracket, tol))
-    report.add_numeric("q-Casimir arcsinh relation", inversion, verifier.gate(j.twice + 1, j.value + 0.5, tol))
-
-
 def cmd_verify(args) -> int:
-    j = halfint(args.j)
+    j = _spin(args.j)
     report = verifier.VerificationReport()
     if args.family == "polynomial":
-        alpha = _rational_list(args.alpha)
+        alpha = _rational_list(_flag(args, "alpha"))
         report.extend(verifier.exact_recurrence_check(alpha, j))
-        rep = repbuilder.build_deformed(StructureSpec(Polynomial(alpha), j))
-        beta = beta_from_alpha(alpha)
+        rep = repbuilder.build_deformed(structure.StructureSpec(structure.Polynomial(alpha), j))
+        beta = coefficients.beta_from_alpha(alpha)
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
         cas = repbuilder._ladder_casimir_diagonal(rep, repbuilder._phi_values(rep, alpha))
-        expected = float(phi_eval(alpha, j.mm1()))
+        expected = float(coefficients.phi_eval(alpha, j.mm1()))
         report.add_numeric("Casimir = phi(j(j+1)) I", verifier._norm(cas - expected),
                            verifier.gate(rep.dim, abs(expected) * math.sqrt(rep.dim), args.tol))
     elif args.family == "higgs":
@@ -153,14 +149,7 @@ def cmd_verify(args) -> int:
         beta = [Fraction(1), _scalar(args, "beta")]
         report.extend(verifier.commutator_residuals(rep, beta, tol=args.tol))
     elif args.family == "uq":
-        rep = repbuilder.build_uq(j, args.delta)
-        pm, mp = repbuilder.ladder_products(rep.ladder[1])
-        target = qdeform.q_brackets(np.arange(j.twice, -j.twice - 1, -2), args.delta)  # [2m], m = j, ..., -j
-        top = max(np.abs(pm).max(), np.abs(target).max()) or 1.0  # norms in units of the largest entry stay finite
-        report.add_numeric("[J+,J-] = [2 J3] diagonal", float(np.linalg.norm((pm - mp - target) / top)),
-                           verifier.gate(rep.dim, max(np.linalg.norm(pm / top), np.linalg.norm(target / top)),
-                                         args.tol and args.tol / top), context=f"in units of max |entry| = {top:.6g}")
-        _add_q_casimir_checks(report, j, args.delta, args.tol)
+        report.extend(verifier.uq_checks(j, args.delta, args.tol, repbuilder.build_uq(j, args.delta)))
     else:
         print(f"verify: unsupported family {args.family!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -169,10 +158,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_families(args) -> int:
-    j = halfint(args.j)
+    j = _spin(args.j)
     name = "beta" if args.family == "higgs" else "alpha"
     text = getattr(args, f"{name}_grid")
-    grid = _float_list(text) if text else [float(_scalar(args, name))]
+    grid = _float_list(text) if text else [float(_scalar(args, name, f"{name}-grid"))]
     rows = fam_mod.scan(j, grid, args.family)
     flat = functools.partial(fam_mod.scan_csv_rows, rows)
 
@@ -185,15 +174,11 @@ def cmd_families(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    j1, j2 = halfint(args.j1), halfint(args.j2)
+    j1, j2 = _spin(args.j1), _spin(args.j2)
     rep1, rep2 = repbuilder.build_sl2(j1), repbuilder.build_sl2(j2)
     pr = hopf_mod.primitive_coproduct(rep1, rep2)
     report = verifier.VerificationReport()
-
-    spectrum = np.sort(pr.w)
-    oracle = hopf_mod.product_casimir_spectrum(j1, j2)
-    report.add_numeric("Delta(C) spectrum = Clebsch-Gordan J(J+1) pattern", np.abs(spectrum - oracle).max(),
-                       verifier.gate(pr.dim, oracle[-1], args.tol))
+    report.extend(hopf_mod.casimir_spectrum_check(pr, args.tol))
 
     # the Hopf axioms of each given family (sl2 when none is) on V(j) (x) V(j), j = min(j1, j2), no larger than
     # the product asked for; at j1 != j2 its labels are not the product's, so a family inadmissible at one of
@@ -201,16 +186,16 @@ def cmd_hopf(args) -> int:
     families, cop = {}, None
     if args.alpha is not None:
         alpha = _rational_list(args.alpha)
-        families["polynomial"] = functools.partial(polynomial_transfer, alpha)
+        families["polynomial"] = functools.partial(structure.polynomial_transfer, alpha)
         if j1 == j2:  # the product is the axiom checks' V (x) V: its coproduct is built once, for both
-            cop = hopf_mod.transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)))
+            cop = hopf_mod.transferred_coproduct(pr, structure.polynomial_transfer(alpha, max(pr.spins)))
     if args.quadratic_alpha is not None:
-        families["quadratic"] = functools.partial(quadratic_transfer, args.quadratic_alpha)
+        families["quadratic"] = functools.partial(structure.quadratic_transfer, args.quadratic_alpha)
     rep = rep1 if j1 <= j2 else rep2
     for name, family in (families or {"sl2": None}).items():
         try:
             checks = hopf_mod.hopf_axiom_checks(rep, family, args.tol, cop if name == "polynomial" else None)
-        except InadmissibleLabelError as exc:
+        except structure.InadmissibleLabelError as exc:
             if j1 == j2:
                 raise
             print(f"note: {name} axiom checks left out, V({rep.j}) (x) V({rep.j}): {exc}", file=sys.stderr)
@@ -220,8 +205,8 @@ def cmd_hopf(args) -> int:
             report.checks.append(check)
 
     if args.alpha is not None:
-        cop = cop or hopf_mod.transferred_coproduct(pr, polynomial_transfer(alpha, max(pr.spins)))
-        for check in verifier.commutator_residuals(cop, beta_from_alpha(alpha), tol=args.tol).checks:
+        cop = cop or hopf_mod.transferred_coproduct(pr, structure.polynomial_transfer(alpha, max(pr.spins)))
+        for check in verifier.commutator_residuals(cop, coefficients.beta_from_alpha(alpha), tol=args.tol).checks:
             check.name = "deformed coproduct: " + check.name
             report.checks.append(check)
         if j1 == j2:  # Delta'(J3') is diag(M)
@@ -233,9 +218,8 @@ def cmd_hopf(args) -> int:
 
 
 def cmd_qlimit(args) -> int:
-    j, delta = halfint(args.j), args.delta
-    report = verifier.VerificationReport()
-    _add_q_casimir_checks(report, j, delta, args.tol)
+    j, delta = _spin(args.j), args.delta
+    report = verifier.uq_checks(j, delta, args.tol)
     if j.twice > 0:
         # the larger of the two cosh terms on the left, at m = -j
         scale = math.cosh(delta * (j.twice + 1)) / (4 * j.value * math.sinh(delta) ** 2)

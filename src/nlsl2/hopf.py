@@ -20,9 +20,6 @@ the counit and antipode axioms on weight blocks.
 
 Tensor factors are sl2 irreps. Coassociativity is not checked: a deformed Delta'(X) is written through Delta(C),
 Delta(J3) and Delta(J+-), so it is coassociative because the primitive Delta is.
-
-The package puts this module in sys.modules unloaded, and its body runs on the first read of one of its names
-(in the CLI, only in `nlsl2 hopf`), so a run that forms no product never loads it.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .halfint import halfint
+from .halfint import HalfInt, halfint
 from .repbuilder import MatrixRep, _factors, _transferred_irrep, build_sl2
 from .structure import InadmissibleLabelError, Transfer, polynomial_transfer, quadratic_transfer
 from .verifier import VerificationReport, _norm, gate
@@ -270,6 +267,15 @@ def product_casimir_spectrum(j1, j2) -> list[float]:
     for twoJ in range(abs(j1.twice - j2.twice), j1.twice + j2.twice + 1, 2):
         vals.extend([twoJ * (twoJ + 2) / 4.0] * (twoJ + 1))
     return sorted(vals)
+
+
+def casimir_spectrum_check(pr: ProductRep, tol: Optional[float] = None) -> VerificationReport:
+    """pr's Delta(C) eigenvalues, sorted, against the Clebsch-Gordan oracle `product_casimir_spectrum`."""
+    oracle = product_casimir_spectrum(HalfInt(pr.d1 - 1), HalfInt(pr.d2 - 1))
+    report = VerificationReport()
+    report.add_numeric("Delta(C) spectrum = Clebsch-Gordan J(J+1) pattern", np.abs(np.sort(pr.w) - oracle).max(),
+                       gate(pr.dim, oracle[-1], tol))
+    return report
 
 
 @dataclass(frozen=True)

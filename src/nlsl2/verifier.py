@@ -12,6 +12,7 @@ import numpy as np
 
 from .coefficients import _epsilon_row, beta_from_alpha, format_rational, over_common_denominator
 from .halfint import halfint
+from .qdeform import QParam, q_bracket, q_brackets, uq_casimir_residuals
 from .repbuilder import MatrixRep, ladder_products
 from .structure import Polynomial, StructureSpec, ladder_numerators
 
@@ -199,6 +200,26 @@ def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Option
     report.add_numeric("[J3,J-] = -J-", r_plus, gate(dim, n_3 * n_p, tol), context=where)
     report.add_numeric("[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", r_comm, gate(dim, max(n_pm, n_f), tol),
                        context=f"{where} beta={[float(b) for b in beta]}")
+    return report
+
+
+def uq_checks(j, delta: float, tol: Optional[float] = None, rep: Optional[MatrixRep] = None) -> VerificationReport:
+    """The three q-Casimir residuals of `qdeform.uq_casimir_residuals` at the HalfInt j, each gated at its own
+    term's scale, after [J+, J-] = [2 J3] on the diagonal of rep (`repbuilder.build_uq` at j) when one is given: that
+    one takes every term, tol too, in units of the largest entry, so its norms stay finite near the float range."""
+    report = VerificationReport()
+    if rep is not None:
+        pm, mp = ladder_products(rep.ladder[1])
+        target = q_brackets(np.arange(j.twice, -j.twice - 1, -2), delta)  # [2m], m = j, ..., -j
+        top = max(np.abs(pm).max(), np.abs(target).max()) or 1.0
+        report.add_numeric("[J+,J-] = [2 J3] diagonal", float(np.linalg.norm((pm - mp - target) / top)),
+                           gate(rep.dim, max(np.linalg.norm(pm / top), np.linalg.norm(target / top)),
+                                tol and tol / top), context=f"in units of max |entry| = {top:.6g}")
+    spread, root, inversion = uq_casimir_residuals(j, QParam(delta))
+    bracket = q_bracket(j.value + 0.5, delta)
+    report.add_numeric("q-Casimir diagonal constant", spread, gate(j.twice + 1, bracket ** 2, tol))
+    report.add_numeric("sqrt(Chat + [1/2]^2) = [j+1/2]", root, gate(j.twice + 1, bracket, tol))
+    report.add_numeric("q-Casimir arcsinh relation", inversion, gate(j.twice + 1, j.value + 0.5, tol))
     return report
 
 

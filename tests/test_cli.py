@@ -52,6 +52,23 @@ def test_coeffs_requires_a_direction(capsys):
     assert "required" in err
 
 
+@pytest.mark.parametrize("argv,message,given", [
+    (["rep", "--family", "polynomial", "--j", "2"], "--alpha is required for the polynomial family", "--alpha=1,1/10"),
+    (["verify", "--family", "polynomial", "--j", "2"], "--alpha is required for the polynomial family",
+     "--alpha=1,1/10"),
+    (["rep", "--family", "qbase", "--j", "2"], "--alpha is required for the qbase family", "--alpha=1,0.1"),
+    (["families", "--family", "higgs", "--j", "1"], "--beta or --beta-grid is required for the higgs family",
+     "--beta-grid=-0.1"),
+    (["families", "--family", "quadratic", "--j", "1"],
+     "--alpha or --alpha-grid is required for the quadratic family", "--alpha=0.01"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_a_missing_family_parameter_is_named_by_its_flags(capsys, argv, message, given):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and err == f"error: {message}\n"
+    code, out, err = _run(capsys, *argv, given)
+    assert code == EXIT_OK and out and err == ""
+
+
 def test_rep_json_output(capsys):
     code, out, _ = _run(capsys, "--format", "json", "rep", "--family", "sl2", "--j", "1/2")
     assert code == EXIT_OK
@@ -395,8 +412,7 @@ Q_CASIMIR = ["q-Casimir diagonal constant", "sqrt(Chat + [1/2]^2) = [j+1/2]", "q
 @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3, 0.5])
 def test_q_casimir_checks_pass_up_to_2j_200(delta):
     for two_j in range(201):
-        report = verifier.VerificationReport()
-        cli._add_q_casimir_checks(report, HalfInt(two_j), delta, None)
+        report = verifier.uq_checks(HalfInt(two_j), delta)
         assert [c.name for c in report.checks] == Q_CASIMIR
         assert report.all_passed, (two_j, [c.to_json_dict() for c in report.checks])
 
@@ -820,52 +836,110 @@ def test_a_nan_delta_is_named_not_finite_and_an_infinite_one_still_overflows(cap
     assert code == EXIT_OK and out and err == ""
 
 
-_LAZY_LAYERS = """
+_LAYERS = ("halfint", "coefficients", "structure", "qdeform", "repbuilder", "verifier", "families", "hopf", "cli")
+
+_LAYERS_RUN = """
 import contextlib, io, json, sys
 ran = set()  # the files whose module body has run
 sys.addaudithook(lambda event, args: event == "exec" and ran.add(getattr(args[0], "co_filename", "")))
-
-
-def loaded():
-    return [name for name in ("families", "hopf") if nlsl2.__file__.replace("__init__", name) in ran]
-
-
-import nlsl2, nlsl2.cli
-layers = ("coefficients", "structure", "repbuilder", "verifier", "hopf", "families", "qdeform", "cli")
-seen = {"import": loaded(), "missing": [m for m in layers if f"nlsl2.{m}" not in sys.modules]}
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [nlsl2.cli.run(argv) for argv in (
-        ["coeffs", "--alpha-from-beta", "1,1/10"], ["rep", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
-        ["verify", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"], ["qlimit", "--j", "1"])]
-    seen["commands"] = loaded()
-    undir = sorted({*nlsl2.__all__, "families", "hopf"} - set(dir(nlsl2)))
-    codes.append(nlsl2.cli.run(["families", "--family", "higgs", "--j", "1", "--beta-grid=-0.1,-0.01"]))
-    seen["families"] = loaded()
-    from nlsl2 import scan
-    scanned = len(scan(1, [-0.1], "higgs")) == 1 and scan is nlsl2.families.scan
-    seen["scan"] = loaded()
-    star = {}
-    exec("from nlsl2 import *", star)
-    unresolved = [name for name in nlsl2.__all__ if getattr(nlsl2, name, None) is None]
-    shared = nlsl2.primitive_coproduct is nlsl2.hopf.primitive_coproduct
-    codes.append(nlsl2.cli.run(["hopf", "--j1", "1", "--j2", "1", "--alpha=1,1/10", "--quadratic-alpha=0.05"]))
-print(json.dumps({"codes": codes, "seen": seen, "undir": undir, "unbound": sorted(set(nlsl2.__all__) - set(star)),
-                  "unresolved": unresolved, "shared": shared, "scanned": scanned}))
+argv = json.loads(sys.argv[1])  # None: import nlsl2 alone; []: import nlsl2.cli too; else also run that command
+layers = json.loads(sys.argv[2])
+import nlsl2
+missing = [m for m in layers if m != "cli" and f"nlsl2.{m}" not in sys.modules]  # cli alone is not deferred
+code = None
+if argv is not None:
+    import nlsl2.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = nlsl2.cli.run(argv) if argv else None
+got = {"code": code, "missing": missing, "numpy": "numpy" in sys.modules,
+       "ran": [m for m in layers if nlsl2.__file__.replace("__init__", m) in ran]}
+got["halfint"] = nlsl2.halfint is sys.modules["nlsl2.halfint"].halfint  # the function, read first, not its module
+print(json.dumps(got))
 """
 
 
-def test_commands_load_the_family_scan_and_the_product_layer_only_when_they_use_them():
+def _layers_but(*left):
+    return [m for m in _LAYERS if m not in left]
+
+
+def _fresh(script: str, *args: str) -> dict:
+    """The JSON that script prints in a fresh process, with no cached bytecode to read or write."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", _LAZY_LAYERS], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert got["codes"] == [EXIT_OK] * 6
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv,ran,numpy", [
+    pytest.param(None, [], False, id="import nlsl2"),
+    pytest.param([], ["cli"], False, id="import nlsl2.cli"),
+    pytest.param(["coeffs", "--alpha-from-beta", "1,1/10"], ["coefficients", "cli"], False, id="coeffs"),
+    pytest.param(["rep", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
+                 _layers_but("verifier", "families", "hopf"), True, id="rep"),
+    pytest.param(["verify", "--family", "polynomial", "--j", "2", "--alpha", "1,1/10"],
+                 _layers_but("families", "hopf"), True, id="verify"),
+    pytest.param(["qlimit", "--j", "1"], _layers_but("families", "hopf"), True, id="qlimit"),
+    pytest.param(["families", "--family", "higgs", "--j", "1", "--beta-grid=-0.1,-0.01"],
+                 _layers_but("repbuilder", "verifier", "hopf"), True, id="families"),
+    pytest.param(["hopf", "--j1", "1", "--j2", "1", "--alpha=1,1/10", "--quadratic-alpha=0.05"],
+                 _layers_but("families"), True, id="hopf"),
+])
+def test_each_command_runs_only_the_layer_bodies_it_calls(argv, ran, numpy):
+    got = _fresh(_LAYERS_RUN, json.dumps(argv), json.dumps(_LAYERS))
     # each layer module is in sys.modules from the start, as a tracer that reads every layer there needs
-    assert got["seen"] == {"import": [], "missing": [], "commands": [], "families": ["families"],
-                           "scan": ["families"]}
-    assert got["undir"] == [] and got["unbound"] == [] and got["unresolved"] == [] and got["shared"] is True
-    assert got["scanned"] is True
+    assert got["missing"] == [] and got["code"] in (None, EXIT_OK) and got["halfint"] is True
+    assert got["ran"] == ran and got["numpy"] is numpy
+
+
+def test_every_exported_name_is_its_layers_own_object_in_dir_and_the_star_import():
+    import nlsl2
+
+    star = {}
+    exec("from nlsl2 import *", star)
+    assert set(star) - {"__builtins__"} == set(nlsl2.__all__)
+    layers = {m for m in _LAYERS if m not in ("halfint", "cli")}  # nlsl2.halfint is the function of that name
+    assert {*nlsl2.__all__, *layers} <= set(dir(nlsl2))
+    assert all(getattr(nlsl2, m) is sys.modules[f"nlsl2.{m}"] for m in layers)
+    for name, layer in nlsl2._LAZY.items():
+        assert star[name] is getattr(nlsl2, name) is getattr(sys.modules[f"nlsl2.{layer}"], name), name
+
+
+_FIRST_READS = """
+import json, os, sys, threading, time
+runs = {}  # how many times each package file's module body has run
+def hook(event, args):
+    if event == "exec" and f"{os.sep}nlsl2{os.sep}" in (name := getattr(args[0], "co_filename", "")):
+        runs[name] = runs.get(name, 0) + 1
+        time.sleep(0.02)  # hand the other thread the interpreter while the body has yet to run
+sys.addaudithook(hook)
+import nlsl2
+same = {}
+for name in json.loads(sys.argv[1]):
+    start, got = threading.Barrier(2), []
+    def read():
+        start.wait()
+        got.append(getattr(nlsl2, name))
+    threads = [threading.Thread(target=read) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    layer = sys.modules[f"nlsl2.{nlsl2._LAZY[name]}"]
+    same[name] = len(got) == 2 and got[0] is got[1] is getattr(layer, name)
+print(json.dumps({"same": same, "runs": [runs.get(nlsl2.__file__.replace("__init__", m), 0) for m in
+                                         ("halfint", "coefficients", "qdeform", "structure", "repbuilder",
+                                          "verifier")]}))
+"""
+
+
+def test_two_threads_first_reading_a_layers_name_through_the_package_get_one_object_from_one_body_run():
+    # one name of each layer, in the order they import each other, so each read loads one layer; on
+    # Python < 3.12.3 a first read made directly through nlsl2.<module>.<name> is not covered
+    names = ["HalfInt", "alpha_from_beta", "QParam", "StructureSpec", "build_sl2", "VerificationReport"]
+    got = _fresh(_FIRST_READS, json.dumps(names))
+    assert got["same"] == dict.fromkeys(names, True)
+    assert got["runs"] == [1] * len(names)
 
 
 def test_an_unknown_package_attribute_names_the_module_and_the_attribute():
