@@ -13,10 +13,9 @@ import sys
 import threading
 
 _LAZY = {name: module for module, names in (  # each exported name, and the layer module that defines it
-    ("halfint", "HalfInt halfint ladder ladder_desc"),
+    ("halfint", "HalfInt halfint"),
     ("coefficients", "alpha_from_beta bernoulli beta_from_alpha epsilon phi_eval phi_prime power_sum_oracle"),
-    ("structure", "HiggsShifted Polynomial QBase QuadraticShifted StructureSpec admissible f2_higgs_shifted_down "
-                  "f2_higgs_shifted_up f2_polynomial f2_qbase f2_quadratic_down f2_quadratic_up"),
+    ("structure", "HiggsShifted Polynomial QBase QuadraticShifted StructureSpec admissible"),
     ("repbuilder", "InadmissibleSpecError MatrixRep NonBijectiveError build_deformed build_quadratic_explicit "
                    "build_sl2 build_uq casimir_matrix deformed_from_undeformed inverse_map_polynomial inverse_map_uq"),
     ("verifier", "VerificationReport commutator_residuals exact_recurrence_check q_series_identity_residual "

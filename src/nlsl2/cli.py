@@ -29,8 +29,8 @@ def _rational_list(text: str, parse=None) -> list:
     return values
 
 
-def _float_list(text: str) -> list[float]:
-    return _rational_list(text, float)
+def _float_list(name: str, text: str) -> list[float]:
+    return [_finite(name, v) for v in _rational_list(text, float)]
 
 
 def _flag(args, name: str, *others: str) -> str:
@@ -94,7 +94,7 @@ def _build_spec(args) -> structure.StructureSpec:
     elif args.family == "quadratic":
         shape = structure.QuadraticShifted(float(_scalar(args, "alpha")), _finite("gamma", args.gamma))
     elif args.family == "qbase":
-        shape = structure.QBase([_finite("alpha", a) for a in _float_list(_flag(args, "alpha"))], args.delta)
+        shape = structure.QBase(_float_list("alpha", _flag(args, "alpha")), args.delta)
     else:
         raise ValueError(f"unknown family {args.family!r}")
     return structure.StructureSpec(shape, j)
@@ -161,7 +161,7 @@ def cmd_families(args) -> int:
     j = _spin(args.j)
     name = "beta" if args.family == "higgs" else "alpha"
     text = getattr(args, f"{name}_grid")
-    grid = _float_list(text) if text else [float(_scalar(args, name, f"{name}-grid"))]
+    grid = _float_list(f"{name}-grid", text) if text else [float(_scalar(args, name, f"{name}-grid"))]
     rows = fam_mod.scan(j, grid, args.family)
     flat = functools.partial(fam_mod.scan_csv_rows, rows)
 
@@ -190,7 +190,8 @@ def cmd_hopf(args) -> int:
         if j1 == j2:  # the product is the axiom checks' V (x) V: its coproduct is built once, for both
             cop = hopf_mod.transferred_coproduct(pr, structure.polynomial_transfer(alpha, max(pr.spins)))
     if args.quadratic_alpha is not None:
-        families["quadratic"] = functools.partial(structure.quadratic_transfer, args.quadratic_alpha)
+        families["quadratic"] = functools.partial(structure.quadratic_transfer,
+                                                  _finite("quadratic-alpha", args.quadratic_alpha))
     rep = rep1 if j1 <= j2 else rep2
     for name, family in (families or {"sl2": None}).items():
         try:
@@ -292,6 +293,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.tol is not None and not 0 <= args.tol < math.inf:  # NaN or < 0 FAILs every check, inf passes any
+            parser.error(f"argument --tol: must be a finite number >= 0, not {args.tol}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

@@ -42,10 +42,6 @@ class HalfInt:
         """m(m+1) as an exact rational."""
         return Fraction(self.twice * (self.twice + 2), 4)
 
-    def mm1_down(self) -> Fraction:
-        """m(m-1) as an exact rational."""
-        return Fraction(self.twice * (self.twice - 2), 4)
-
     def __add__(self, other):
         if isinstance(other, HalfInt):
             return HalfInt(self.twice + other.twice)
@@ -100,14 +96,3 @@ def halfint(x) -> HalfInt:
         raise ValueError(f"{x!r} is not a half-integer")
     return HalfInt(int(frac))
 
-
-def ladder(j: HalfInt):
-    """Yield m = -j, -j+1, ..., j."""
-    for t in range(-j.twice, j.twice + 1, 2):
-        yield HalfInt(t)
-
-
-def ladder_desc(j: HalfInt):
-    """Yield m = j, j-1, ..., -j (the basis order used for matrices)."""
-    for t in range(j.twice, -j.twice - 1, -2):
-        yield HalfInt(t)

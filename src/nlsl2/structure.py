@@ -1,8 +1,9 @@
 """Squared matrix elements (structure functions) for each algebra family.
 
 F(j, m) is the squared matrix element of the raising operator out of |j, m>.
-Each family's closed form is written once, on m = j, ..., -j and the
-boundary point -j-1, and lowering is F(j, m-1).
+Each family's closed form is written once and read a whole ladder at a time
+(`ladder_numerators`, `ladder_values`), on m = j-1, ..., -j; lowering out of
+m is F(j, m-1), and the boundary point m = -j-1 is read by the screen alone.
 
 This module owns each family's transfer map, J+' = J+ h(C, J3)^(1/2) and
 J3' = J3 + s(C) through the undeformed generators, with its guards: h at
@@ -14,8 +15,8 @@ integers, phi(m(m+1)) = n / D with n from one `coefficients.phi_numerators`
 call at the integers t(t+2), t = 2m, over phi's common denominator D, and
 Fractions are built only by the public functions that return them. The
 shifted Higgs, shifted quadratic and q-base families carry irrational
-parameters and are floating point with an explicit tolerance; each closed
-form takes m as a float (`f2_up`) or a whole ladder array, bitwise alike.
+parameters and are floating point with an explicit tolerance; their closed
+form (`_float_closed_form`) takes m as a float or an array of them.
 """
 
 from __future__ import annotations
@@ -104,27 +105,6 @@ class StructureSpec:
         return type(self.family).__name__
 
 
-def _check_range(j: HalfInt, m: HalfInt, below: int = 0):
-    """ValueError unless m is one of j, j-1, ..., -j - below."""
-    if (j.twice - m.twice) % 2 or not -j.twice - 2 * below <= m.twice <= j.twice:
-        raise ValueError(f"m = {m} outside ladder -{j}..{j}")
-
-
-def f2_polynomial(alpha: Sequence, j, m) -> Fraction:
-    """Exact F(j, m) = sum_k alpha_k ((j(j+1))^k - (m(m+1))^k)."""
-    j, m = halfint(j), halfint(m)
-    _check_range(j, m, below=1)
-    a = as_rationals(alpha)
-    jj1, mm1 = j.mm1(), m.mm1()
-    acc = Fraction(0)
-    jp = mp = Fraction(1)
-    for coeff in a:
-        jp *= jj1
-        mp *= mm1
-        acc += coeff * (jp - mp)
-    return acc
-
-
 def _float_closed_form(fam: Family, j: HalfInt, mv):
     """F(j, m) of a float family at mv = m, a float or an array of them."""
     jv = j.value
@@ -144,7 +124,7 @@ def _float_closed_form(fam: Family, j: HalfInt, mv):
         if jj1 > 1 and len(fam.alpha) * math.log(jj1) + math.log(2 * max([1.0, *map(abs, fam.alpha)])) > LOG_FLOAT_MAX:
             raise ValueError(f"q-base powers ([j][j+1])^{len(fam.alpha)} at j={j}, delta={fam.delta} overflow a float")
         mm1 = q_brackets(mv, fam.delta) * q_brackets(mv + 1, fam.delta)
-        acc = 0.0
+        acc = np.zeros(np.shape(mv))  # the shape of m, also when phi has no terms
         jp = mp = 1.0
         for coeff in fam.alpha:
             jp *= jj1
@@ -152,52 +132,6 @@ def _float_closed_form(fam: Family, j: HalfInt, mv):
             acc += coeff * (jp - mp)
         return acc
     raise TypeError(f"unknown family {fam!r}")
-
-
-def f2_up(spec: StructureSpec, m) -> float:
-    """Family dispatch for the raising structure function (as float)."""
-    fam, j, m = spec.family, spec.j, halfint(m)
-    if isinstance(fam, Polynomial):
-        return float(f2_polynomial(fam.alpha, j, m))
-    _check_range(j, m, below=1)
-    return float(_float_closed_form(fam, j, m.value))
-
-
-def f2_down(spec: StructureSpec, m) -> float:
-    """Family dispatch for the lowering structure function: F(j, m-1) (as float).
-
-    Hermiticity makes lowering out of m raising into it. At m = -j this is
-    the raising closed form at the boundary point m = -j-1, which vanishes
-    exactly for the unshifted families and pins gamma for the shifted ones.
-    """
-    m = halfint(m)
-    _check_range(spec.j, m)
-    return f2_up(spec, m - 1)
-
-
-def f2_higgs_shifted_up(beta: float, gamma: float, j, m) -> float:
-    """Raising structure function of the shifted Higgs family."""
-    return f2_up(StructureSpec(HiggsShifted(beta, gamma), j), m)
-
-
-def f2_higgs_shifted_down(beta: float, gamma: float, j, m) -> float:
-    """Lowering structure function of the shifted Higgs family, F(j, m-1)."""
-    return f2_down(StructureSpec(HiggsShifted(beta, gamma), j), m)
-
-
-def f2_quadratic_up(alpha: float, gamma: float, j, m) -> float:
-    """Raising structure function of the shifted quadratic family."""
-    return f2_up(StructureSpec(QuadraticShifted(alpha, gamma), j), m)
-
-
-def f2_quadratic_down(alpha: float, gamma: float, j, m) -> float:
-    """Lowering structure function of the shifted quadratic family, F(j, m-1)."""
-    return f2_down(StructureSpec(QuadraticShifted(alpha, gamma), j), m)
-
-
-def f2_qbase(alpha: Sequence, delta: float, j, m) -> float:
-    """F(j, m) = sum_k alpha_k (([j][j+1])^k - ([m][m+1])^k), [x] the q-bracket."""
-    return f2_up(StructureSpec(QBase(alpha, delta), j), m)
 
 
 def sl2_squares(j: HalfInt) -> np.ndarray:
@@ -215,12 +149,6 @@ def phi_ladder_numerators(alpha: Sequence, j) -> tuple[list[int], int]:
     t = halfint(j).twice
     upper, d = phi_numerators(alpha, [s * (s + 2) for s in range(t, -2, -2)])
     return upper + upper[t + 1 - len(upper):0:-1], d
-
-
-def phi_ladder(alpha: Sequence, j) -> list[Fraction]:
-    """Exact phi(m(m+1)) for m = j, j-1, ..., -j, from `phi_ladder_numerators`."""
-    ns, d = phi_ladder_numerators(alpha, j)
-    return [Fraction(n, d) for n in ns]
 
 
 def divided_difference(alpha: Sequence, top: int) -> Callable:
@@ -347,9 +275,10 @@ def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
     values are `ladder_values(spec)` or the numerators of `ladder_numerators`
     (D > 0 keeps the sign). They must be nonnegative (offenders ascending):
     exactly for the polynomial family, within ADMISSIBILITY_TOL for the real-valued ones.
-    For the shifted families the lowering function must also vanish at m = -j
-    (within BOUNDARY_TOL), which pins the allowed gamma values; the raising
-    one vanishes at m = j exactly, through its factor (j - m).
+    For the shifted families, lowering out of m = -j (the closed form at the
+    boundary point m = -j-1) must also vanish within BOUNDARY_TOL, which pins
+    the allowed gamma values; raising out of m = j vanishes exactly, through
+    the factor (j - m).
     """
     j = spec.j
     if j.twice == 0:
@@ -359,7 +288,7 @@ def screen(spec: StructureSpec, values: Sequence) -> list[HalfInt]:
     offending = [HalfInt(2 * i - j.twice) for i, val in enumerate(reversed(values)) if not val >= -tol]
 
     if (isinstance(spec.family, (HiggsShifted, QuadraticShifted))
-            and not abs(f2_down(spec, -j)) <= BOUNDARY_TOL and -j not in offending):
+            and not abs(_float_closed_form(spec.family, j, -j.value - 1)) <= BOUNDARY_TOL and -j not in offending):
         offending.append(-j)
     return offending
 

@@ -24,9 +24,6 @@ from nlsl2 import (
     cocommutativity_residuals,
     commutator_residuals,
     exact_recurrence_check,
-    f2_higgs_shifted_down,
-    f2_polynomial,
-    f2_quadratic_down,
     halfint,
     higgs_beta_window,
     higgs_gamma_roots,
@@ -46,7 +43,7 @@ from nlsl2 import (
     uq_casimir_relation,
 )
 from nlsl2.families import family_count
-from nlsl2.structure import admissible, polynomial_transfer
+from nlsl2.structure import _float_closed_form, admissible, polynomial_transfer
 
 
 def _verdict(num: int, desc: str, ok: bool):
@@ -100,7 +97,7 @@ def test_criterion_3_power_sum_consistency():
         alpha = alpha_from_beta(beta)
         for j in range(0, 11):
             for m in range(-j, j + 1):
-                lhs = f2_polynomial(alpha, j, m)
+                lhs = phi_eval(alpha, j * (j + 1)) - phi_eval(alpha, m * (m + 1))
                 rhs = 2 ** (2 * k + 1) * (s_odd(k, j) - s_odd(k, m))
                 if lhs != rhs:
                     ok = False
@@ -119,7 +116,8 @@ def test_criterion_4_cubic_family_counts():
     for sol in higgs_gamma_roots(j, -0.3):
         if not sol.admissible:
             annih_ok = False
-        if abs(f2_higgs_shifted_down(-0.3, sol.gamma, j, -j)) > 1e-10:
+        # lowering out of m = -j is F(j, -j-1)
+        if abs(_float_closed_form(HiggsShifted(-0.3, sol.gamma), j, -j.value - 1)) > 1e-10:
             annih_ok = False
     _verdict(4, "cubic family counts {3,1,1,0} at j=1/2 and gamma-root lowest-weight annihilation",
              counts_ok and annih_ok)
@@ -232,8 +230,7 @@ def test_criterion_8_q_deformed_commutator_and_series():
             rep = build_uq(j, d, dtype=ld)
             comm = rep.Jplus @ rep.Jminus - rep.Jminus @ rep.Jplus
             dd = ld(d)
-            target = np.diag(np.sinh(dd * np.array([2 * m.value for m in _ladder_desc(j)],
-                                                   dtype=ld)) / np.sinh(dd))
+            target = np.diag(np.sinh(dd * np.arange(two_j, -two_j - 1, -2, dtype=ld)) / np.sinh(dd))
             if np.linalg.norm(comm - target) > 1e-12:
                 ok = False
     for two_j in range(1, 6):
@@ -242,12 +239,6 @@ def test_criterion_8_q_deformed_commutator_and_series():
             if q_series_identity_residual(j, HalfInt(two_m), 0.3, trunc=25) > 1e-8:
                 ok = False
     _verdict(8, "q-deformed commutator to 1e-12 (2j <= 10) and bracket-ratio series to 1e-8", ok)
-
-
-def _ladder_desc(j):
-    from nlsl2.halfint import ladder_desc
-
-    return list(ladder_desc(j))
 
 
 def test_criterion_9_q_shift_rigidity():
@@ -267,7 +258,7 @@ def test_criterion_10_quadratic_family():
         bound = 3 / (2 * (2 * j.twice + 1))
         a = 0.5 * bound
         sol = quadratic_gamma(j, a)
-        if not sol.admissible or abs(f2_quadratic_down(a, sol.gamma, j, -j)) > 1e-10:
+        if not sol.admissible or abs(_float_closed_form(QuadraticShifted(a, sol.gamma), j, -j.value - 1)) > 1e-10:
             ok = False
         rep = build_quadratic_explicit(build_sl2(j), a)
         res = commutator_residuals(rep, [])  # only the [J3, J+-] checks apply

@@ -90,6 +90,16 @@ def test_verify_polynomial_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_a_tolerance_no_check_could_meet_honestly_is_a_usage_error(capsys, tol):
+    # a NaN or negative gate FAILs every numeric check and an infinite one passes any: refused at parse time
+    code, out, err = _run(capsys, f"--tol={tol}", "qlimit", "--j", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith(f"nlsl2: error: argument --tol: must be a finite number >= 0, not {float(tol)}\n")
+    code, out, err = _run(capsys, "--format", "json", "--tol=1e-6", "qlimit", "--j", "1")
+    assert code == EXIT_OK and json.loads(out)["summary"]["all_passed"] and err == ""
+
+
 def test_verify_impossible_tolerance_fails(capsys):
     # residuals are ~1e-16 but nonzero, so an absurd tolerance must flip to 1
     code, out, _ = _run(capsys, "--tol", "1e-30", "verify", "--family", "polynomial",
@@ -773,10 +783,15 @@ def test_a_nan_parameter_is_one_error_line_and_its_finite_control_passes(capsys,
     ("quadratic", "alpha", "0.05", 1),
 ])
 def test_families_counts_no_admissible_solution_at_a_nan_parameter(capsys, family, name, value, count):
+    # the scan counts a NaN parameter as no admissible solution; the command refuses a NaN grid value before it
+    (row,) = families.scan(HalfInt(2), [float(value)], family)
+    assert row["count"] == count and sum(row["admissible"]) == count
     code, out, _ = _run(capsys, "--format", "json", "families", "--family", family, "--j", "1",
                         f"--{name}-grid={value}")
-    (row,) = json.loads(out)["rows"]
-    assert code == EXIT_OK and row["count"] == count and sum(row["admissible"]) == count
+    if value == "nan":
+        assert code == EXIT_USAGE and out == ""
+    else:
+        assert code == EXIT_OK and json.loads(out) == {"rows": [row]}
 
 
 _QUADRATIC_GAMMA = "--gamma=-0.0671171376837526"  # quadratic_gamma(1, 0.05), the admissible shift
@@ -789,6 +804,11 @@ _QUADRATIC_GAMMA = "--gamma=-0.0671171376837526"  # quadratic_gamma(1, 0.05), th
     (["rep", "--family", "higgs", "--j", "1", "--beta=-0.1", "--gamma=inf"], "--gamma=0"),
     (["verify", "--family", "higgs", "--j", "1", "--beta=-0.1", "--gamma=inf"], "--gamma=0"),
     (["rep", "--family", "qbase", "--j", "1", "--alpha=1,inf"], "--alpha=1,0"),
+    (["rep", "--family", "qbase", "--j", "1", "--alpha=1,nan"], "--alpha=1,0"),
+    *[(["--format", "json", "families", "--family", family, "--j", "1", f"--{grid}=0.05,{value}"], f"--{grid}=0.05")
+      for family, grid in (("higgs", "beta-grid"), ("quadratic", "alpha-grid")) for value in ("nan", "inf", "-inf")],
+    *[(["hopf", "--j1", "1", "--j2", j2, f"--quadratic-alpha={value}"], "--quadratic-alpha=0.05")
+      for j2 in ("1", "2") for value in ("nan", "inf", "-inf")],
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
 def test_a_non_finite_float_family_parameter_is_refused_before_its_closed_form(capsys, argv, control):
     # no closed form runs on it: the only line on stderr is the error naming the option

@@ -14,7 +14,7 @@ from nlsl2.families import (
     scan_csv_rows,
 )
 from nlsl2.halfint import HalfInt, halfint
-from nlsl2.structure import f2_higgs_shifted_down, f2_higgs_shifted_up
+from nlsl2.structure import HiggsShifted, _float_closed_form
 
 
 def test_window_spin_half():
@@ -59,9 +59,10 @@ def test_window_membership_matches_pair_emission(two_j, beta):
     if float(lo) < beta <= float(hi):
         assert len(nonzero) == 2
         for s in nonzero:
-            # shifted solutions annihilate both ladder boundaries
-            assert abs(f2_higgs_shifted_up(beta, s.gamma, j, j)) < 1e-9
-            assert abs(f2_higgs_shifted_down(beta, s.gamma, j, -j)) < 1e-9
+            # shifted solutions annihilate both ladder boundaries: raising out of m = j, F(j, j), and lowering
+            # out of m = -j, F(j, -j-1)
+            for m in (j.value, -j.value - 1):
+                assert abs(_float_closed_form(HiggsShifted(beta, s.gamma), j, m)) < 1e-9
     else:
         assert not nonzero
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlsl2.halfint import HalfInt, halfint, ladder, ladder_desc
+from nlsl2.halfint import HalfInt, halfint
 
 
 def test_parse_forms():
@@ -29,17 +29,6 @@ def test_reject_non_half_integers():
 def test_mm1_exact(t):
     m = HalfInt(t)
     assert m.mm1() == m.exact * (m.exact + 1)
-    assert m.mm1_down() == m.exact * (m.exact - 1)
-
-
-@given(st.integers(0, 20))
-def test_ladder_order_and_length(two_j):
-    j = HalfInt(two_j)
-    up = list(ladder(j))
-    down = list(ladder_desc(j))
-    assert len(up) == two_j + 1
-    assert up == list(reversed(down))
-    assert up[0] == -j and up[-1] == j
 
 
 def test_arithmetic_and_ordering():

@@ -27,8 +27,8 @@ from nlsl2.hopf import (
 from nlsl2 import hopf
 from nlsl2.repbuilder import (MatrixRep, _transferred_irrep, build_deformed, build_quadratic_explicit, build_sl2,
                               build_uq, deformed_from_undeformed, inverse_map_uq)
-from nlsl2.structure import (HiggsShifted, Polynomial, StructureSpec, divided_difference, f2_polynomial,
-                             polynomial_transfer, quadratic_ladder_factor, quadratic_radicand, quadratic_transfer)
+from nlsl2.structure import (HiggsShifted, Polynomial, StructureSpec, divided_difference, polynomial_transfer,
+                             quadratic_ladder_factor, quadratic_radicand, quadratic_transfer)
 from nlsl2.verifier import EPS, commutator_residuals, gate
 
 
@@ -601,13 +601,14 @@ def test_deformed_coproduct_matches_coupled_basis_oracle(j1, j2):
     pr = primitive_coproduct(build_sl2(halfint(j1)), build_sl2(halfint(j2)))
     djp, djm, _ = deformed_coproduct(pr, alpha)
     prod = djp @ djm
-    top = float(f2_polynomial(alpha, HalfInt(max(pr.spins)), -HalfInt(max(pr.spins))))
+
+    def f(two_j, two_m):  # F_alpha(J, M) = phi(J(J+1)) - phi(M(M+1))
+        return float(phi_eval(alpha, HalfInt(two_j).mm1()) - phi_eval(alpha, HalfInt(two_m).mm1()))
+
+    top = f(max(pr.spins), -max(pr.spins))
     for b in _blocks(pr):
         got = np.linalg.eigvalsh(prod[np.ix_(b.indices, b.indices)])
-        want = sorted(
-            float(f2_polynomial(alpha, HalfInt(t), HalfInt(b.two_m - 2))) if b.two_m > -t else 0.0
-            for t in b.two_js
-        )
+        want = sorted(f(t, b.two_m - 2) if b.two_m > -t else 0.0 for t in b.two_js)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * top)
 
 

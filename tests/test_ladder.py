@@ -16,7 +16,7 @@ import nlsl2.structure as structure
 from nlsl2.cli import run
 from nlsl2.coefficients import alpha_from_beta, beta_from_alpha, phi_eval
 from nlsl2.families import higgs_beta_window, higgs_gamma_roots
-from nlsl2.halfint import HalfInt, halfint, ladder, ladder_desc
+from nlsl2.halfint import HalfInt, halfint
 from nlsl2.qdeform import QParam, _q_bracket_values, q_beta_coeffs, q_bracket, uq_casimir_residuals
 from nlsl2.repbuilder import (
     InadmissibleSpecError,
@@ -37,10 +37,8 @@ from nlsl2.structure import (
     QuadraticShifted,
     StructureSpec,
     admissible,
-    f2_polynomial,
-    f2_up,
     ladder_values,
-    phi_ladder,
+    phi_ladder_numerators,
 )
 from nlsl2.verifier import commutator_residuals
 
@@ -72,14 +70,24 @@ def dense_residuals(rep, beta):
     return residuals, scale
 
 
+def weights_desc(j):
+    """m = j, j-1, ..., -j, the basis order of the matrices."""
+    return [HalfInt(t) for t in range(j.twice, -j.twice - 1, -2)]
+
+
+def poly_f(alpha, j, m):
+    """Exact F(j, m) = phi(j(j+1)) - phi(m(m+1)), by `phi_eval` and not the scaled-integer kernel."""
+    return phi_eval(alpha, j.mm1()) - phi_eval(alpha, m.mm1())
+
+
 def dense_casimir(rep, alpha):
-    up = np.diag([float(phi_eval(alpha, m.mm1())) for m in ladder_desc(rep.j)])
-    dn = np.diag([float(phi_eval(alpha, m.mm1_down())) for m in ladder_desc(rep.j)])
+    up = np.diag([float(phi_eval(alpha, m.mm1())) for m in weights_desc(rep.j)])
+    dn = np.diag([float(phi_eval(alpha, (m - 1).mm1())) for m in weights_desc(rep.j)])
     return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + up + dn)
 
 
 def dense_q_casimir(rep, delta):
-    ms = [m.value for m in ladder_desc(rep.j)]
+    ms = [m.value for m in weights_desc(rep.j)]
     up = np.diag([q_bracket(m, delta) * q_bracket(m + 1, delta) for m in ms])
     dn = np.diag([q_bracket(m, delta) * q_bracket(m - 1, delta) for m in ms])
     return 0.5 * (rep.Jplus @ rep.Jminus + rep.Jminus @ rep.Jplus + up + dn)
@@ -134,7 +142,7 @@ def test_q_casimir_matrix_bitwise_equals_dense(two_j, delta):
 def test_build_deformed_superdiagonal_bitwise(two_j):
     rep, alpha = polynomial_rep(two_j, 3)
     j = HalfInt(two_j)
-    want = [np.sqrt(float(f2_polynomial(alpha, j, m))) for m in list(ladder_desc(j))[1:]]
+    want = [np.sqrt(float(poly_f(alpha, j, m))) for m in weights_desc(j)[1:]]
     assert np.array_equal(np.diag(rep.Jplus, 1), want)
 
 
@@ -152,18 +160,19 @@ def test_build_deformed_evaluates_each_phi_once(monkeypatch):
         calls.clear()
         j = HalfInt(two_j)
         build_deformed(StructureSpec(Polynomial([1, Fraction(1, 10)]), j))
-        assert sorted(calls) == sorted({4 * m.mm1() for m in ladder_desc(j)}), two_j
+        assert sorted(calls) == sorted({4 * m.mm1() for m in weights_desc(j)}), two_j
 
 
 def test_ladder_values_match_closed_forms():
     j = halfint("7/2")
     alpha = [Fraction(1), Fraction(-1, 7), Fraction(1, 90)]
-    ms = list(ladder_desc(j))
-    assert phi_ladder(alpha, j) == [phi_eval(alpha, m.mm1()) for m in ms]
-    assert ladder_values(StructureSpec(Polynomial(alpha), j)) == [f2_polynomial(alpha, j, m) for m in ms[1:]]
+    ms = weights_desc(j)
+    ns, d = phi_ladder_numerators(alpha, j)
+    assert [Fraction(n, d) for n in ns] == [phi_eval(alpha, m.mm1()) for m in ms]
+    assert ladder_values(StructureSpec(Polynomial(alpha), j)) == [poly_f(alpha, j, m) for m in ms[1:]]
     for fam in (HiggsShifted(-0.01, 0.3), QuadraticShifted(0.05, -0.1), QBase([1.0, 0.05], 0.3)):
         spec = StructureSpec(fam, j)
-        assert ladder_values(spec) == [f2_up(spec, m) for m in ms[1:]]
+        assert ladder_values(spec) == [float(structure._float_closed_form(fam, j, m.value)) for m in ms[1:]]
 
 
 FLOAT_FAMILIES = [HiggsShifted(-1e-7, 0.3), QuadraticShifted(0.05, -0.1), QBase([1.0, 0.05], 0.01)]
@@ -172,10 +181,11 @@ FLOAT_FAMILIES = [HiggsShifted(-1e-7, 0.3), QuadraticShifted(0.05, -0.1), QBase(
 @pytest.mark.parametrize("fam", FLOAT_FAMILIES, ids=lambda fam: type(fam).__name__)
 @pytest.mark.parametrize("two_j", [0, 1, 2, 7, 64, 1000])
 def test_float_ladder_is_the_scalar_closed_form_bitwise(fam, two_j):
-    # the array expression over m = j, ..., -j-1 against f2_up one m at a time, boundary point included
+    # the array expression over m = j, ..., -j-1 against the closed form one float m at a time, boundary point
+    # (the screen's scalar read) included
     spec = StructureSpec(fam, HalfInt(two_j))
     ms = np.arange(two_j, -two_j - 3, -2) / 2
-    scalar = np.array([f2_up(spec, HalfInt(t)) for t in range(two_j, -two_j - 3, -2)])
+    scalar = np.array([structure._float_closed_form(fam, spec.j, t / 2) for t in range(two_j, -two_j - 3, -2)])
     array = structure._float_closed_form(fam, spec.j, ms)
     assert bitwise_equal(array, scalar)
     values, d = structure.ladder_numerators(spec)
@@ -185,7 +195,7 @@ def test_float_ladder_is_the_scalar_closed_form_bitwise(fam, two_j):
 @pytest.mark.parametrize("two_j", [0, 1, 2, 7, 64, 1000])
 def test_sl2_and_uq_ladders_are_the_scalar_closed_forms_bitwise(two_j):
     j = HalfInt(two_j)
-    sources = list(ladder_desc(j))[1:]
+    sources = weights_desc(j)[1:]
     sl2 = np.array([(j.value - m.value) * (j.value + m.value + 1) for m in sources])
     assert bitwise_equal(structure.sl2_squares(j), sl2)
     assert bitwise_equal(build_sl2(j).ladder[1], np.sqrt(sl2))
@@ -201,7 +211,7 @@ def test_inadmissible_polynomial_rejection_list_matches_admissible():
         build_deformed(spec)
     assert exc.value.offending == offending
     # F(j, m) = (j-m)(j+m+1)(1 - (j(j+1) + m(m+1))/7) is negative exactly where the screen says
-    assert offending == [m for m in ladder(spec.j) if m != spec.j and f2_polynomial(spec.family.alpha, spec.j, m) < 0]
+    assert offending == [m for m in weights_desc(spec.j)[:0:-1] if poly_f(spec.family.alpha, spec.j, m) < 0]
 
 
 def test_weight_off_by_1e6_fails_on_the_ladder_path():

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsl2 import structure
-from nlsl2.halfint import HalfInt, halfint, ladder
+from nlsl2.coefficients import phi_eval
+from nlsl2.families import higgs_beta_window, higgs_gamma_roots, quadratic_gamma
+from nlsl2.halfint import HalfInt, halfint
 from nlsl2.structure import (
+    ADMISSIBILITY_TOL,
+    BOUNDARY_TOL,
     HiggsShifted,
     InadmissibleLabelError,
     Polynomial,
@@ -16,53 +20,30 @@ from nlsl2.structure import (
     QuadraticShifted,
     StructureSpec,
     admissible,
-    f2_down,
-    f2_higgs_shifted_down,
-    f2_higgs_shifted_up,
-    f2_polynomial,
-    f2_qbase,
-    f2_quadratic_down,
-    f2_quadratic_up,
-    f2_up,
+    ladder_values,
     quadratic_transfer,
     screen,
 )
 
 
+def closed_form(spec):
+    """F(j, m) for m = j, j-1, ..., -j-1, the top and the boundary point included.
+
+    The polynomial family by `phi_eval`, phi(j(j+1)) - phi(m(m+1)) in exact Fractions, independent of the
+    scaled-integer kernel; the float families by `_float_closed_form` on one array of m.
+    """
+    j = spec.j
+    ms = [HalfInt(t) for t in range(j.twice, -j.twice - 3, -2)]
+    if isinstance(spec.family, Polynomial):
+        top = phi_eval(spec.family.alpha, j.mm1())
+        return [top - phi_eval(spec.family.alpha, m.mm1()) for m in ms]
+    return structure._float_closed_form(spec.family, j, np.array([m.value for m in ms])).tolist()
+
+
 def test_polynomial_reduces_to_sl2():
     j = halfint("3/2")
-    for m in ladder(j):
-        expected = j.mm1() - m.mm1()
-        assert f2_polynomial([1], j, m) == expected
-
-
-def test_out_of_range_m_rejected():
-    with pytest.raises(ValueError):
-        f2_polynomial([1], halfint(1), halfint(2))
-    with pytest.raises(ValueError):
-        f2_higgs_shifted_up(0.1, 0.0, halfint(1), halfint("-3/2"))
-
-
-def test_off_lattice_m_rejected():
-    # m = 1/2 is not on the j = 1 ladder, though it lies inside -1..1
-    j, m = halfint(1), halfint("1/2")
-    for leaf in (lambda: f2_polynomial([1], j, m), lambda: f2_higgs_shifted_up(0.1, 0.0, j, m),
-                 lambda: f2_quadratic_up(0.1, 0.0, j, m), lambda: f2_qbase([1.0], 0.3, j, m),
-                 lambda: f2_up(StructureSpec(Polynomial([1]), j), m)):
-        with pytest.raises(ValueError, match="outside ladder"):
-            leaf()
-
-
-def test_leaves_take_the_boundary_point_and_f2_down_keeps_the_ladder():
-    j = halfint(1)
-    spec = StructureSpec(HiggsShifted(-0.1, 0.2), j)
-    assert f2_up(spec, halfint(-2)) == f2_down(spec, halfint(-1))
-    with pytest.raises(ValueError):
-        f2_up(spec, halfint(-3))
-    with pytest.raises(ValueError):
-        f2_down(spec, halfint(-2))
-    with pytest.raises(ValueError):
-        f2_down(spec, halfint(2))
+    want = [j.mm1() - HalfInt(t).mm1() for t in range(j.twice - 2, -j.twice - 1, -2)]
+    assert ladder_values(StructureSpec(Polynomial([1]), j)) == want
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -79,56 +60,54 @@ family_specs = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_raising_vanishes_exactly_at_the_top(family, two_j):
     # F(j, j) carries the factor (j - m), exactly 0.0 at m = j: the screen needs no test there
-    spec = StructureSpec(family, HalfInt(two_j))
-    assert f2_up(spec, spec.j) == 0.0
+    assert closed_form(StructureSpec(family, HalfInt(two_j)))[0] == 0
 
 
 @given(family_specs, st.integers(0, 30))
 @settings(max_examples=100, deadline=None)
 def test_lowering_is_raising_one_step_down(family, two_j):
+    # lowering out of m is F(j, m-1): the ladder holds it for m = j, ..., -j+1, and the screen reads m = -j, the
+    # boundary point F(j, -j-1), for the shifted families
     spec = StructureSpec(family, HalfInt(two_j))
-    for m in ladder(spec.j):  # including the boundary value at m = -j
-        assert f2_down(spec, m) == f2_up(spec, m - 1)
+    closed = closed_form(spec)
+    values = ladder_values(spec)
+    assert values == closed[1:-1]
+    if two_j and isinstance(family, (HiggsShifted, QuadraticShifted)):
+        bottom_offends = not closed[-2] >= -ADMISSIBILITY_TOL or not abs(closed[-1]) <= BOUNDARY_TOL
+        assert (-spec.j in screen(spec, values)) == bottom_offends
 
 
 def test_boundary_annihilation_unshifted():
     # with gamma = 0 the raising function vanishes at m = j for every family
     j = halfint(2)
-    assert f2_polynomial([1, Fraction(1, 9)], j, j) == 0
-    assert f2_higgs_shifted_up(0.05, 0.0, j, j) == 0.0
-    assert f2_quadratic_up(0.1, 0.0, j, j) == 0.0
-    assert abs(f2_qbase([1.0], 0.3, j, j)) < 1e-15
+    for family in (Polynomial([1, Fraction(1, 9)]), HiggsShifted(0.05, 0.0), QuadraticShifted(0.1, 0.0)):
+        assert closed_form(StructureSpec(family, j))[0] == 0
+    assert abs(closed_form(StructureSpec(QBase([1.0], 0.3), j))[0]) < 1e-15
 
 
 @given(st.integers(1, 12), st.fractions(min_value=-1, max_value=1, max_denominator=20))
 @settings(max_examples=60, deadline=None)
 def test_polynomial_hermiticity_pairing(two_j, a2):
-    # lowering out of m equals raising into m, i.e. F(j, m-1)
-    j = HalfInt(two_j)
-    spec = StructureSpec(Polynomial([1, a2]), j)
-    for m in ladder(j):
-        if m.twice == -j.twice:
-            assert f2_down(spec, m) == 0.0
-        else:
-            assert f2_down(spec, m) == float(f2_polynomial([1, a2], j, m - 1))
+    # lowering out of m equals raising into m, i.e. F(j, m-1); out of m = -j it is F(j, -j-1) = 0 exactly
+    spec = StructureSpec(Polynomial([1, a2]), HalfInt(two_j))
+    closed = closed_form(spec)
+    assert closed[-1] == 0
+    assert ladder_values(spec) == closed[1:-1]
 
 
 def test_higgs_shifted_reduces_at_gamma_zero():
     j, b = halfint("5/2"), -0.05
-    for m in ladder(j):
-        up = f2_higgs_shifted_up(b, 0.0, j, m)
-        poly = float(f2_polynomial([1, 2 * Fraction(b).limit_denominator(10**12)], j, m))
-        assert abs(up - poly) < 1e-12
-        if m.twice > -j.twice:
-            assert abs(f2_higgs_shifted_down(b, 0.0, j, m)
-                       - f2_higgs_shifted_up(b, 0.0, j, m - 1)) < 1e-12
+    higgs = closed_form(StructureSpec(HiggsShifted(b, 0.0), j))
+    poly = closed_form(StructureSpec(Polynomial([1, 2 * Fraction(b).limit_denominator(10**12)]), j))
+    assert len(higgs) == len(poly) == j.twice + 2
+    for up, exact in zip(higgs, poly):
+        assert abs(up - float(exact)) < 1e-12
 
 
 def test_quadratic_up_down_consistency_at_gamma_zero():
-    j, a = halfint(2), 0.1
-    for m in ladder(j):
-        if m.twice > -j.twice:
-            assert abs(f2_quadratic_down(a, 0.0, j, m) - f2_quadratic_up(a, 0.0, j, m - 1)) < 1e-12
+    spec = StructureSpec(QuadraticShifted(0.1, 0.0), halfint(2))
+    for down, up in zip(ladder_values(spec), closed_form(spec)[1:-1], strict=True):
+        assert abs(down - up) < 1e-12
 
 
 def test_admissible_polynomial_exact_screen():
@@ -163,8 +142,55 @@ def test_a_nan_lowering_value_at_the_bottom_breaks_the_boundary_annihilation(mon
     spec = StructureSpec(HiggsShifted(-0.1, 0.0), halfint(1))
     values = structure.ladder_values(spec)
     assert screen(spec, values) == []
-    monkeypatch.setattr(structure, "f2_down", lambda spec, m: math.nan)
+    monkeypatch.setattr(structure, "_float_closed_form", lambda fam, j, mv: math.nan)
     assert screen(spec, values) == [halfint(-1)]
+
+
+def test_qbase_without_terms_is_the_zero_ladder():
+    spec = StructureSpec(QBase([], 0.3), halfint(1))
+    assert ladder_values(spec) == [0.0, 0.0] and admissible(spec) == (True, [])
+
+
+def window_betas(j):
+    """beta inside the Higgs window and at both edges: the closed upper end and the float just above the open lower."""
+    lo, hi = map(float, higgs_beta_window(j))
+    return lo + 0.4 * (hi - lo), hi, math.nextafter(lo, 0.0)
+
+
+@pytest.mark.parametrize("two_j", range(1, 8))
+def test_screen_passes_the_higgs_roots_and_gamma_zero(two_j):
+    # the boundary point F(j, -j-1) vanishes within BOUNDARY_TOL at every root, the window edges included (at the
+    # lower one the pair meets at gamma = 0), and at gamma = 0 for any beta whose ladder is positive
+    j = HalfInt(two_j)
+    for beta in window_betas(j):
+        sols = higgs_gamma_roots(j, beta)
+        assert len(sols) == 3
+        for sol in sols:
+            assert admissible(StructureSpec(HiggsShifted(beta, sol.gamma), j)) == (True, [])
+    for beta in (0.0, -0.01, 0.05):
+        assert admissible(StructureSpec(HiggsShifted(beta, 0.0), j)) == (True, [])
+
+
+@pytest.mark.parametrize("two_j", range(1, 8))
+def test_screen_passes_the_forced_quadratic_gamma_alone(two_j):
+    j = HalfInt(two_j)
+    bound = 3 / (2 * (2 * two_j + 1))  # the largest |alpha| with a nonnegative radicand
+    for alpha in (0.5 * bound, bound, -0.5 * bound, 1e-3):
+        assert admissible(StructureSpec(QuadraticShifted(alpha, quadratic_gamma(j, alpha).gamma), j)) == (True, [])
+        assert admissible(StructureSpec(QuadraticShifted(alpha, 0.0), j)) == (False, [-j])
+
+
+@pytest.mark.parametrize("two_j", range(1, 8))
+def test_a_root_gamma_off_by_1e6_relative_offends_at_the_bottom_alone(two_j):
+    # negative control: the ladder stays positive, the boundary point does not vanish
+    j = HalfInt(two_j)
+    beta = window_betas(j)[0]
+    shifted = [HiggsShifted(beta, sol.gamma * (1 + 1e-6)) for sol in higgs_gamma_roots(j, beta) if sol.gamma]
+    alpha = 0.5 * 3 / (2 * (2 * two_j + 1))
+    shifted.append(QuadraticShifted(alpha, quadratic_gamma(j, alpha).gamma * (1 + 1e-6)))
+    assert len(shifted) == 3
+    for family in shifted:
+        assert admissible(StructureSpec(family, j)) == (False, [-j])
 
 
 def test_checked_takes_nan_as_the_first_offending_label():
@@ -182,8 +208,6 @@ def test_admissible_j_zero_trivial():
 def test_qbase_rejects_delta_zero():
     with pytest.raises(ValueError):
         QBase([1.0], 0.0)
-    with pytest.raises(ValueError):
-        f2_qbase([1.0], 0.0, halfint(1), halfint(0))
 
 
 def test_spec_metadata():
@@ -194,9 +218,3 @@ def test_spec_metadata():
     with pytest.raises(ValueError):
         StructureSpec(Polynomial([1]), halfint(-1))
 
-
-def test_f2_up_dispatch_matches_direct():
-    j = halfint(1)
-    m = halfint(0)
-    assert f2_up(StructureSpec(QuadraticShifted(0.1, -0.05), j), m) == f2_quadratic_up(0.1, -0.05, j, m)
-    assert f2_up(StructureSpec(QBase([1.0], 0.3), j), m) == f2_qbase([1.0], 0.3, j, m)

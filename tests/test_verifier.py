@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import nlsl2.verifier as verifier
 from nlsl2 import hopf
-from nlsl2.coefficients import beta_from_alpha, epsilon, format_rational
-from nlsl2.halfint import HalfInt, halfint, ladder
+from nlsl2.coefficients import beta_from_alpha, epsilon, format_rational, phi_eval
+from nlsl2.halfint import HalfInt, halfint
 from nlsl2.repbuilder import MatrixRep, build_deformed, build_sl2
-from nlsl2.structure import Polynomial, StructureSpec, f2_polynomial, polynomial_transfer, quadratic_transfer
+from nlsl2.structure import Polynomial, StructureSpec, polynomial_transfer, quadratic_transfer
 from nlsl2.verifier import (
     VerificationReport,
     commutator_residuals,
@@ -21,6 +21,16 @@ from nlsl2.verifier import (
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=20)
+
+
+def weights_above_bottom(j):
+    """m = -j+1, ..., j, the weights each ladder-difference check is named by."""
+    return [HalfInt(t) for t in range(-j.twice + 2, j.twice + 1, 2)]
+
+
+def drop(alpha, j, m):
+    """Exact F(j, m-1) - F(j, m) = phi(m(m+1)) - phi(m(m-1)), by `phi_eval` and not the scaled-integer kernel."""
+    return phi_eval(alpha, m.mm1()) - phi_eval(alpha, (m - 1).mm1())
 
 
 @given(st.lists(rationals, min_size=1, max_size=5), st.integers(0, 12))
@@ -38,7 +48,7 @@ def test_recurrence_check_names_print_m_as_halfint_does(two_j):
     j = HalfInt(two_j)
     report = exact_recurrence_check([Fraction(1), Fraction(1, 10)], j)
     assert len(report.checks) == two_j
-    assert [c.name for c in report.checks] == [f"ladder-difference j={j} m={m}" for m in list(ladder(j))[1:]]
+    assert [c.name for c in report.checks] == [f"ladder-difference j={j} m={m}" for m in weights_above_bottom(j)]
 
 
 def test_recurrence_check_fails_on_beta_off_by_1e12(monkeypatch):
@@ -57,10 +67,9 @@ def test_recurrence_check_fails_on_beta_off_by_1e12(monkeypatch):
     for j in (halfint(4), halfint("7/2")):
         report = exact_recurrence_check(alpha, j)
         assert len(report.checks) == j.twice
-        for check, m in zip(report.checks, list(ladder(j))[1:]):
+        for check, m in zip(report.checks, weights_above_bottom(j)):
             two_m = 2 * m.exact
-            want = (f2_polynomial(alpha, j, m - 1) - f2_polynomial(alpha, j, m)
-                    - sum(b * two_m ** (2 * p + 1) for p, b in enumerate(beta)))
+            want = (drop(alpha, j, m) - sum(b * two_m ** (2 * p + 1) for p, b in enumerate(beta)))
             assert check.kind == "exact"
             assert check.passed == (want == 0) == (m == 0)
             assert check.discrepancy == (None if want == 0 else format_rational(want))
@@ -70,10 +79,9 @@ def former_recurrence_check(alpha, j):
     """The per-m reference: each drop from exact Fractions of the closed form, one add_exact per m."""
     beta = beta_from_alpha(alpha)
     report = VerificationReport()
-    for m in list(ladder(j))[1:]:
+    for m in weights_above_bottom(j):
         two_m = 2 * m.exact
-        diff = (f2_polynomial(alpha, j, m - 1) - f2_polynomial(alpha, j, m)
-                - sum(b * two_m ** (2 * p + 1) for p, b in enumerate(beta)))
+        diff = drop(alpha, j, m) - sum(b * two_m ** (2 * p + 1) for p, b in enumerate(beta))
         report.add_exact(f"ladder-difference j={j} m={m}", diff, context="F(j,m-1)-F(j,m) vs odd polynomial in 2m")
     return report
 
@@ -98,7 +106,7 @@ def test_recurrence_check_fails_exactly_where_a_corrupted_numerator_is_read(monk
     j = HalfInt(two_j)
     alpha = RECURRENCE_ALPHAS[1]
     ns, d = verifier.ladder_numerators(StructureSpec(Polynomial(alpha), j))
-    ms = list(ladder(j))  # m = -j, ..., j; ns[i] is D F(j, m) at m = j-1-i
+    ms = weights_above_bottom(j)  # m = -j+1, ..., j; ns[i] is D F(j, m) at m = j-1-i
     for i in (len(ns) - 1, len(ns) // 2):
         corrupted = list(ns)
         corrupted[i] += 1
@@ -107,7 +115,7 @@ def test_recurrence_check_fails_exactly_where_a_corrupted_numerator_is_read(monk
         m0 = j - 1 - i
         # the check at m reads F(j, m-1) - F(j, m): F(j, m0) enters at m = m0 (as -1/D) and m = m0 + 1 (as +1/D)
         want = {f"ladder-difference j={j} m={m}": format_rational(Fraction(1 if m != m0 else -1, d))
-                for m in (m0, m0 + 1) if m in ms[1:]}
+                for m in (m0, m0 + 1) if m in ms}
         assert len(report.checks) == two_j
         assert {c.name: c.discrepancy for c in report.checks if not c.passed} == want
         assert all(c.kind == "exact" for c in report.checks)
