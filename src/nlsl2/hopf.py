@@ -15,7 +15,8 @@ kept, for the 16 most recently used factor pairs.
 S_M V_M diag(h^(1/2)) V_M^T in either order, the factor taken at (J, M) or (J, M+1). On V (x) V, V an
 irrep, the swap v (x) w -> w (x) v reverses each block, which `cocommutativity_residuals` reads. Dense matrices
 are scattered from the padded stacks, only for the dense API the benchmark calls (`deformed_coproduct`,
-`quadratic_coproduct`, `cocommutativity_check`). `hopf_axiom_checks` tests one family's transfer map against
+`quadratic_coproduct`, `cocommutativity_check`); every dense lowering generator is the transposed view of its
+raising one, J- = J+.T, as the irreps are unitary. `hopf_axiom_checks` tests one family's transfer map against
 the counit and antipode axioms on weight blocks.
 
 Tensor factors are sl2 irreps. Coassociativity is not checked: a deformed Delta'(X) is written through Delta(C),
@@ -57,8 +58,9 @@ class ProductRep:
     c, (c, i) = where[k]: its eigenvectors V_k are the columns of vecs[c][i], and lift[c][i] holds S_k V_k, S_k the
     block of Delta(J+) from block k to block k+1. slot maps each coupled position to its place in the stacks'
     (blocks, p) label rows, laid end to end. Every array is read-only and shared by the ProductReps of one factor
-    pair (`primitive_coproduct`) with `at`, the dense positions (`_at`); the dense, writable DJ3, DJp, DJm and DC
-    are built on first read, per ProductRep, from the factors' J+ superdiagonals `ladders`.
+    pair (`primitive_coproduct`) with `at`, the dense positions (`_at`); the dense, writable DJ3, DJp and DC are
+    built on first read, per ProductRep, from the factors' J+ superdiagonals `ladders`, and DJm is DJp.T, a view
+    of DJp's buffer: a write through either name shows in both.
     """
 
     d1: int
@@ -75,7 +77,7 @@ class ProductRep:
     lift: tuple  # per stack, the Delta(J+) step times the eigenvectors of each of its blocks: (blocks, r, p)
     where: tuple  # (stack, slot) of each block
     slot: np.ndarray  # each coupled position's label slot
-    at: dict  # 'plus', 'minus', 'block': see `_at`
+    at: dict  # 'plus', 'block': see `_at`
 
     @property
     def dim(self) -> int:
@@ -87,12 +89,10 @@ class ProductRep:
 
     def _at(self, name: str) -> np.ndarray:
         """Flat dense positions of the padded entries (dim * dim on the padding) of stacks laid out as `lift`, as
-        Delta(J+) ('plus') or its transpose ('minus'), or as `vecs` ('block'); all three built on the first read,
-        into the shared `at`."""
+        Delta(J+) ('plus'), or as `vecs` ('block'); both built on the first read, into the shared `at`."""
         if name not in self.at:
             dim, states = self.dim, np.split(self.order, np.cumsum(self.sizes)[:-1])
             pos = (("plus", self.lift, [r[:, None] * dim + c for c, r in zip(states, states[1:])]),
-                   ("minus", self.lift, [r[:, None] + c * dim for c, r in zip(states, states[1:])]),
                    ("block", self.vecs, [c[:, None] * dim + c for c in states]))
             for key, like, blocks in pos:
                 out = [np.full(x.shape, dim * dim) for x in like]
@@ -113,9 +113,7 @@ class ProductRep:
 
     @cached_property
     def DJm(self) -> np.ndarray:
-        out, (r, c, v) = np.zeros((self.dim, self.dim)), _kron_sum(*self.ladders)
-        out[c, r] = v
-        return out
+        return self.DJp.T
 
     @cached_property
     def DC(self) -> np.ndarray:
@@ -301,10 +299,11 @@ class Coproduct:
 
 
 def _dense(cop: Coproduct) -> tuple:
-    """(Delta(J+'), Delta(J-'), Delta(J3')) of cop scattered into zeros; Delta(J3') is pr.DJ3 without a shift."""
+    """(Delta(J+'), Delta(J-'), Delta(J3')) of cop scattered into zeros: Delta(J-') is the view Delta(J+').T, and
+    Delta(J3') is pr.DJ3 without a shift."""
     pr, (plus, j3) = cop.pr, cop.stacks
-    return (_scatter(pr, "plus", plus), _scatter(pr, "minus", plus),
-            pr.DJ3 if j3 is None else _scatter(pr, "block", j3))
+    djp = _scatter(pr, "plus", plus)
+    return djp, djp.T, pr.DJ3 if j3 is None else _scatter(pr, "block", j3)
 
 
 def transferred_coproduct(pr: ProductRep, t: Transfer, order: str = "source") -> Coproduct:
@@ -363,17 +362,23 @@ def cocommutativity_check(matrices: Sequence[np.ndarray], d: int) -> list[float]
     """Swap-conjugation residuals ||P X P^T - X|| for dense coproduct matrices on V (x) V.
 
     With t[a, b] the d x d block <a b| X |. .>, P X P^T holds t[b, a]^T there, so the squared residual is
-    sum_a ||t[a, a] - t[a, a]^T||^2 + 2 sum_{a<b} ||t[a, b] - t[b, a]^T||^2. Kept for the benchmark's dense API.
+    sum_a ||t[a, a] - t[a, a]^T||^2 + 2 sum_{a<b} ||t[a, b] - t[b, a]^T||^2. P is symmetric, so X^T has X's
+    residual: an X whose transpose is C-contiguous (a J- viewing its J+) is read through it, in memory order, and an
+    X over the buffer, strides and dtype of an earlier one takes its residual. Kept for the benchmark's dense API.
     """
     if any(mat.shape != (d * d, d * d) for mat in matrices):
         raise ValueError("cocommutativity_check requires equal tensor factors")
-    out = []
+    out, seen = [], {}
     for mat in matrices:
-        t, sq = mat.reshape(d, d, d, d), 0.0
-        for a in range(d):
-            diff = t[a, a:] - t[a:, a].transpose(0, 2, 1)
-            sq += np.vdot(diff[0], diff[0]) + 2 * np.vdot(diff[1:], diff[1:])
-        out.append(math.sqrt(sq))
+        mat = mat.T if mat.T.flags.c_contiguous else mat
+        key = (mat.__array_interface__["data"][0], mat.strides, mat.dtype.str)
+        if key not in seen:
+            t, sq = mat.reshape(d, d, d, d), 0.0
+            for a in range(d):
+                diff = t[a, a:] - t[a:, a].transpose(0, 2, 1)
+                sq += np.vdot(diff[0], diff[0]) + 2 * np.vdot(diff[1:], diff[1:])
+            seen[key] = math.sqrt(sq)
+        out.append(seen[key])
     return out
 
 

@@ -65,9 +65,10 @@ class MatrixRep:
     """An irrep stored as its ladder, with its metadata.
 
     ladder = (w, u) holds the diagonal of J3 and the superdiagonal of J+; J- is J+^T. The dense
-    J3 = diag(w), J+ = diag(u, 1) and J- = diag(u, -1) are derived once, on first access. They are
-    copies: editing them does not change the rep. To check a corrupted rep, build a new MatrixRep
-    from an edited ladder.
+    J3 = diag(w) and J+ = diag(u, 1) are derived once, on first access, and J- is J+.T, a view of
+    the same buffer: a write through either name shows in both. They are copies of the ladder:
+    editing them does not change the rep. To check a corrupted rep, build a new MatrixRep from an
+    edited ladder.
     """
 
     def __init__(self, dim: int, two_j: int, gamma: float, family: str, *, ladder: tuple):
@@ -83,7 +84,7 @@ class MatrixRep:
 
     @cached_property
     def Jminus(self) -> np.ndarray:
-        return np.diag(self.ladder[1], -1)
+        return self.Jplus.T
 
     @property
     def j(self) -> HalfInt:

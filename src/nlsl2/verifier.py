@@ -143,23 +143,42 @@ def _norm(x) -> float:
     return _norms(x)[0]
 
 
-def _norms(*xs) -> list:
-    """Frobenius norm of each x, an array or a block-diagonal matrix given its blocks (0 for none, as on V(0) (x) V(0)).
+_RUN = 1 << 21  # entries of blocks joined for one dot product: 16 MiB of float64
 
-    The plain norm, as np.linalg.norm takes it, while its sum of squares is a finite float; when that sum
-    overflows, the norm is taken in units of max|x|. One np.errstate keeps the overflow silent for all of them.
+
+def _runs(x):
+    """The blocks of x joined end to end into runs of _RUN or more entries but for the last, which may be shorter or
+    empty. A run is joined only when its blocks are in, sized as they are, so a small x allocates no more than its
+    own size; one run and its blocks are held at a time, as they are while the run is joined."""
+    blocks, size = [np.empty(0)], 0
+    for b in x:
+        blocks.append(b)
+        if (size := size + b.size) >= _RUN:
+            yield np.concatenate(blocks, axis=None)
+            blocks, size = [np.empty(0)], 0
+    yield np.concatenate(blocks, axis=None)
+
+
+def _norms(*xs) -> list:
+    """Frobenius norm of each x, an array or a block-diagonal matrix given as an iterable of its blocks (0 for none,
+    as on V(0) (x) V(0)), read a run of blocks at a time (`_runs`): the math.hypot of its runs' norms.
+
+    A run's norm is the plain one, as np.linalg.norm takes it, while its sum of squares is a finite float; when that
+    sum overflows, it is taken in units of the run's max|x|. One np.errstate keeps the overflow silent for all.
     """
-    out = []
     with np.errstate(over="ignore"):
-        for x in xs:
-            x = x.ravel(order="K") if isinstance(x, np.ndarray) else np.concatenate([np.empty(0), *x], axis=None)
-            sq, top = float(x.dot(x)), 1.0
-            if not math.isfinite(sq) and np.isfinite(x).all():  # past the float range, with no inf or nan entry
-                top = float(np.abs(x).max())
-                x = x / top
-                sq = float(x.dot(x))
-            out.append(top * math.sqrt(sq))
-    return out
+        return [_run_norm(x.ravel(order="K")) if isinstance(x, np.ndarray) else math.hypot(*map(_run_norm, _runs(x)))
+                for x in xs]
+
+
+def _run_norm(run: np.ndarray) -> float:
+    """The norm of one run of `_norms`."""
+    sq, top = float(run.dot(run)), 1.0
+    if not math.isfinite(sq) and np.isfinite(run).all():  # past the float range, with no inf or nan entry
+        top = float(np.abs(run).max())
+        run = run / top
+        sq = float(run.dot(run))
+    return top * math.sqrt(sq)
 
 
 def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Optional[float] = None) -> VerificationReport:
@@ -188,12 +207,12 @@ def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Option
         if rep.j3 is not None:
             raise ValueError("commutator_residuals expects a coproduct whose Delta'(J3') is Delta(J3)")
         steps, w, sizes = rep.steps, rep.pr.block_m / 2.0, rep.pr.sizes
-        ups = [np.zeros((sizes[0], sizes[0]))] + [b @ b.T for b in steps]
-        downs = [b.T @ b for b in steps] + [np.zeros((sizes[-1], sizes[-1]))]
+        # the steps into and out of each block; J+ J- is formed again for its norm, so that no list of blocks is held
+        ins, outs = [np.zeros((sizes[0], 0)), *steps], [*steps, np.zeros((0, sizes[-1]))]
         series = _odd_series(2 * w, beta)
         residuals = (((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps)),
-                     (up - down - f * np.eye(len(up)) for up, down, f in zip(ups, downs, series)))
-        terms = ups, series * np.sqrt(sizes), w * np.sqrt(sizes), steps
+                     (a @ a.T - b.T @ b - f * np.eye(len(a)) for a, b, f in zip(ins, outs, series)))
+        terms = (a @ a.T for a in ins), series * np.sqrt(sizes), w * np.sqrt(sizes), steps
         dim, where = rep.pr.dim, f"product dim={rep.pr.dim}"
     r_plus, r_comm, n_pm, n_f, n_3, n_p = _norms(*residuals, *terms)  # [J3, J-] + J- has the same entries
     report.add_numeric("[J3,J+] = +J+", r_plus, gate(dim, n_3 * n_p, tol), context=where)

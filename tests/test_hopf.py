@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
@@ -340,8 +341,10 @@ def _former_raise(pr, g, order):
 
 
 def _assert_transpose_pair(djp, djm):
-    assert djm.flags.c_contiguous and djm.flags.writeable
-    assert np.array_equal(djm, djp.T) and not np.shares_memory(djm, djp)
+    """djm is djp.T: a writable view of djp's C-contiguous buffer, bitwise its transpose."""
+    assert djp.flags.c_contiguous and djm.flags.writeable and djm.T.flags.c_contiguous
+    assert djm.__array_interface__["data"] == djp.__array_interface__["data"] and djm.strides == djp.strides[::-1]
+    assert np.array_equal(djm, djp.T)
 
 
 def _assert_near(got, want, slack=0.0):
@@ -462,7 +465,7 @@ def test_dense_positions_are_built_once_per_pair(monkeypatch):
     pr = primitive_coproduct(rep1, rep2)
     assert pr.at == {} and not any(built)
     deformed_coproduct(pr, alpha)
-    assert built == [True, False] and set(pr.at) == {"plus", "minus", "block"}
+    assert built == [True] and set(pr.at) == {"plus", "block"}
     at = dict(pr.at)
     for copy in (primitive_coproduct(rep1, rep2) for _ in range(3)):  # new ProductReps of the kept pair
         copy.DJp, copy.DJm, copy.DC, quadratic_coproduct(copy, 0.05)
@@ -629,6 +632,94 @@ def test_deformed_coproduct_cocommutative_on_equal_factors():
     assert max(cocommutativity_check(list(mats), d.dim)) < 1e-10
 
 
+def test_dense_lowering_generators_view_the_raising_ones_and_leave_the_kept_product_untouched():
+    # J- = J+^T on every dense output: a write through J+ shows in J-, and a later call reads the kept product
+    rep1, rep2 = build_sl2(3), build_sl2("5/2")
+    calls = (lambda pr: (pr.DJp, pr.DJm), lambda pr: deformed_coproduct(pr, ALPHA)[:2],
+             lambda pr: quadratic_coproduct(pr, 0.05)[1:])
+    for call in calls:
+        pr = primitive_coproduct(rep1, rep2)
+        kept = [x.copy() for x in (*pr.ladders, *pr.vecs, *pr.lift)]
+        djp, djm = call(pr)
+        _assert_transpose_pair(djp, djm)
+        want = djp.copy()
+        djp[1, 0] = 5.0
+        assert djm[0, 1] == 5.0
+        assert all(np.array_equal(x, y) for x, y in zip((*pr.ladders, *pr.vecs, *pr.lift), kept))
+        again = call(primitive_coproduct(rep1, rep2))
+        assert np.array_equal(again[0], want) and np.array_equal(again[1], want.T)
+
+
+def _tracemalloc_peak(call):
+    """call()'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_cocommutativity_check_reads_a_transpose_through_its_buffer():
+    rep = build_sl2(10)
+    pr = primitive_coproduct(rep, rep)
+    djp, djm, dj3 = deformed_coproduct(pr, ALPHA)
+    reads = []
+
+    class Spy(np.ndarray):  # records whether each matrix the check splits into d x d blocks is C-contiguous
+        def reshape(self, *shape):
+            reads.append(self.flags.c_contiguous)
+            return super().reshape(*shape)
+
+    want = cocommutativity_check([np.ascontiguousarray(djm)], rep.dim)
+    got, peak = _tracemalloc_peak(lambda: cocommutativity_check([djm.view(Spy)], rep.dim))
+    assert got == want and peak < djm.nbytes and reads == [True]
+    # J- takes J+'s residual, read once: J+ and J3 are the only matrices split
+    reads.clear()
+    res, peak = _tracemalloc_peak(lambda: cocommutativity_check([x.view(Spy) for x in (djp, djm, dj3)], rep.dim))
+    assert reads == [True, True] and res[:2] == [want[0]] * 2 and peak < djm.nbytes
+
+
+def test_cocommutativity_check_reuses_a_residual_by_buffer_not_by_value():
+    # negative control: a separate copy of J- with one entry off by 1e-9 relative, at a state a (x) b with
+    # a != b, so its swap partner is another entry, takes a residual of its own
+    rep = build_sl2("7/2")
+    pr = primitive_coproduct(rep, rep)
+    djp, djm, _ = deformed_coproduct(pr, ALPHA)
+    bad = djm.copy()
+    r, c = np.unravel_index(np.argmax(np.abs(bad)), bad.shape)
+    assert r // rep.dim != r % rep.dim
+    bad[r, c] *= 1 + 1e-9
+    plus, minus, off = cocommutativity_check([djp, djm, bad], rep.dim)
+    assert plus == minus <= gate(pr.dim, np.linalg.norm(djp))
+    assert off > 1e-10 * abs(bad[r, c]) and off > 100 * gate(pr.dim, np.linalg.norm(djp))
+
+
+def test_a_jplus_scaled_in_place_through_both_names_is_rejected():
+    # the benchmark's control scales J+ and J- in place by 1 + 1e-9 each: through the view, J+ takes it twice,
+    # and [J+, J-] = sum_p beta_p (2 J3)^(2p+1) no longer holds on the irrep or on the product
+    beta = [Fraction(1), Fraction(1, 20)]
+    alpha = alpha_from_beta(beta)
+    rep = build_deformed(StructureSpec(Polynomial(alpha), halfint("7/2")))
+    r = build_sl2("7/2")
+    pr = primitive_coproduct(r, r)
+    for jp, jm, j3 in ((rep.Jplus, rep.Jminus, rep.J3), deformed_coproduct(pr, alpha)):
+        two_j3 = 2 * np.diag(j3)
+        f = np.diag(sum(float(b) * two_j3 ** (2 * p + 1) for p, b in enumerate(beta)))
+
+        def residual():
+            return np.linalg.norm(jp @ jm - jm @ jp - f)
+
+        bound = gate(len(j3), max(np.linalg.norm(jp @ jm), np.linalg.norm(f)))
+        assert residual() <= bound
+        before = jp.copy()
+        jp *= 1 + 1e-9
+        jm *= 1 + 1e-9
+        assert np.array_equal(jp, before * (1 + 1e-9) * (1 + 1e-9)) and np.array_equal(jm, jp.T)
+        assert residual() > 1000 * bound
+
+
 def test_cocommutativity_requires_equal_factors():
     pr = primitive_coproduct(build_sl2("1/2"), build_sl2(1))
     with pytest.raises(ValueError):
@@ -714,13 +805,16 @@ def test_deformed_coproduct_leaves_dense_views_unbuilt():
     assert not {"DJp", "DJm", "DC"} & set(vars(pr))
 
 
-def test_dense_views_are_contiguous_copies_of_the_blocks():
+def test_dense_views_are_writable_copies_of_the_blocks():
     pr = primitive_coproduct(build_sl2(2), build_sl2("3/2"))
     kept = [x.copy() for x in (*pr.ladders, *pr.vecs, *pr.lift)]
-    for name in ("DJ3", "DJp", "DJm", "DC"):
+    _assert_transpose_pair(pr.DJp, pr.DJm)
+    for name in ("DJ3", "DJp", "DC"):
         view = getattr(pr, name)
         assert view.flags.c_contiguous and view.flags.writeable
         view[...] = 7.0
+    pr.DJm[0, 1] = 8.0
+    assert pr.DJp[1, 0] == 8.0
     assert all(np.array_equal(x, y) for x, y in zip((*pr.ladders, *pr.vecs, *pr.lift), kept))
     arrays = [pr.two_m, pr.block_m, pr.order, pr.sizes, pr.rank, pr.w, pr.slot, *pr.ladders, *pr.vecs, *pr.lift]
     assert not any(x.flags.writeable for x in arrays)

@@ -249,7 +249,7 @@ def builder_reps():
 
 @pytest.mark.parametrize("name,rep", list(builder_reps()), ids=lambda x: x if isinstance(x, str) else "")
 def test_dense_views_equal_the_former_assembly(name, rep):
-    # the former _assemble: np.diag(weights), jp = np.diag(u, 1), Jminus = jp.T.copy()
+    # the former _assemble: np.diag(weights), jp = np.diag(u, 1), Jminus = jp.T.copy(); Jminus is now the view jp.T
     w, u = rep.ladder
     assert not DENSE & vars(rep).keys()
     weights = (np.arange(rep.two_j, -rep.two_j - 1, -2) / 2.0 + rep.gamma).astype(u.dtype)
@@ -257,8 +257,20 @@ def test_dense_views_equal_the_former_assembly(name, rep):
     jp = np.diag(u, 1)
     for got, want in ((rep.J3, np.diag(weights)), (rep.Jplus, jp), (rep.Jminus, jp.T.copy())):
         assert bitwise_equal(got, want), name
-        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.flags.writeable
+    assert rep.J3.flags.c_contiguous and rep.Jplus.flags.c_contiguous and rep.Jminus.T.flags.c_contiguous
+    assert np.shares_memory(rep.Jminus, rep.Jplus) and rep.Jminus.strides == rep.Jplus.strides[::-1]
     assert rep.Jminus is rep.Jminus
+
+
+@pytest.mark.parametrize("name,rep", list(builder_reps()), ids=lambda x: x if isinstance(x, str) else "")
+def test_jminus_is_a_view_of_jplus_and_a_write_leaves_the_ladder(name, rep):
+    kept = [x.copy() for x in rep.ladder]
+    rep.Jplus[0, 1] = 5
+    rep.Jminus[2, 1] = 7
+    assert rep.Jminus[1, 0] == 5 and rep.Jplus[1, 2] == 7
+    assert all(bitwise_equal(x, y) for x, y in zip(rep.ladder, kept)), name
+    assert bitwise_equal(np.diag(rep.J3), kept[0])
 
 
 def test_checks_and_inverse_maps_build_no_dense_field():

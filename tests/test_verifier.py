@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -322,3 +323,30 @@ def test_norm_is_the_plain_norm_in_range_and_finite_past_it():
         y = x.copy()
         y[2, 3] = bad
         assert not math.isfinite(verifier._norm(y))
+        assert not math.isfinite(verifier._norm([x, y, big]))
+
+
+@pytest.mark.parametrize("run", [1 << 21, 72, 1], ids=["one run", "two blocks to a run", "a run per block"])
+def test_norm_of_blocks_rescales_where_their_sum_overflows(monkeypatch, run):
+    # each of the first blocks' sums of squares is finite, their sum is not; a later block is larger still
+    monkeypatch.setattr(verifier, "_RUN", run)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 6))
+    blocks = [x * 1e153] * 8 + [x * 3e153, x]
+    want = np.linalg.norm(x) * 1e153 * math.sqrt(8 + 9)
+    assert math.isfinite(np.vdot(blocks[0], blocks[0])) and want > math.sqrt(np.finfo(float).max)
+    assert verifier._norm(iter(blocks)) == pytest.approx(want, rel=8 * verifier.EPS)
+    assert verifier._norm(reversed(blocks)) == pytest.approx(want, rel=8 * verifier.EPS)
+
+
+def test_norm_of_blocks_holds_one_run_at_a_time(monkeypatch):
+    size = 2**20 // 8  # 1 MiB blocks, two to a run
+    monkeypatch.setattr(verifier, "_RUN", 2 * size)
+    tracemalloc.start()
+    try:
+        norm = verifier._norm(np.ones(size) for _ in range(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one run's blocks and their join, against 32 MiB for the 16 blocks and their concatenation
+    assert norm == pytest.approx(4 * math.sqrt(size), rel=4 * verifier.EPS) and peak < 5 * 2**20
