@@ -227,6 +227,7 @@ def _coupled(two_j1: int, u1: np.ndarray, two_j2: int, u2: np.ndarray) -> Produc
         for k, y, v in zip(ks, [*wk, *wk[own:]], [*vk, *vk[own:, ::-1]]):
             (st, i), w[k] = where[k], y
             vecs[st][i, :n, :n] = v
+    del dc, steps  # read: the Delta(C) blocks are freed before the lift allocates
     lift = tuple(s @ x for s, x in zip(plus, vecs))  # S_k V_k, exactly 0 on the padding
     w = np.concatenate(w)
     rank = np.arange(len(two_m)) - np.repeat(starts[1:] - len(spins), sizes)  # a size-n block: the n largest 2J

@@ -138,17 +138,17 @@ def build_sl2(j) -> MatrixRep:
 def build_deformed(spec: StructureSpec) -> MatrixRep:
     """Matrices of any admissible family, superdiagonal from its structure function.
 
-    One pass of `ladder_numerators` (exact integers over phi's common
-    denominator D for the polynomial family) feeds both the unitarity
-    `screen`, on the numerators' signs, and the superdiagonal
-    sqrt(F(j, m)) with F = n / D, so each F is evaluated once.
+    One pass of `ladder_numerators` feeds both the unitarity `screen`, on
+    the signs of the exact numerators for the polynomial family, and the
+    superdiagonal sqrt(F(j, m)), there from the same table's floats, so each
+    F is evaluated once.
     """
-    values, d = ladder_numerators(spec)
+    values, _ = ladder_numerators(spec)
     offending = screen(spec, values)
     if offending:
         raise InadmissibleSpecError(spec, offending)
     if isinstance(spec.family, Polynomial):
-        values = [n / d for n in values]
+        values = phi_ladder_numerators(spec.family.alpha, spec.j).f_floats
     return _assemble(spec.j, np.maximum(values, 0.0), gamma=spec.gamma, family=spec.family_name)
 
 
@@ -233,8 +233,8 @@ def _phi_values(rep: MatrixRep, alpha: Sequence) -> np.ndarray:
     """phi(m(m+1)) over m = j, ..., -j-1 as floats n / D; (-j-1)(-j) = j(j+1) repeats the first."""
     if rep.gamma != 0.0:
         raise ValueError("casimir_matrix expects an unshifted (polynomial-family) rep")
-    ns, d = phi_ladder_numerators(alpha, rep.j)
-    return np.array([n / d for n in ns + ns[:1]])
+    phi = phi_ladder_numerators(alpha, rep.j).phi_floats
+    return np.concatenate((phi, phi[:1]))
 
 
 def casimir_matrix(rep: MatrixRep, alpha: Sequence) -> np.ndarray:

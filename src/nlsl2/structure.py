@@ -13,7 +13,15 @@ one irrep, `hopf` on the coupled labels of a product space.
 The polynomial family is exact: a whole ladder is evaluated on scaled
 integers, phi(m(m+1)) = n / D with n from one `coefficients.phi_numerators`
 call at the integers t(t+2), t = 2m, over phi's common denominator D, and
-Fractions are built only by the public functions that return them. The
+Fractions are built only by the public functions that return them.
+`phi_ladder_numerators` is the one evaluator: its table for (alpha as
+Fractions, 2j) holds phi and F as ints over D and as correctly rounded
+floats, immutable, and is kept for the _LADDERS = 32 latest keys, so the
+irrep, its screen, its recurrence check and its Casimir, and the divided
+difference of a transfer map, read one evaluation. A full memo of 2j = 4000
+tables for 25 alpha_k (alpha from beta_p = +-n/100, n < 100) holds 17.0 MiB
+by tracemalloc on CPython 3.11, 543 KiB a table; a table grows with the bits
+of alpha. The
 shifted Higgs, shifted quadratic and q-base families carry irrational
 parameters and are floating point with an explicit tolerance; their closed
 form (`_float_closed_form`) takes m as a float or an array of them.
@@ -21,6 +29,7 @@ form (`_float_closed_form`) takes m as a float or an array of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,15 +149,45 @@ def sl2_squares(j: HalfInt) -> np.ndarray:
     return ((j.twice - t) * (j.twice + t + 2) // 4).astype(float)
 
 
-def phi_ladder_numerators(alpha: Sequence, j) -> tuple[list[int], int]:
-    """(ns, D): phi(m(m+1)) = ns[i] / D exactly for m = j, j-1, ..., -j.
+_LADDERS = 32  # exact phi ladders kept, least recently used dropped; a benchmark pass reads at most 14
 
-    One kernel call (`phi_numerators`) over the distinct X = 4 m(m+1) = t(t+2):
-    m and -m-1 share m(m+1), so the states below m = -1/2 reuse the upper ones.
+
+class PhiLadder(NamedTuple):
+    """The exact phi ladder of one (alpha, 2j), over phi's common denominator d > 0; every field is immutable.
+
+    phi[i] / d = phi(m(m+1)) for m = j, j-1, ..., -j and f[i] / d = F(j, m) = phi(j(j+1)) - phi(m(m+1)) for
+    m = j-1, ..., -j, as ints; phi_floats and f_floats hold those quotients correctly rounded, read-only.
     """
-    t = halfint(j).twice
-    upper, d = phi_numerators(alpha, [s * (s + 2) for s in range(t, -2, -2)])
-    return upper + upper[t + 1 - len(upper):0:-1], d
+
+    phi: tuple
+    d: int
+    f: tuple
+    phi_floats: np.ndarray
+    f_floats: np.ndarray
+
+
+def phi_ladder_numerators(alpha: Sequence, j) -> PhiLadder:
+    """The `PhiLadder` of alpha at j: the one evaluator of phi on a ladder, kept for the _LADDERS latest keys.
+
+    The key is alpha as exact Fractions and 2j, so alphas that differ anywhere get tables of their own. One kernel
+    call (`phi_numerators`) over the distinct X = 4 m(m+1) = t(t+2) fills a table: m and -m-1 share m(m+1), so
+    the states below m = -1/2 reuse the upper ones. 2j = -1 is read too, as the point t = -1 alone.
+    """
+    return _phi_ladder(tuple(as_rationals(alpha)), halfint(j).twice)
+
+
+@functools.lru_cache(maxsize=_LADDERS)
+def _phi_ladder(alpha: tuple, two_j: int) -> PhiLadder:
+    upper, d = phi_numerators(alpha, [t * (t + 2) for t in range(two_j, -2, -2)])
+
+    def ladder(xs):  # the states below m = -1/2 share the upper ones' ints
+        return (*xs, *xs[two_j + 1 - len(xs):0:-1])
+
+    phi, f = ladder(upper), ladder([upper[0] - n for n in upper])[1:]
+    floats = [np.array([n / d for n in xs]) for xs in (phi, f)]
+    for x in floats:
+        x.setflags(write=False)
+    return PhiLadder(phi, d, f, *floats)
 
 
 def divided_difference(alpha: Sequence, top: int) -> Callable:
@@ -156,13 +195,16 @@ def divided_difference(alpha: Sequence, top: int) -> Callable:
 
     The polynomial map factor on an irrep (top = 2j) or a product space (top
     its largest 2J); 2J may have either parity. With n_t = D phi(t(t+2)/4) for
-    t = -1, 0, ..., top from one `phi_numerators` call (2M and -2M-2 share
-    t(t+2)), g = 4 (n_J - n_M) / (D (C - X)), C = 2J(2J+2), X = 2M(2M+2): one
-    correctly rounded int division, with the sign of the exact value. g takes
-    ints or int arrays of labels, elementwise.
+    t = -1, 0, ..., top read off the ladders at 2j = top and top - 1
+    (`phi_ladder_numerators`; 2M and -2M-2 share t(t+2)), g = 4 (n_J - n_M) /
+    (D (C - X)), C = 2J(2J+2), X = 2M(2M+2): one correctly rounded int
+    division, with the sign of the exact value. g takes ints or int arrays of
+    labels, elementwise.
     """
-    ns, d = phi_numerators(alpha, [t * (t + 2) for t in range(-1, top + 1)])
-    ns = np.array(ns, dtype=object)
+    ns = np.empty(top + 2, dtype=object)  # n_t at t + 1
+    for t in (top, top - 1):
+        phi, d = phi_ladder_numerators(alpha, HalfInt(t))[:2]
+        ns[t + 1::-2] = phi[:(t + 3) // 2]
 
     def g(two_j, two_m):
         num = 4 * (ns[two_j + 1] - ns[np.maximum(two_m, -two_m - 2) + 1])
@@ -244,18 +286,18 @@ def quadratic_transfer(alpha: float, top: int) -> Transfer:
     return Transfer(factor, lambda two_j: quadratic_shift(a, root(two_j)))
 
 
-def ladder_numerators(spec: StructureSpec) -> tuple[list, int]:
+def ladder_numerators(spec: StructureSpec) -> tuple[Sequence, int]:
     """(ns, D) with F(j, m) = ns[i] / D for m = j-1, ..., -j.
 
-    For the polynomial family ns are the ints phi(j(j+1)) - phi(m(m+1)) over
-    phi's common denominator D > 0, so the sign of ns[i] is the sign of F and
-    ns[i] / D is float(F) bitwise. The other families give an array of their
-    float closed forms over D = 1.
+    For the polynomial family ns is the tuple of ints phi(j(j+1)) - phi(m(m+1))
+    over phi's common denominator D > 0 (`phi_ladder_numerators`), so the sign
+    of ns[i] is the sign of F and ns[i] / D is float(F) bitwise. The other
+    families give an array of their float closed forms over D = 1.
     """
     fam, j = spec.family, spec.j
     if isinstance(fam, Polynomial):
-        (top, *rest), d = phi_ladder_numerators(fam.alpha, j)
-        return [top - n for n in rest], d
+        ladder = phi_ladder_numerators(fam.alpha, j)
+        return ladder.f, ladder.d
     return _float_closed_form(fam, j, np.arange(j.twice - 2, -j.twice - 1, -2) / 2), 1
 
 

@@ -146,29 +146,39 @@ def _norm(x) -> float:
 _RUN = 1 << 21  # entries of blocks joined for one dot product: 16 MiB of float64
 
 
-def _runs(x):
-    """The blocks of x joined end to end into runs of _RUN or more entries but for the last, which may be shorter or
-    empty. A run is joined only when its blocks are in, sized as they are, so a small x allocates no more than its
-    own size; one run and its blocks are held at a time, as they are while the run is joined."""
-    blocks, size = [np.empty(0)], 0
-    for b in x:
-        blocks.append(b)
-        if (size := size + b.size) >= _RUN:
-            yield np.concatenate(blocks, axis=None)
-            blocks, size = [np.empty(0)], 0
-    yield np.concatenate(blocks, axis=None)
+def _run_norms(rows, width: int):
+    """The blocks of rows, each row a tuple of `width` blocks of one size, joined column by column end to end into
+    runs of _RUN or more entries but for the last, which may be shorter or empty, and the `_run_norm` of each run: a
+    list of `width` at a time. A run is joined only when its blocks are in, sized as they are, so small blocks
+    allocate no more than their own size; one run and its blocks are held at a time, as they are while it is
+    joined."""
+    cols, size = [[np.empty(0)] for _ in range(width)], 0
+    for row in rows:
+        for col, b in zip(cols, row):
+            col.append(b)
+        if (size := size + row[0].size) >= _RUN:
+            yield [_run_norm(np.concatenate(col, axis=None)) for col in cols]
+            cols, size = [[np.empty(0)] for _ in range(width)], 0
+    yield [_run_norm(np.concatenate(col, axis=None)) for col in cols]
 
 
 def _norms(*xs) -> list:
     """Frobenius norm of each x, an array or a block-diagonal matrix given as an iterable of its blocks (0 for none,
-    as on V(0) (x) V(0)), read a run of blocks at a time (`_runs`): the math.hypot of its runs' norms.
+    as on V(0) (x) V(0)), read a run of blocks at a time (`_block_norms`).
 
     A run's norm is the plain one, as np.linalg.norm takes it, while its sum of squares is a finite float; when that
     sum overflows, it is taken in units of the run's max|x|. One np.errstate keeps the overflow silent for all.
     """
     with np.errstate(over="ignore"):
-        return [_run_norm(x.ravel(order="K")) if isinstance(x, np.ndarray) else math.hypot(*map(_run_norm, _runs(x)))
+        return [_run_norm(x.ravel(order="K")) if isinstance(x, np.ndarray) else _block_norms(zip(x), 1)[0]
                 for x in xs]
+
+
+def _block_norms(rows, width: int) -> list:
+    """The `_norms` of `width` block-diagonal matrices read side by side, rows giving a tuple of one block of each,
+    all of one size: each the math.hypot of its runs' norms (`_run_norms`)."""
+    with np.errstate(over="ignore"):
+        return [math.hypot(*col) for col in zip(*_run_norms(rows, width))]
 
 
 def _run_norm(run: np.ndarray) -> float:
@@ -200,21 +210,28 @@ def commutator_residuals(rep: MatrixRep | Coproduct, beta: Sequence, tol: Option
         w, u = rep.ladder
         pm, mp = ladder_products(u)
         series = _odd_series(2 * w, beta)
-        residuals = (w[:-1] - w[1:] - 1) * u, pm - mp - series
-        terms = pm, series, w, u
+        r_comm, n_pm = _norms(pm - mp - series, pm)
+        plus, terms = (w[:-1] - w[1:] - 1) * u, (series, w, u)
         dim, where = rep.dim, f"{rep.family} j={rep.j}"
     else:
         if rep.j3 is not None:
             raise ValueError("commutator_residuals expects a coproduct whose Delta'(J3') is Delta(J3)")
         steps, w, sizes = rep.steps, rep.pr.block_m / 2.0, rep.pr.sizes
-        # the steps into and out of each block; J+ J- is formed again for its norm, so that no list of blocks is held
-        ins, outs = [np.zeros((sizes[0], 0)), *steps], [*steps, np.zeros((0, sizes[-1]))]
+        ins, outs = [np.zeros((sizes[0], 0)), *steps], [*steps, np.zeros((0, sizes[-1]))]  # into and out of a block
         series = _odd_series(2 * w, beta)
-        residuals = (((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps)),
-                     (a @ a.T - b.T @ b - f * np.eye(len(a)) for a, b, f in zip(ins, outs, series)))
-        terms = (a @ a.T for a in ins), series * np.sqrt(sizes), w * np.sqrt(sizes), steps
+
+        def blocks():  # each block's J+ J- formed once, for the residual and for its own norm, no list of them held
+            for a, b, f in zip(ins, outs, series):
+                pm = a @ a.T
+                r = pm - b.T @ b
+                r.flat[::len(r) + 1] -= f
+                yield r, pm
+
+        r_comm, n_pm = _block_norms(blocks(), 2)
+        plus = ((hi - lo - 1) * b for lo, hi, b in zip(w, w[1:], steps))
+        terms = series * np.sqrt(sizes), w * np.sqrt(sizes), steps
         dim, where = rep.pr.dim, f"product dim={rep.pr.dim}"
-    r_plus, r_comm, n_pm, n_f, n_3, n_p = _norms(*residuals, *terms)  # [J3, J-] + J- has the same entries
+    r_plus, n_f, n_3, n_p = _norms(plus, *terms)  # [J3, J-] + J- has the same entries as [J3, J+] - J+
     report.add_numeric("[J3,J+] = +J+", r_plus, gate(dim, n_3 * n_p, tol), context=where)
     report.add_numeric("[J3,J-] = -J-", r_plus, gate(dim, n_3 * n_p, tol), context=where)
     report.add_numeric("[J+,J-] = sum_p beta_p (2 J3)^(2p+1)", r_comm, gate(dim, max(n_pm, n_f), tol),

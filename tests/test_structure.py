@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsl2 import structure
+from nlsl2 import coefficients, repbuilder, structure, verifier
+from nlsl2.cli import run
 from nlsl2.coefficients import phi_eval
 from nlsl2.families import higgs_beta_window, higgs_gamma_roots, quadratic_gamma
 from nlsl2.halfint import HalfInt, halfint
@@ -218,3 +220,114 @@ def test_spec_metadata():
     with pytest.raises(ValueError):
         StructureSpec(Polynomial([1]), halfint(-1))
 
+
+
+# ---------------------------------------------------------------------------
+# the one exact phi evaluator: a bounded memo of whole ladders
+
+
+MEMO_ALPHA = (Fraction(1), Fraction(1, 10), Fraction(1, 100))
+
+
+def kernel_ladder(alpha, two_j):
+    """D phi(m(m+1)) for m = j, ..., -j and D, from the uncached kernel, one point at a time."""
+    ns, d = zip(*(coefficients.phi_numerators(alpha, [t * (t + 2)]) for t in range(two_j, -two_j - 1, -2)))
+    return tuple(n for n, in ns), d[0]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The X lists handed to the integer phi kernel, from a cleared memo on."""
+    calls = []
+    original = structure.phi_numerators
+    monkeypatch.setattr(structure, "phi_numerators", lambda alpha, xs: calls.append(list(xs)) or original(alpha, xs))
+    structure._phi_ladder.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 8, 9, 64])
+def test_a_polynomial_irrep_evaluates_its_ladder_once(kernel_calls, capsys, two_j):
+    j = HalfInt(two_j)
+    for calls in (1, 0):  # the second round reads the kept table
+        del kernel_calls[:]
+        rep = repbuilder.build_deformed(StructureSpec(Polynomial(MEMO_ALPHA), j))
+        verifier.exact_recurrence_check(MEMO_ALPHA, j)
+        repbuilder.casimir_matrix(rep, MEMO_ALPHA)
+        assert len(kernel_calls) == calls
+    structure._phi_ladder.cache_clear()
+    assert run(["--format", "json", "verify", "--family", "polynomial", "--j", str(j), "--alpha=1,1/10,1/100"]) == 0
+    assert len(kernel_calls) == 1 and all(c["pass"] for c in json.loads(capsys.readouterr().out)["checks"])
+    # exactly the distinct X = 4 m(m+1) of the ladder
+    assert sorted(kernel_calls[0]) == sorted({t * (t + 2) for t in range(two_j, -two_j - 1, -2)})
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 7, 40])
+def test_polynomial_transfer_reads_the_same_ladders(kernel_calls, top):
+    g = structure.polynomial_transfer(MEMO_ALPHA, top).factor
+    assert len(kernel_calls) == 2  # the ladders at 2j = top and top - 1
+    structure.phi_ladder_numerators(MEMO_ALPHA, HalfInt(top))
+    repbuilder.deformed_from_undeformed(repbuilder.build_sl2(HalfInt(top)), MEMO_ALPHA)
+    assert len(kernel_calls) == 2
+    # every label against the quotient of the uncached kernel, bitwise
+    ns, d = coefficients.phi_numerators(MEMO_ALPHA, [t * (t + 2) for t in range(-1, top + 1)])
+    for two_j in range(top + 1):
+        two_m = np.arange(-two_j, two_j, 2)
+        want = [4 * (ns[two_j + 1] - ns[max(tm, -tm - 2) + 1]) / (d * (two_j * (two_j + 2) - tm * (tm + 2)))
+                for tm in two_m.tolist()]
+        assert np.array_equal(g(np.full(len(two_m), two_j), two_m), want)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 9, 10])
+def test_a_table_is_the_uncached_kernel_bitwise(two_j):
+    structure._phi_ladder.cache_clear()
+    for _ in range(2):
+        ladder = structure.phi_ladder_numerators(MEMO_ALPHA, HalfInt(two_j))
+        ns, d = kernel_ladder(MEMO_ALPHA, two_j)
+        assert (ladder.phi, ladder.d) == (ns, d)
+        assert ladder.f == tuple(ns[0] - n for n in ns[1:])
+        assert ladder.phi_floats.tolist() == [n / d for n in ns]
+        assert ladder.f_floats.tolist() == [n / d for n in ladder.f]
+
+
+def test_an_alpha_off_by_1e_30_gets_its_own_table():
+    # negative control of the exact key: as floats the two alphas are one, so a float key would hand the second
+    # the first's table
+    near = (MEMO_ALPHA[0], MEMO_ALPHA[1] + Fraction(1, 10**30), MEMO_ALPHA[2])
+    assert [float(a) for a in near] == [float(a) for a in MEMO_ALPHA]
+    j = HalfInt(9)
+    for alpha in (MEMO_ALPHA, near):
+        assert structure.phi_ladder_numerators(alpha, j)[:2] == kernel_ladder(alpha, 9)
+        assert ladder_values(StructureSpec(Polynomial(alpha), j)) == closed_form(StructureSpec(Polynomial(alpha),
+                                                                                               j))[1:-1]
+    assert structure.phi_ladder_numerators(near, j).phi != structure.phi_ladder_numerators(MEMO_ALPHA, j).phi
+
+
+def test_what_a_reader_returns_does_not_alias_the_table():
+    j = HalfInt(7)
+    spec = StructureSpec(Polynomial(MEMO_ALPHA), j)
+    rep = repbuilder.build_deformed(spec)
+    readers = (lambda: structure.phi_ladder_numerators(MEMO_ALPHA, j), lambda: structure.ladder_numerators(spec),
+               lambda: ladder_values(spec), lambda: repbuilder._phi_values(rep, MEMO_ALPHA),
+               lambda: repbuilder.casimir_matrix(rep, MEMO_ALPHA), lambda: repbuilder.build_deformed(spec).ladder)
+    fresh = [repr(read()) for read in readers]
+    for read in readers:  # every returned sequence and array written to, where it can be
+        stack = [read()]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, (tuple, list)):
+                stack.extend(x)
+            if isinstance(x, (tuple, list, np.ndarray)) and len(x):
+                try:
+                    x[0] = x[0] + 1
+                except (TypeError, ValueError):  # a tuple, a read-only array
+                    pass
+    assert [repr(read()) for read in readers] == fresh
+
+
+def test_the_memo_keeps_at_most_its_bound():
+    structure._phi_ladder.cache_clear()
+    for k in range(structure._LADDERS + 5):
+        structure.phi_ladder_numerators([Fraction(1), Fraction(k, 7)], HalfInt(3))
+    info = structure._phi_ladder.cache_info()
+    assert info.maxsize == structure._LADDERS and info.currsize <= structure._LADDERS
+    assert info.misses == structure._LADDERS + 5

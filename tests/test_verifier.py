@@ -339,6 +339,18 @@ def test_norm_of_blocks_rescales_where_their_sum_overflows(monkeypatch, run):
     assert verifier._norm(reversed(blocks)) == pytest.approx(want, rel=8 * verifier.EPS)
 
 
+@pytest.mark.parametrize("run", [1 << 21, 72, 1], ids=["one run", "two blocks to a run", "a run per block"])
+def test_side_by_side_norms_are_each_column_alone(monkeypatch, run):
+    # the [J+, J-] residual and J+ J- of a coproduct are read in one pass over each block's J+ J-: each column's
+    # norm is bitwise the norm of its blocks read alone, past the float range too
+    monkeypatch.setattr(verifier, "_RUN", run)
+    rng = np.random.default_rng(7)
+    blocks = [rng.standard_normal((n, n)) for n in (6, 1, 6, 0, 3)]
+    cols = (blocks, [b * 1e153 for b in blocks], [b[::-1] for b in blocks])
+    assert verifier._block_norms(zip(*cols), 3) == [verifier._norm(iter(c)) for c in cols]
+    assert verifier._block_norms(iter(()), 2) == [0.0, 0.0]
+
+
 def test_norm_of_blocks_holds_one_run_at_a_time(monkeypatch):
     size = 2**20 // 8  # 1 MiB blocks, two to a run
     monkeypatch.setattr(verifier, "_RUN", 2 * size)
